@@ -1,182 +1,24 @@
-"""Symmetric tridiagonal eigensolver with numba and pure-numpy backends.
+"""Symmetric tridiagonal eigensolver: LAPACK ``?stemr`` through scipy.
 
-The implicit-shift QL iteration below is the hot kernel of the whole
-package: every invariant block of the coupled molecule-field Hamiltonian
-is a real symmetric tridiagonal matrix, and sweeps diagonalize many of
-them.  Two implementations of the same rotation sequence are provided:
-
-* ``ql_implicit_shift_numba`` -- scalar inner loops compiled with
-  ``numba.njit`` (used by default when numba imports cleanly);
-* ``ql_implicit_shift_numpy`` -- identical arithmetic with the
-  eigenvector rotation vectorized over rows, so it stays usable without
-  a compiler.
-
-Set ``LASERCOND_NO_NUMBA=1`` in the environment (before import) to force
-the numpy fallback.  Both paths apply the same Givens rotations in the
-same order, so their outputs agree to the last bit; ``benchmarks/``
-contains a timing comparison.
+Every invariant block of the coupled molecule-field Hamiltonian is a
+real symmetric tridiagonal matrix.  Both entry points call LAPACK's
+MRRR routine (Dhillon & Parlett, "Multiple representations to compute
+orthogonal eigenvectors of symmetric tridiagonal matrices", LAA 387,
+2004), named explicitly so the algorithm does not follow scipy's
+``lapack_driver="auto"`` default from one release to the next.
 """
 
-from __future__ import annotations
-
-import math
-import os
-
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
-ENV_FLAG = "LASERCOND_NO_NUMBA"
-
-_EPS = 2.220446049250313e-16
-_MAX_QL_SWEEPS = 50
+_DRIVER = "stemr"
 
 
 class ConvergenceError(RuntimeError):
     """An iterative solve hit its iteration cap before converging."""
 
 
-def _ql_kernel(d, e, z):
-    """Implicit-shift QL on a symmetric tridiagonal matrix (in place).
-
-    d : diagonal, length n; overwritten with eigenvalues (unsorted).
-    e : off-diagonal in e[0:n-1] (e[i] couples i and i+1); e[n-1] is
-        workspace.  Destroyed.
-    z : (n, n) identity on entry; columns become eigenvectors.
-
-    Returns 0 on success, or 1 + (index of the eigenvalue that failed to
-    deflate within the sweep cap).
-    """
-    n = d.shape[0]
-    for low in range(n):
-        sweeps = 0
-        while True:
-            m = low
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > _MAX_QL_SWEEPS:
-                return low + 1
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            if g >= 0.0:
-                g = d[m] - d[low] + e[low] / (g + r)
-            else:
-                g = d[m] - d[low] + e[low] / (g - r)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                for k in range(n):
-                    f = z[k, i + 1]
-                    z[k, i + 1] = s * z[k, i] + c * f
-                    z[k, i] = c * z[k, i] - s * f
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
-    return 0
-
-
-def _ql_kernel_numpy(d, e, z):
-    """Same rotation sequence as ``_ql_kernel`` with vectorized columns."""
-    n = d.shape[0]
-    for low in range(n):
-        sweeps = 0
-        while True:
-            m = low
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > _MAX_QL_SWEEPS:
-                return low + 1
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            if g >= 0.0:
-                g = d[m] - d[low] + e[low] / (g + r)
-            else:
-                g = d[m] - d[low] + e[low] / (g - r)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
-    return 0
-
-
-ql_implicit_shift_numpy = _ql_kernel_numpy
-
-try:
-    from numba import njit
-
-    ql_implicit_shift_numba = njit(cache=True)(_ql_kernel)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    ql_implicit_shift_numba = None
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() not in ("", "0", "false")
-
-
-if ql_implicit_shift_numba is not None and not _numba_disabled():
-    _ACTIVE_KERNEL = ql_implicit_shift_numba
-    BACKEND = "numba"
-else:
-    _ACTIVE_KERNEL = ql_implicit_shift_numpy
-    BACKEND = "numpy"
-
-
-def tridiag_eigh(diagonal, offdiagonal, kernel=None):
+def tridiag_eigh(diagonal, offdiagonal):
     """Full eigendecomposition of a real symmetric tridiagonal matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix with column k the
@@ -184,36 +26,25 @@ def tridiag_eigh(diagonal, offdiagonal, kernel=None):
     first component whose magnitude exceeds 1e-12 of the column maximum
     is made positive, so repeated runs are bit-reproducible.
 
-    Raises ConvergenceError if any eigenvalue fails to deflate within
-    the sweep cap.
+    Raises ConvergenceError if LAPACK reports that it did not converge.
     """
-    d = np.array(diagonal, dtype=float, copy=True)
-    n = d.shape[0]
-    if n == 0:
-        raise ValueError("empty matrix")
-    e = np.zeros(n)
-    if n > 1:
-        off = np.asarray(offdiagonal, dtype=float)
-        if off.shape != (n - 1,):
-            raise ValueError(f"offdiagonal must have length {n - 1}")
-        e[: n - 1] = off
-    z = np.eye(n)
-    status = (kernel or _ACTIVE_KERNEL)(d, e, z)
-    if status != 0:
-        raise ConvergenceError(
-            f"QL iteration exceeded {_MAX_QL_SWEEPS} sweeps at eigenvalue "
-            f"index {status - 1} (dim={n})"
-        )
-    order = np.argsort(d, kind="stable")
-    values = d[order]
-    vectors = z[:, order]
+    try:
+        values, vectors = eigh_tridiagonal(diagonal, offdiagonal, lapack_driver=_DRIVER)
+    except LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
     _fix_signs(vectors)
     return values, vectors
 
 
+def tridiag_eigvalsh(diagonal, offdiagonal):
+    """Ascending eigenvalues only; same solver and errors as ``tridiag_eigh``."""
+    try:
+        return eigvalsh_tridiagonal(diagonal, offdiagonal, lapack_driver=_DRIVER)
+    except LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+
+
 def _fix_signs(vectors) -> None:
-    scale = np.max(np.abs(vectors), axis=0)
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k]) > 1e-12 * scale[k]))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] *= -1.0
+    magnitude = np.abs(vectors)
+    lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)

@@ -18,13 +18,14 @@ import datetime
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, condensation, spectrum, thermal
-from .accel import BACKEND
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
 
 SWEEP_HEADER = (
@@ -79,10 +80,14 @@ class Run:
     def finish(self) -> int:
         manifest = {
             "artifact_version": __version__,
-            "backend": BACKEND,
             "command": self.config.command,
             "config": {k: _json_value(v) for k, v in sorted(self.config.values.items())},
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
             "files": [
                 {"name": p.name, "sha256": _sha256(p)} for p in self.files
             ],

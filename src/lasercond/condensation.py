@@ -235,13 +235,13 @@ def ladder_from_spectrum(
             f"spectral ladder needs a complete block (c >= r), got "
             f"c={two_c / 2}, r={two_r / 2}"
         )
-    lower = spectrum.diagonalize(
+    lower = spectrum.block_eigenvalues(
         spectrum.build_block(spectrum.BlockIndex(two_r, two_c, kappa))
     )
-    upper = spectrum.diagonalize(
+    upper = spectrum.block_eigenvalues(
         spectrum.build_block(spectrum.BlockIndex(two_r, two_c + 2, kappa))
     )
-    omegas = omega * (upper.eigenvalues - lower.eigenvalues)
+    omegas = omega * (upper - lower)
     if np.any(omegas <= 0.0):
         raise ValueError("spectral ladder produced a non-positive level energy")
     return LevelLadder(omegas=np.sort(omegas), source="spectral")

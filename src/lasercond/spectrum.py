@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import ConvergenceError, tridiag_eigh
+from .accel import ConvergenceError, tridiag_eigh, tridiag_eigvalsh
 
 __all__ = [
     "BlockIndex",
@@ -36,6 +36,7 @@ __all__ = [
     "block_basis",
     "build_block",
     "diagonalize",
+    "block_eigenvalues",
     "photon_statistics",
     "predicted_ground_mean",
     "predicted_ground_variance",
@@ -185,25 +186,31 @@ def build_block(index: BlockIndex) -> HamiltonianBlock:
     )
 
 
-def diagonalize(block: HamiltonianBlock) -> EigenSolution:
-    """Full ascending eigensystem of a block.
-
-    Uses the structured QL solver (O(dim^2) per eigenvalue) rather than a
-    dense routine; non-convergence is re-raised with the block labels.
-    """
+def _solve_block(solver, block: HamiltonianBlock):
+    """Run ``solver`` on a block; re-raise non-convergence with its labels."""
     try:
-        values, vectors = tridiag_eigh(block.diagonal, block.offdiagonal)
+        return solver(block.diagonal, block.offdiagonal)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"block (r={block.index.r}, c={block.index.c}, "
             f"dim={block.basis.dim}): {exc}"
         ) from exc
+
+
+def diagonalize(block: HamiltonianBlock) -> EigenSolution:
+    """Full ascending eigensystem of a block (LAPACK tridiagonal solver)."""
+    values, vectors = _solve_block(tridiag_eigh, block)
     return EigenSolution(
         index=block.index,
         basis=block.basis,
         eigenvalues=values,
         amplitudes=vectors,
     )
+
+
+def block_eigenvalues(block: HamiltonianBlock) -> np.ndarray:
+    """Ascending spectrum of a block without its eigenvectors."""
+    return _solve_block(tridiag_eigvalsh, block)
 
 
 def photon_statistics(solution: EigenSolution, k: int) -> PhotonStatistics:

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from lasercond import cli, condensation
 from lasercond.config import ConfigError, parse_config_text
@@ -176,6 +177,8 @@ def test_cli_manifest_checksums(tmp_path):
     assert manifest["command"] == "sweep"
     assert manifest["config"]["pump.points"] == 12
     assert manifest["residuals"]["max"] >= manifest["residuals"]["min"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     for entry in manifest["files"]:
         digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from lasercond import accel
 from lasercond import spectrum as sp
-from lasercond.accel import ql_implicit_shift_numba, ql_implicit_shift_numpy, tridiag_eigh
+from lasercond.accel import ConvergenceError, tridiag_eigh
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -144,14 +146,53 @@ def test_j_labels_only_for_complete_blocks():
     assert truncated.j_labels() is None
 
 
-def test_backends_agree():
+def test_tridiag_eigh_matches_dense_eigh():
     block = sp.build_block(sp.BlockIndex(41, 121, 0.9))
-    v_np, z_np = tridiag_eigh(block.diagonal, block.offdiagonal, kernel=ql_implicit_shift_numpy)
-    if ql_implicit_shift_numba is None:
-        pytest.skip("numba unavailable")
-    v_nb, z_nb = tridiag_eigh(block.diagonal, block.offdiagonal, kernel=ql_implicit_shift_numba)
-    assert np.max(np.abs(v_np - v_nb)) < 1e-12
-    assert np.max(np.abs(z_np - z_nb)) < 1e-12
+    values, vectors = tridiag_eigh(block.diagonal, block.offdiagonal)
+    dense = (
+        np.diag(block.diagonal)
+        + np.diag(block.offdiagonal, 1)
+        + np.diag(block.offdiagonal, -1)
+    )
+    dense_values, dense_vectors = np.linalg.eigh(dense)
+    dense_vectors *= np.sign(np.sum(dense_vectors * vectors, axis=0))
+    assert np.max(np.abs(values - dense_values)) < 1e-12
+    assert np.max(np.abs(vectors - dense_vectors)) < 1e-12
+
+
+def test_fix_signs_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    vectors = rng.standard_normal((30, 40)) * (rng.random((30, 40)) < 0.3)
+    vectors[0, :] = -1e-14  # below 1e-12 of the column maximum: not the lead
+    vectors[29, :] += 1.0  # no all-zero column
+    expected = vectors.copy()
+    scale = np.max(np.abs(expected), axis=0)
+    for k in range(expected.shape[1]):
+        lead = int(np.argmax(np.abs(expected[:, k]) > 1e-12 * scale[k]))
+        if expected[lead, k] < 0.0:
+            expected[:, k] *= -1.0
+    accel._fix_signs(vectors)
+    assert vectors.tobytes() == expected.tobytes()
+
+
+def test_block_eigenvalues_match_full_solve():
+    block = sp.build_block(sp.BlockIndex(200, 300, 1.0))
+    values = sp.block_eigenvalues(block)
+    assert np.max(np.abs(values - sp.diagonalize(block).eigenvalues)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lapack_name,solve",
+    [("eigh_tridiagonal", sp.diagonalize), ("eigvalsh_tridiagonal", sp.block_eigenvalues)],
+)
+def test_lapack_failure_raises_convergence_error(monkeypatch, lapack_name, solve):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("stemr did not converge (LAPACK info=3)")
+
+    monkeypatch.setattr(accel, lapack_name, fail)
+    block = sp.build_block(sp.BlockIndex(41, 121, 0.9))
+    with pytest.raises(ConvergenceError, match=r"r=20\.5, c=60\.5, dim=42\): stemr did"):
+        solve(block)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +326,28 @@ def test_closed_forms_inside_their_regimes(two_r, two_c):
         slope = np.polyfit(solution.j_labels(), solution.eigenvalues, 1)[0]
         target = 2.0 * math.sqrt(full)
         assert abs(slope - target) < 0.03 * target
+
+
+def test_closed_forms_deep_in_regime():
+    # r = c >> 1: the asymptotic mean and sigma^2 = n0/sqrt(12) both
+    # approach the exact ground state like 1/r (measured 0.092/r and
+    # 0.255/r); only the ground level is solved, so dim 10001 stays cheap
+    errors = []
+    for r in (1000, 5000):
+        index = sp.BlockIndex(2 * r, 2 * r, 1.0)
+        block = sp.build_block(index)
+        values, vectors = scipy.linalg.eigh_tridiagonal(
+            block.diagonal, block.offdiagonal, select="i", select_range=(0, 0)
+        )
+        stats = sp.photon_statistics(sp.EigenSolution(index, block.basis, values, vectors), 0)
+        _, asymptotic = sp.predicted_ground_mean(index)
+        mean_error = abs(asymptotic - stats.n0) / stats.n0
+        variance_error = abs(stats.sigma2 / (stats.n0 / math.sqrt(12.0)) - 1.0)
+        assert mean_error < 0.2 / r
+        assert variance_error < 0.5 / r
+        errors.append((mean_error, variance_error))
+    assert errors[1][0] < errors[0][0]
+    assert errors[1][1] < errors[0][1]
 
 
 # ---------------------------------------------------------------------------
