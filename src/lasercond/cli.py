@@ -8,12 +8,16 @@ identical configs reproduce byte-identical payloads) plus a
 each emitted file.  Exit status: 0 all solves converged and no flags,
 2 computed but flagged (non-converged points, out-of-range fits, ...),
 1 errors.
+
+Sweep grid points are solved one after another in this process.
+``--workers`` and the ``workers`` config key are still accepted and
+validated (>= 1) but change nothing: a process pool measured slower than
+the in-process loop.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -81,7 +85,7 @@ class Run:
         manifest = {
             "artifact_version": __version__,
             "command": self.config.command,
-            "config": {k: _json_value(v) for k, v in sorted(self.config.values.items())},
+            "config": self.config.echo(),
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "versions": {
                 "python": platform.python_version(),
@@ -105,12 +109,6 @@ class Run:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         return status
-
-
-def _json_value(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +234,16 @@ def _failed_row(s: float):
     return (s, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, "failed")
 
 
-def _solve_grid_point(args):
-    omegas, source, beta, phi, chi, s = args
-    ladder = condensation.LevelLadder(np.asarray(omegas), source=source)
-    bath = condensation.BathParams(beta=beta, phi=phi, chi=chi)
-    return condensation.solve_steady_state(
-        ladder, bath, condensation.PumpParams.from_supply(s)
-    )
-
-
 def _solve_sweep(run: Run, s_grid: np.ndarray) -> list:
-    """Solve every grid point, isolating per-point failures."""
-    ladder = run.config.ladder
-    bath = run.config.bath
-    jobs = [
-        (tuple(ladder.omegas), ladder.source, bath.beta, bath.phi, bath.chi, float(s))
-        for s in s_grid
-    ]
-    solutions: list = [None] * len(jobs)
-    if run.config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(run.config.workers) as pool:
-            futures = {pool.submit(_solve_grid_point, job): i for i, job in enumerate(jobs)}
-            for future in concurrent.futures.as_completed(futures):
-                i = futures[future]
-                try:
-                    solutions[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - isolate the point
-                    solutions[i] = exc
-    else:
-        for i, job in enumerate(jobs):
-            try:
-                solutions[i] = _solve_grid_point(job)
-            except Exception as exc:  # noqa: BLE001 - isolate the point
-                solutions[i] = exc
+    """Solve every grid point in-process, isolating per-point failures."""
+    ladder, bath = run.config.ladder, run.config.bath
+    solutions: list = []
+    for s in s_grid:
+        pump = condensation.PumpParams.from_supply(float(s))
+        try:
+            solutions.append(condensation.solve_steady_state(ladder, bath, pump))
+        except Exception as exc:  # noqa: BLE001 - isolate the point
+            solutions.append(exc)
     return solutions
 
 
@@ -386,7 +361,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key=value parameter file")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--workers", type=int, default=None, help="grid-point parallelism")
+        p.add_argument(
+            "--workers", type=int, default=None, help="ignored; grid points solve in-process"
+        )
     args = parser.parse_args(argv)
 
     try:

@@ -366,6 +366,15 @@ def solve_steady_state(
         log_a = 0.0
     else:
         gap_top = omegas[0] * beta
+        if bath.chi * transfer < bath.phi**2 * np.finfo(float).eps:
+            # eta_of_gap recovers phi + chi eta by subtracting phi, which
+            # then cancels to exactly 0 for every gap
+            raise ConvergenceError(
+                f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
+                f"{bath.chi * transfer / bath.phi**2:.3g} is below machine "
+                "epsilon: the root lies closer to the pole than the gap "
+                "variable can resolve"
+            )
 
         def eta_of_gap(g: float) -> float:
             # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)

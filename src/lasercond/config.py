@@ -186,6 +186,19 @@ class RunConfig:
     pump: condensation.PumpParams | None = None
     s_grid: np.ndarray | None = None
 
+    def echo(self) -> dict:
+        """``values`` in the config file's units: half-integer keys undoubled."""
+        keys = _KEYS_BY_COMMAND[self.command]
+        return {
+            key: _undouble(value) if keys[key] is _parse_half_integer else value
+            for key, value in self.values.items()
+        }
+
+
+def _undouble(doubled: int):
+    """2.5 for 5 and 100 (an int) for 200."""
+    return doubled // 2 if doubled % 2 == 0 else doubled / 2
+
 
 def parse_config(path, command: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:

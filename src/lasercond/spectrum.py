@@ -273,11 +273,6 @@ def predicted_ground_variance(index: BlockIndex, n0: float) -> float:
     return ground_variance_formula(index.r, index.c, n0)
 
 
-def variance_regime_ok(index: BlockIndex) -> bool:
-    """True inside the stated validity window c > r > 1 of the variance form."""
-    return index.two_c > index.two_r > 2
-
-
 def effective_ground_eigenvalue(solution: EigenSolution) -> float:
     """Coupling-normalized depth of the ground level: q0 = (c - lambda_min)/|kappa|."""
     return float((solution.index.c - solution.eigenvalues[0]) / solution.index.kappa)

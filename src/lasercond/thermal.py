@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 14
-EXACT_INTEGER_LIMIT = 30  # factorial formula stays exact far beyond; kept as the documented switch point
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,8 @@ def _check_two_r(n_molecules: int, two_r: int) -> None:
 def degeneracy(n_molecules: int, two_r: int) -> int:
     """Multiplicity P(r) = N!(2r+1) / ((N/2+r+1)!(N/2-r)!), exactly.
 
-    Python integers keep this exact for any N; the documented guarantee
-    is N <= EXACT_INTEGER_LIMIT, use log_degeneracy for asymptotics.
+    Python integers keep this exact for any N; use log_degeneracy when
+    only the logarithm is needed at large N.
     """
     _check_two_r(n_molecules, two_r)
     upper = (n_molecules + two_r) // 2 + 1

@@ -223,6 +223,16 @@ def test_solver_rejects_degenerate_ladder_with_chi():
         cd.solve_steady_state(flat, BATH, cd.PumpParams.from_supply(1.0))
 
 
+@pytest.mark.parametrize("beta", [36.5, 50.0, 100.0, 400.0, 1000.0])
+def test_solver_names_unresolvable_pole(beta):
+    # chi S / phi^2 < eps here (S underflows to 0 past omega_-r beta ~ 745):
+    # phi + chi eta cancels to 0, which used to raise ZeroDivisionError
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=beta, phi=1.0, chi=0.1)
+    with pytest.raises(cd.ConvergenceError, match="below machine epsilon"):
+        cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
+
+
 def test_solution_bounds_and_stationarity():
     for s in (0.2, 5.0, 500.0):
         solution = solve(s)

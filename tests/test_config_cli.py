@@ -176,12 +176,22 @@ def test_cli_manifest_checksums(tmp_path):
     manifest = _manifest(out)
     assert manifest["command"] == "sweep"
     assert manifest["config"]["pump.points"] == 12
+    assert manifest["config"]["ladder.r"] == 5  # as written, not the doubled 10
+    assert isinstance(manifest["config"]["ladder.r"], int)
     assert manifest["residuals"]["max"] >= manifest["residuals"]["min"]
     assert manifest["versions"]["scipy"] == scipy.__version__
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     for entry in manifest["files"]:
         digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_cli_manifest_echoes_half_integers_as_written(tmp_path):
+    cfg = _write(tmp_path, "run.cfg", "spectrum.r = 2.5\nspectrum.c = 100.5\nspectrum.kappa = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    config = _manifest(out)["config"]
+    assert (config["spectrum.r"], config["spectrum.c"]) == (2.5, 100.5)
 
 
 def test_cli_threshold_report(tmp_path):
@@ -235,7 +245,46 @@ def test_cli_missing_config_exit_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_cli_failed_point_isolated(tmp_path, monkeypatch):
+def test_cli_workers_below_one_exit_one(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--workers", "0"]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+    cfg_zero = _write(tmp_path, "zero.cfg", SWEEP_CFG + "workers = 0\n")
+    assert cli.main(["sweep", "--config", cfg_zero, "--out", str(tmp_path)]) == 1
+    assert "workers: must be >= 1" in capsys.readouterr().err
+
+
+# chi S / phi^2 falls below machine epsilon at this temperature
+POLE_CFG = """
+ladder.r = 1
+ladder.omega = 1
+ladder.kappa = 0.1
+ladder.c_ref = 100
+bath.beta = 100
+bath.phi = 1
+bath.chi = 0.1
+"""
+
+
+def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "point.cfg", POLE_CFG + "pump.s = 1\n")
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below machine epsilon" in err
+
+    cfg = _write(
+        tmp_path, "sweep.cfg", POLE_CFG + "pump.s_min = 1\npump.s_max = 10\npump.points = 3\n"
+    )
+    out = tmp_path / "b"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",failed") for row in rows)
+    flags = _manifest(out)["flags"]
+    assert len(flags) == 3 and all("below machine epsilon" in flag for flag in flags)
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])
+def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
     cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)
     out = tmp_path / "out"
     original = condensation.solve_steady_state
@@ -246,7 +295,7 @@ def test_cli_failed_point_isolated(tmp_path, monkeypatch):
         return original(ladder, bath, pump)
 
     monkeypatch.setattr(cli.condensation, "solve_steady_state", sabotage)
-    status = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+    status = cli.main(["sweep", "--config", cfg, "--out", str(out), *workers])
     assert status == 2  # computed, but flagged
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 12  # no truncation
