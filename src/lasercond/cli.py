@@ -376,11 +376,9 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.workers is not None:
-        if args.workers < 1:
-            print("config error: workers must be >= 1", file=sys.stderr)
-            return EXIT_ERROR
-        config.workers = args.workers
+    if args.workers is not None and args.workers < 1:
+        print("config error: workers must be >= 1", file=sys.stderr)
+        return EXIT_ERROR
     out_dir = Path(args.out or config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 

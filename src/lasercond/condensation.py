@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .accel import ConvergenceError
+from .spectrum import ConvergenceError
 from . import spectrum
 
 __all__ = [
@@ -252,7 +252,8 @@ def planck_occupation(omega, beta: float):
     x = np.asarray(omega, dtype=float) * beta
     if np.any(x <= 0.0):
         raise ValueError("omega * beta must be positive")
-    out = 1.0 / np.expm1(x)
+    with np.errstate(over="ignore"):  # e^x overflows only where 0 is right
+        out = 1.0 / np.expm1(x)
     return float(out) if np.isscalar(omega) else out
 
 
@@ -362,7 +363,13 @@ def solve_steady_state(
     transfer = excitation_transfer_supply(s, ladder, bath)
 
     if s == 0.0 or bath.chi == 0.0:
-        occupations = (1.0 + s / bath.phi) / np.expm1(omegas * beta)
+        with np.errstate(over="ignore"):
+            occupations = (1.0 + s / bath.phi) / np.expm1(omegas * beta)
+        if occupations[0] == 0.0:
+            raise ConvergenceError(
+                f"omega_-r beta = {omegas[0] * beta:.6g} exceeds ln(DBL_MAX): "
+                "e^(omega beta) overflows and every occupation underflows to 0"
+            )
         log_a = 0.0
     else:
         gap_top = omegas[0] * beta

@@ -175,7 +175,6 @@ class RunConfig:
 
     command: str
     values: dict = field(default_factory=dict)
-    workers: int = 1
     output_dir: str | None = None
 
     # typed objects built at validation time (present per command)
@@ -240,9 +239,9 @@ def parse_config_text(text: str, command: str) -> RunConfig:
             problems.append(f"missing required key {key!r}")
 
     config = RunConfig(command=command, values=values)
-    config.workers = values.get("workers", 1)
-    if config.workers < 1:
-        problems.append(f"workers: must be >= 1, got {config.workers}")
+    workers = values.get("workers", 1)
+    if workers < 1:
+        problems.append(f"workers: must be >= 1, got {workers}")
     config.output_dir = values.get("output.dir")
 
     if not problems:

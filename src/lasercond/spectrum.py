@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .accel import ConvergenceError, tridiag_eigh, tridiag_eigvalsh
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 __all__ = [
     "BlockIndex",
@@ -48,6 +47,21 @@ __all__ = [
     "dense_oracle",
     "ConvergenceError",
 ]
+
+# LAPACK's MRRR routine (Dhillon & Parlett, "Multiple representations to
+# compute orthogonal eigenvectors of symmetric tridiagonal matrices", LAA
+# 387, 2004), named explicitly so the algorithm does not follow scipy's
+# lapack_driver="auto" default from one release to the next.
+_DRIVER = "stemr"
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical solve failed: LAPACK did not converge, or no root was found.
+
+    Raised by the block eigensolve and by the steady-state solver, whose
+    message names the regime (a pole the gap variable cannot resolve, a
+    missing bracket, occupations that all underflow).
+    """
 
 
 @dataclass(frozen=True)
@@ -187,19 +201,30 @@ def build_block(index: BlockIndex) -> HamiltonianBlock:
 
 
 def _solve_block(solver, block: HamiltonianBlock):
-    """Run ``solver`` on a block; re-raise non-convergence with its labels."""
+    """Run a LAPACK tridiagonal ``solver`` on a block; failures name the block."""
     try:
-        return solver(block.diagonal, block.offdiagonal)
-    except ConvergenceError as exc:
+        return solver(block.diagonal, block.offdiagonal, lapack_driver=_DRIVER)
+    except LinAlgError as exc:
         raise ConvergenceError(
             f"block (r={block.index.r}, c={block.index.c}, "
             f"dim={block.basis.dim}): {exc}"
         ) from exc
 
 
+def _fix_signs(vectors) -> None:
+    """Make the first component above 1e-12 of each column's maximum positive.
+
+    Fixes the sign convention in place so repeated runs are bit-reproducible.
+    """
+    magnitude = np.abs(vectors)
+    lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+
+
 def diagonalize(block: HamiltonianBlock) -> EigenSolution:
-    """Full ascending eigensystem of a block (LAPACK tridiagonal solver)."""
-    values, vectors = _solve_block(tridiag_eigh, block)
+    """Full ascending eigensystem of a block, eigenvector signs fixed."""
+    values, vectors = _solve_block(eigh_tridiagonal, block)
+    _fix_signs(vectors)
     return EigenSolution(
         index=block.index,
         basis=block.basis,
@@ -210,7 +235,7 @@ def diagonalize(block: HamiltonianBlock) -> EigenSolution:
 
 def block_eigenvalues(block: HamiltonianBlock) -> np.ndarray:
     """Ascending spectrum of a block without its eigenvectors."""
-    return _solve_block(tridiag_eigvalsh, block)
+    return _solve_block(eigvalsh_tridiagonal, block)
 
 
 def photon_statistics(solution: EigenSolution, k: int) -> PhotonStatistics:

@@ -233,6 +233,17 @@ def test_solver_names_unresolvable_pole(beta):
         cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
 
 
+@pytest.mark.parametrize("beta", [720.0, 1000.0, 2000.0])
+def test_solver_names_underflowing_occupations(beta):
+    # omega_-r beta > ln(DBL_MAX) ~ 709.78: the closed form's e^(omega beta)
+    # overflows, every occupation is 0 and so was eta (ZeroDivisionError)
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    for chi, s in ((0.1, 0.0), (0.0, 1.0)):
+        bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
+        with pytest.raises(cd.ConvergenceError, match="every occupation underflows"):
+            cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+
+
 def test_solution_bounds_and_stationarity():
     for s in (0.2, 5.0, 500.0):
         solution = solve(s)

@@ -40,7 +40,6 @@ def test_parse_minimal_spectrum_config():
     config = parse_config_text(SPECTRUM_CFG, "spectrum")
     assert config.block_index.two_r == 1
     assert config.block_index.two_c == 1
-    assert config.workers == 1
 
 
 def test_parse_sweep_config_grid():
@@ -281,6 +280,24 @@ def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
     assert len(rows) == 3 and all(row.endswith(",failed") for row in rows)
     flags = _manifest(out)["flags"]
     assert len(flags) == 3 and all("below machine epsilon" in flag for flag in flags)
+
+
+def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
+    # omega_-r beta = 990: at s = 0 every occupation underflows to 0
+    cold = POLE_CFG.replace("bath.beta = 100", "bath.beta = 1000")
+    cfg = _write(tmp_path, "point.cfg", cold + "pump.s = 0\n")
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "every occupation underflows" in err
+
+    cfg = _write(
+        tmp_path, "sweep.cfg", cold + "pump.s_min = 0\npump.s_max = 10\npump.points = 5\n"
+    )
+    out = tmp_path / "b"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and rows[0].startswith("0,") and rows[0].endswith(",failed")
+    assert "every occupation underflows" in _manifest(out)["flags"][0]
 
 
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])

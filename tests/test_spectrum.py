@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lasercond import accel
 from lasercond import spectrum as sp
-from lasercond.accel import ConvergenceError, tridiag_eigh
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -146,9 +144,10 @@ def test_j_labels_only_for_complete_blocks():
     assert truncated.j_labels() is None
 
 
-def test_tridiag_eigh_matches_dense_eigh():
+def test_diagonalize_matches_dense_eigh():
     block = sp.build_block(sp.BlockIndex(41, 121, 0.9))
-    values, vectors = tridiag_eigh(block.diagonal, block.offdiagonal)
+    solution = sp.diagonalize(block)
+    values, vectors = solution.eigenvalues, solution.amplitudes
     dense = (
         np.diag(block.diagonal)
         + np.diag(block.offdiagonal, 1)
@@ -171,7 +170,7 @@ def test_fix_signs_matches_loop_reference():
         lead = int(np.argmax(np.abs(expected[:, k]) > 1e-12 * scale[k]))
         if expected[lead, k] < 0.0:
             expected[:, k] *= -1.0
-    accel._fix_signs(vectors)
+    sp._fix_signs(vectors)
     assert vectors.tobytes() == expected.tobytes()
 
 
@@ -189,9 +188,9 @@ def test_lapack_failure_raises_convergence_error(monkeypatch, lapack_name, solve
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("stemr did not converge (LAPACK info=3)")
 
-    monkeypatch.setattr(accel, lapack_name, fail)
+    monkeypatch.setattr(sp, lapack_name, fail)
     block = sp.build_block(sp.BlockIndex(41, 121, 0.9))
-    with pytest.raises(ConvergenceError, match=r"r=20\.5, c=60\.5, dim=42\): stemr did"):
+    with pytest.raises(sp.ConvergenceError, match=r"r=20\.5, c=60\.5, dim=42\): stemr did"):
         solve(block)
 
 
