@@ -9,10 +9,11 @@ each emitted file.  Exit status: 0 all solves converged and no flags,
 2 computed but flagged (non-converged points, out-of-range fits, ...),
 1 errors.
 
-Sweep grid points are solved one after another in this process.
-``--workers`` and the ``workers`` config key are still accepted and
-validated (>= 1) but change nothing: a process pool measured slower than
-the in-process loop.
+Sweep grid points are solved one after another in this process, by
+``condensation.sweep_supply``.  ``--workers`` is still accepted and
+validated (>= 1) but changes nothing: a process pool measured slower than
+the in-process loop.  A config that sets ``workers`` is rejected as an
+unknown key.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -70,8 +64,11 @@ class Run:
         self.residuals: list[float] = []
 
     def write_csv(self, name: str, header: str, rows) -> Path:
+        lines = [header]
+        for row in rows:
+            lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
         path = self.out_dir / name
-        _write_csv(path, header, rows)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         self.files.append(path)
         return path
 
@@ -234,20 +231,7 @@ def _failed_row(s: float):
     return (s, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, "failed")
 
 
-def _solve_sweep(run: Run, s_grid: np.ndarray) -> list:
-    """Solve every grid point in-process, isolating per-point failures."""
-    ladder, bath = run.config.ladder, run.config.bath
-    solutions: list = []
-    for s in s_grid:
-        pump = condensation.PumpParams.from_supply(float(s))
-        try:
-            solutions.append(condensation.solve_steady_state(ladder, bath, pump))
-        except Exception as exc:  # noqa: BLE001 - isolate the point
-            solutions.append(exc)
-    return solutions
-
-
-def _emit_sweep(run: Run, name: str, s_grid: np.ndarray, solutions: list) -> None:
+def _emit_sweep(run: Run, name: str, s_grid, solutions: list) -> None:
     eta_t = condensation.eta_thermal(run.config.ladder, run.config.bath)
     rows = []
     for s, solution in zip(s_grid, solutions):
@@ -264,15 +248,9 @@ def _emit_sweep(run: Run, name: str, s_grid: np.ndarray, solutions: list) -> Non
 
 
 def _run_steady_state(run: Run) -> None:
-    solution = condensation.solve_steady_state(
-        run.config.ladder, run.config.bath, run.config.pump
-    )
-    eta_t = condensation.eta_thermal(run.config.ladder, run.config.bath)
-    row = _point_row(solution, eta_t)
-    if row[-1] == "not-converged":
-        run.flags.append("steady-state solve did not converge")
-    run.residuals.append(solution.max_residual)
-    run.write_csv("steady_state.csv", SWEEP_HEADER, [row])
+    pump = run.config.pump
+    solution = condensation.solve_steady_state(run.config.ladder, run.config.bath, pump)
+    _emit_sweep(run, "steady_state.csv", [pump.s], [solution])
     two_r = run.config.ladder.two_r
     j_values = (np.arange(run.config.ladder.n_levels) * 2 - two_r) / 2.0
     run.write_csv(
@@ -283,9 +261,9 @@ def _run_steady_state(run: Run) -> None:
 
 
 def _run_sweep(run: Run) -> None:
-    s_grid = run.config.s_grid
-    solutions = _solve_sweep(run, s_grid)
-    _emit_sweep(run, "sweep.csv", s_grid, solutions)
+    config = run.config
+    solutions = condensation.sweep_supply(config.ladder, config.bath, config.s_grid)
+    _emit_sweep(run, "sweep.csv", config.s_grid, solutions)
 
 
 def _run_threshold(run: Run) -> None:
@@ -311,7 +289,7 @@ def _run_threshold(run: Run) -> None:
             )
         else:
             s_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 59)])
-    solutions = _solve_sweep(run, s_grid)
+    solutions = condensation.sweep_supply(ladder, bath, s_grid)
     _emit_sweep(run, "sweep.csv", s_grid, solutions)
 
     knee = math.nan
@@ -379,7 +357,7 @@ def main(argv=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("config error: workers must be >= 1", file=sys.stderr)
         return EXIT_ERROR
-    out_dir = Path(args.out or config.output_dir or ".")
+    out_dir = Path(args.out or config.values.get("output.dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     run = Run(config, out_dir)

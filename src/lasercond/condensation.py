@@ -52,7 +52,6 @@ __all__ = [
     "excitation_transfer_balance",
     "chemical_potential",
     "solve_steady_state",
-    "condensate_split",
     "eta_thermal",
     "eta_thermal_effective",
     "noncondensate_bound",
@@ -193,7 +192,6 @@ class ThresholdEstimate:
 
     s0: float
     b_sum: float
-    eta_t: float
     immediate: bool  # 2B <= eta_T: no sub-threshold window, formula goes <= 0
 
 
@@ -428,11 +426,6 @@ def solve_steady_state(
     )
 
 
-def condensate_split(solution: SteadyStateSolution) -> tuple[float, float]:
-    """(ground-level occupancy, excited-level total); sums to eta exactly."""
-    return solution.n_c, solution.n_n
-
-
 def eta_thermal(ladder: LevelLadder, bath: BathParams) -> float:
     """Equilibrium total occupancy: sum of Planck occupations."""
     return float(planck_occupation(ladder.omegas, bath.beta).sum())
@@ -532,9 +525,7 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
     s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
         2.0 * b_sum - eta_t
     )
-    return ThresholdEstimate(
-        s0=s0, b_sum=b_sum, eta_t=eta_t, immediate=not s0 > 0.0
-    )
+    return ThresholdEstimate(s0=s0, b_sum=b_sum, immediate=not s0 > 0.0)
 
 
 def above_threshold_dispersion(
@@ -560,12 +551,21 @@ def above_threshold_dispersion(
 
 def sweep_supply(
     ladder: LevelLadder, bath: BathParams, supplies
-) -> list[SteadyStateSolution]:
-    """Solve the steady state at each supply value (independent solves)."""
-    return [
-        solve_steady_state(ladder, bath, PumpParams.from_supply(float(s)))
-        for s in supplies
-    ]
+) -> list[SteadyStateSolution | Exception]:
+    """Solve the steady state at each supply value (independent solves).
+
+    A point whose solve raises does not stop the sweep: its exception
+    takes the place of its solution in the returned list.
+    """
+    solutions: list[SteadyStateSolution | Exception] = []
+    for s in supplies:
+        try:
+            solutions.append(
+                solve_steady_state(ladder, bath, PumpParams.from_supply(float(s)))
+            )
+        except Exception as exc:  # noqa: BLE001 - isolate the point
+            solutions.append(exc)
+    return solutions
 
 
 def detect_condensation_knee(s_values, condensate_fractions) -> float:

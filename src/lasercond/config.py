@@ -75,11 +75,6 @@ def _parse_half_integer(text: str) -> int:
     return int(doubled)
 
 
-def _parse_int(text: str) -> int:
-    value = int(text)
-    return value
-
-
 def _parse_beta_list(text: str) -> tuple[float, ...]:
     values = []
     for piece in text.split(","):
@@ -111,7 +106,7 @@ _SPECTRUM_KEYS = {
     "spectrum.kappa": _parse_positive_float,
 }
 _THERMAL_KEYS = {
-    "thermal.n": _parse_int,
+    "thermal.n": int,
     "thermal.beta": _parse_beta_list,
 }
 _LADDER_KEYS = {
@@ -135,11 +130,10 @@ _PUMP_POINT_KEYS = {
 _PUMP_GRID_KEYS = {
     "pump.s_min": _parse_nonneg_float,
     "pump.s_max": _parse_positive_float,
-    "pump.points": _parse_int,
+    "pump.points": int,
     "pump.grid": _parse_choice(("log", "linear")),
 }
 _COMMON_KEYS = {
-    "workers": _parse_int,
     "output.dir": str,
 }
 
@@ -175,7 +169,6 @@ class RunConfig:
 
     command: str
     values: dict = field(default_factory=dict)
-    output_dir: str | None = None
 
     # typed objects built at validation time (present per command)
     block_index: spectrum.BlockIndex | None = None
@@ -239,11 +232,6 @@ def parse_config_text(text: str, command: str) -> RunConfig:
             problems.append(f"missing required key {key!r}")
 
     config = RunConfig(command=command, values=values)
-    workers = values.get("workers", 1)
-    if workers < 1:
-        problems.append(f"workers: must be >= 1, got {workers}")
-    config.output_dir = values.get("output.dir")
-
     if not problems:
         _build_typed(config, problems)
     if problems:

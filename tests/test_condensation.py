@@ -244,6 +244,20 @@ def test_solver_names_underflowing_occupations(beta):
             cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
 
 
+def test_sweep_supply_keeps_failures_in_place():
+    # beta = 100: s = 0 has a closed form, s > 0 hits the unresolvable pole
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
+    solutions = cd.sweep_supply(ladder, bath, [0.0, 1.0, 10.0])
+    assert len(solutions) == 3
+    assert isinstance(solutions[0], cd.SteadyStateSolution)
+    at_zero = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(0.0))
+    assert solutions[0].occupations.tobytes() == at_zero.occupations.tobytes()
+    for failure in solutions[1:]:
+        assert isinstance(failure, cd.ConvergenceError)
+        assert "below machine epsilon" in str(failure)
+
+
 def test_solution_bounds_and_stationarity():
     for s in (0.2, 5.0, 500.0):
         solution = solve(s)
@@ -256,7 +270,7 @@ def test_solution_bounds_and_stationarity():
 
 def test_condensate_split():
     solution = solve(0.0)
-    n_c, n_n = cd.condensate_split(solution)
+    n_c, n_n = solution.n_c, solution.n_n
     assert n_c == pytest.approx(cd.planck_occupation(LADDER.bottom, BATH.beta), rel=1e-12)
     assert abs(n_c + n_n - solution.eta) < 1e-12 * solution.eta
     far = solve(50000.0)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,13 +135,14 @@ def test_cli_thermal_oracle_columns(tmp_path):
     assert not row.endswith(",,,,")
 
 
+STEADY_CFG = (
+    "ladder.r = 3\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
+    "bath.beta = 1.0\nbath.phi = 1.0\nbath.chi = 0.05\npump.s = 2.0\n"
+)
+
+
 def test_cli_steady_state_outputs(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "run.cfg",
-        "ladder.r = 3\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
-        "bath.beta = 1.0\nbath.phi = 1.0\nbath.chi = 0.05\npump.s = 2.0\n",
-    )
+    cfg = _write(tmp_path, "run.cfg", STEADY_CFG)
     out = tmp_path / "out"
     assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "steady_state.csv").read_text().splitlines()
@@ -148,6 +151,32 @@ def test_cli_steady_state_outputs(tmp_path):
     occupations = (out / "occupations.csv").read_text().splitlines()
     assert occupations[0] == "j,omega,occupation"
     assert len(occupations) == 1 + 7
+
+
+def test_cli_not_converged_points_are_flagged(tmp_path, monkeypatch):
+    monkeypatch.setattr(condensation.SteadyStateSolution, "converged", lambda self: False)
+    cfg = _write(tmp_path, "point.cfg", STEADY_CFG)
+    out = tmp_path / "point"
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 2
+    assert (out / "steady_state.csv").read_text().splitlines()[1].endswith(",not-converged")
+    manifest = _manifest(out)
+    assert len(manifest["flags"]) == 1 and "did not converge" in manifest["flags"][0]
+    assert manifest["exit_status"] == 2
+
+    cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    flags = _manifest(out)["flags"]
+    assert len(flags) == 12 and all("did not converge" in flag for flag in flags)
+
+
+def test_readme_example_sweep_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    cfg = _write(tmp_path, "readme.cfg", example)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 60
 
 
 def test_cli_sweep_deterministic(tmp_path):
@@ -248,9 +277,9 @@ def test_cli_workers_below_one_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--workers", "0"]) == 1
     assert "workers must be >= 1" in capsys.readouterr().err
-    cfg_zero = _write(tmp_path, "zero.cfg", SWEEP_CFG + "workers = 0\n")
-    assert cli.main(["sweep", "--config", cfg_zero, "--out", str(tmp_path)]) == 1
-    assert "workers: must be >= 1" in capsys.readouterr().err
+    cfg_key = _write(tmp_path, "key.cfg", SWEEP_CFG + "workers = 2\n")
+    assert cli.main(["sweep", "--config", cfg_key, "--out", str(tmp_path)]) == 1
+    assert "unknown key 'workers'" in capsys.readouterr().err
 
 
 # chi S / phi^2 falls below machine epsilon at this temperature
