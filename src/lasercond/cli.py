@@ -67,10 +67,7 @@ class Run:
         lines = [header]
         for row in rows:
             lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-        path = self.out_dir / name
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        self.files.append(path)
-        return path
+        return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -269,8 +266,6 @@ def _run_sweep(run: Run) -> None:
 def _run_threshold(run: Run) -> None:
     ladder = run.config.ladder
     bath = run.config.bath
-    if not bath.chi > 0.0:
-        raise ConfigError(["threshold: bath.chi must be > 0 for a condensation threshold"])
     eta_t = condensation.eta_thermal(ladder, bath)
     bound = condensation.noncondensate_bound(0.0, ladder, bath)
     estimate = condensation.threshold_supply(eta_t, bound.b_sum, bath)
@@ -357,16 +352,16 @@ def main(argv=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("config error: workers must be >= 1", file=sys.stderr)
         return EXIT_ERROR
-    out_dir = Path(args.out or config.values.get("output.dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or ".")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     run = Run(config, out_dir)
     try:
         _RUNNERS[config.command](run)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, condensation.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

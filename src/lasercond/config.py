@@ -17,10 +17,17 @@ text file instead of positional flags:
     pump.points   = 60
     pump.grid     = log
 
-Lines are ``key = value``; ``#`` starts a comment.  Parsing validates
-everything it can up front -- unknown keys are errors, every violated
-range is reported, and all problems are collected into one ConfigError
-rather than stopping at the first.
+Lines are ``key = value``; ``#`` starts a comment.  Parsing is the one
+place that decides whether a run's settings are acceptable: unknown keys
+are errors, every violated range is reported, and all problems are
+collected into one ConfigError rather than stopping at the first.
+Numbers must be finite (``thermal.beta = inf`` is the one exception, the
+frozen limit).  ``pump.s_min``, ``pump.s_max`` and ``pump.points`` go
+together: ``sweep`` needs all three, ``threshold`` takes all three or none
+(then it sweeps around its own estimate), and ``threshold`` needs
+``bath.chi > 0``.  The output directory is not a config key; it comes
+from ``--out`` alone, and a config that sets ``output.dir`` is rejected
+as an unknown key.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ from . import condensation, spectrum, thermal
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "COMMANDS"]
 
-COMMANDS = ("spectrum", "thermal", "steady-state", "sweep", "threshold")
-
 
 class ConfigError(ValueError):
     """All validation problems of one config, collected."""
@@ -47,8 +52,8 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if math.isnan(value):
-        raise ValueError("nan is not a valid value")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text}")
     return value
 
 
@@ -68,7 +73,7 @@ def _parse_nonneg_float(text: str) -> float:
 
 def _parse_half_integer(text: str) -> int:
     """Half-integer encoded as its doubled exact value."""
-    value = float(text)
+    value = _parse_float(text)
     doubled = round(2.0 * value)
     if abs(2.0 * value - doubled) > 1e-9:
         raise ValueError(f"must be an integer or half-integer, got {text}")
@@ -99,7 +104,7 @@ def _parse_choice(options):
     return parse
 
 
-# key -> (parser, required-for-commands)
+# key -> parser
 _SPECTRUM_KEYS = {
     "spectrum.r": _parse_half_integer,
     "spectrum.c": _parse_half_integer,
@@ -133,33 +138,23 @@ _PUMP_GRID_KEYS = {
     "pump.points": int,
     "pump.grid": _parse_choice(("log", "linear")),
 }
-_COMMON_KEYS = {
-    "output.dir": str,
-}
-
 _KEYS_BY_COMMAND = {
-    "spectrum": {**_SPECTRUM_KEYS, **_COMMON_KEYS},
-    "thermal": {**_THERMAL_KEYS, **_COMMON_KEYS},
-    "steady-state": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_POINT_KEYS, **_COMMON_KEYS},
-    "sweep": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_GRID_KEYS, **_COMMON_KEYS},
-    "threshold": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_GRID_KEYS, **_COMMON_KEYS},
+    "spectrum": _SPECTRUM_KEYS,
+    "thermal": _THERMAL_KEYS,
+    "steady-state": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_POINT_KEYS},
+    "sweep": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_GRID_KEYS},
+    "threshold": {**_LADDER_KEYS, **_BATH_KEYS, **_PUMP_GRID_KEYS},
 }
+COMMANDS = tuple(_KEYS_BY_COMMAND)
 
+_POINT_REQUIRED = ("ladder.r", "ladder.omega", *_BATH_KEYS)
+_GRID_REQUIRED = ("pump.s_min", "pump.s_max", "pump.points")
 _REQUIRED = {
-    "spectrum": ("spectrum.r", "spectrum.c", "spectrum.kappa"),
-    "thermal": ("thermal.n", "thermal.beta"),
-    "steady-state": ("ladder.r", "ladder.omega", "bath.beta", "bath.phi", "bath.chi"),
-    "sweep": (
-        "ladder.r",
-        "ladder.omega",
-        "bath.beta",
-        "bath.phi",
-        "bath.chi",
-        "pump.s_min",
-        "pump.s_max",
-        "pump.points",
-    ),
-    "threshold": ("ladder.r", "ladder.omega", "bath.beta", "bath.phi", "bath.chi"),
+    "spectrum": tuple(_SPECTRUM_KEYS),
+    "thermal": tuple(_THERMAL_KEYS),
+    "steady-state": _POINT_REQUIRED,
+    "sweep": (*_POINT_REQUIRED, *_GRID_REQUIRED),
+    "threshold": _POINT_REQUIRED,
 }
 
 
@@ -278,9 +273,13 @@ def _build_typed(config: RunConfig, problems: list[str]) -> None:
                 problems.append(f"pump: {exc}")
         else:
             try:
-                config.s_grid = _build_grid(v, required=config.command == "sweep")
+                config.s_grid = _build_grid(v)
             except ValueError as exc:
                 problems.append(f"pump: {exc}")
+            if config.command == "threshold" and not v["bath.chi"] > 0.0:
+                problems.append(
+                    "threshold: bath.chi must be > 0 for a condensation threshold"
+                )
 
         if (
             config.ladder is not None
@@ -329,11 +328,12 @@ def _build_pump(v: dict) -> condensation.PumpParams:
     raise ValueError("steady-state needs pump.s or pump.p")
 
 
-def _build_grid(v: dict, required: bool) -> np.ndarray | None:
-    if "pump.s_min" not in v:
-        if required:
-            raise ValueError("sweep needs pump.s_min/s_max/points")
+def _build_grid(v: dict) -> np.ndarray | None:
+    given = [key in v for key in _GRID_REQUIRED]
+    if not any(given):
         return None  # threshold derives its own grid from the estimate
+    if not all(given):
+        raise ValueError("pump.s_min, pump.s_max and pump.points go together")
     s_min = v["pump.s_min"]
     s_max = v["pump.s_max"]
     points = v["pump.points"]

@@ -8,9 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lasercond import cli, condensation
-from lasercond.config import ConfigError, parse_config_text
+from lasercond.config import (
+    _KEYS_BY_COMMAND,
+    COMMANDS,
+    ConfigError,
+    RunConfig,
+    parse_config_text,
+)
 
 SWEEP_CFG = """
 ladder.source = analytic
@@ -351,3 +359,142 @@ def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
     manifest = _manifest(out)
     assert any("injected failure" in flag for flag in manifest["flags"])
     assert manifest["exit_status"] == 2
+
+
+# ---------------------------------------------------------------------------
+# every setting is checked by the parser, before a run starts
+# ---------------------------------------------------------------------------
+
+def _set(text, key, value):
+    """``text`` with the line of ``key`` replaced (appended when absent)."""
+    text, count = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+    return text if count else text + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    ("command", "base", "key"),
+    [
+        ("spectrum", SPECTRUM_CFG, "spectrum.r"),
+        ("steady-state", STEADY_CFG, "pump.s"),
+        ("sweep", SWEEP_CFG, "bath.beta"),
+        ("sweep", SWEEP_CFG, "bath.phi"),
+        ("sweep", SWEEP_CFG, "ladder.omega"),
+    ],
+    ids=["spectrum.r", "pump.s", "bath.beta", "bath.phi", "ladder.omega"],
+)
+def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, command, base, key):
+    cfg = _write(tmp_path, "run.cfg", _set(base, key, "inf"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key}: must be finite" in err
+    assert not out.exists()
+
+
+THRESHOLD_CFG = "".join(
+    line + "\n" for line in SWEEP_CFG.splitlines() if not line.startswith("pump.")
+)
+
+
+@pytest.mark.parametrize(
+    ("command", "text", "message"),
+    [
+        (
+            "threshold",
+            THRESHOLD_CFG + "pump.s_min = 0\n",
+            "pump: pump.s_min, pump.s_max and pump.points go together",
+        ),
+        ("threshold", _set(THRESHOLD_CFG, "bath.chi", "0"), "threshold: bath.chi must be > 0"),
+        ("sweep", SWEEP_CFG + "output.dir = x\n", "unknown key 'output.dir'"),
+    ],
+    ids=["partial-grid", "threshold-chi-zero", "output-dir"],
+)
+def test_cli_rejected_settings_leave_no_output(tmp_path, capsys, command, text, message):
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_cli_out_at_a_file_is_a_named_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", SPECTRUM_CFG)
+    assert cli.main(["spectrum", "--config", cfg, "--out", cfg]) == 1
+    assert capsys.readouterr().err.startswith("cannot create output directory: ")
+
+
+# A few valid values per key, None meaning the key is left out; a ladder is
+# solved at parse time, so half-integers stay at 10 or below and
+# pump.points at 12 or below.  A spoiled key takes an INVALID value or none.
+VALID = {
+    "spectrum.r": ["0.5", "2", "10"],
+    "spectrum.c": ["0", "-0.5", "3", "10"],
+    "spectrum.kappa": ["0.05", "1", "3"],
+    "thermal.n": ["1", "8", "14"],
+    "thermal.beta": ["0.5", "1, 2", "inf", "0.5, inf"],
+    "ladder.source": [None, "analytic", "spectral"],
+    "ladder.r": ["0", "0.5", "5", "10"],
+    "ladder.omega": ["0.5", "1", "3"],
+    "ladder.kappa": [None, "0", "0.1", "0.5"],
+    "ladder.c_ref": ["1", "100"],
+    "ladder.c": [None, "-0.5", "0", "5", "10"],
+    "bath.beta": ["0.1", "1", "100"],
+    "bath.phi": ["0.01", "1", "10"],
+    "bath.chi": ["0", "0.1", "10"],
+    "pump.s": [None, "0", "2", "1e4"],
+    "pump.p": [None, "0", "3.5"],
+    "pump.q": [None, "0", "1.25", "5"],
+    "pump.s_min": ["0", "1", "60"],
+    "pump.s_max": ["50", "1000"],
+    "pump.points": ["2", "12"],
+    "pump.grid": [None, "log", "linear"],
+}
+INVALID = [None, "inf", "-inf", "nan", "-1", "abc", "1e400"]
+
+
+def test_vocabulary_covers_every_key():
+    assert set(VALID) == set().union(*_KEYS_BY_COMMAND.values())
+
+
+@st.composite
+def config_texts(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    keys = list(_KEYS_BY_COMMAND[command])
+    spoiled = draw(st.just(set()) | st.sets(st.sampled_from(keys), max_size=2))
+    lines = []
+    for key in keys:
+        value = draw(st.sampled_from(INVALID if key in spoiled else VALID[key]))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return command, "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(config_texts())
+def test_parser_returns_a_config_or_a_config_error(case):
+    command, text = case
+    try:
+        config = parse_config_text(text, command)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig) and config.command == command
+
+
+def test_cli_sweep_on_a_spectral_ladder(tmp_path):
+    text = (
+        "ladder.source = spectral\nladder.r = 5\nladder.c = 10\nladder.omega = 1\n"
+        "ladder.kappa = 0.5\nbath.beta = 1\nbath.phi = 1\nbath.chi = 0.1\n"
+        "pump.s_min = 0\npump.s_max = 50\npump.points = 12\n"
+    )
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 1 + 12 and all(row.endswith(",ok") for row in rows[1:])
+    config = _manifest(out)["config"]
+    assert (config["ladder.source"], config["ladder.c"]) == ("spectral", 10)
+    # the analytic ladder would give 11.91 here
+    ladder = condensation.ladder_from_spectrum(10, 20, 0.5, 1.0)
+    eta_t = condensation.eta_thermal(ladder, condensation.BathParams(1.0, 1.0, 0.1))
+    assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866421
