@@ -49,10 +49,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Run:
     """Collects output files, flags and residuals for one CLI invocation."""
 
@@ -76,6 +72,13 @@ class Run:
         return path
 
     def finish(self) -> int:
+        # numpy's min/max propagate a NaN wherever it sits; strict JSON has
+        # no NaN or Infinity, so a non-finite summary value is written as null
+        residuals = np.array(self.residuals)
+        summary = None
+        if residuals.size:
+            summary = {"min": residuals.min(), "max": residuals.max()}
+            summary = {k: float(v) if np.isfinite(v) else None for k, v in summary.items()}
         manifest = {
             "artifact_version": __version__,
             "command": self.config.command,
@@ -87,20 +90,18 @@ class Run:
                 "scipy": scipy.__version__,
             },
             "files": [
-                {"name": p.name, "sha256": _sha256(p)} for p in self.files
+                {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                for p in self.files
             ],
             "flags": self.flags,
-            "residuals": (
-                {"min": min(self.residuals), "max": max(self.residuals)}
-                if self.residuals
-                else None
-            ),
+            "residuals": summary,
         }
         status = EXIT_FLAGGED if self.flags else EXIT_OK
         manifest["exit_status"] = status
         path = self.out_dir / "manifest.json"
         path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
+            encoding="utf-8",
         )
         return status
 
@@ -113,15 +114,14 @@ class Run:
 def _run_spectrum(run: Run) -> None:
     index = run.config.block_index
     solution = spectrum.diagonalize(spectrum.build_block(index))
-    rows = []
-    for k in range(solution.dim):
-        stats = spectrum.photon_statistics(solution, k)
-        rows.append(
-            (index.r, index.c, index.kappa, k, solution.eigenvalues[k], stats.n0, stats.sigma2)
-        )
+    stats = [spectrum.photon_statistics(solution, k) for k in range(solution.dim)]
+    rows = [
+        (index.r, index.c, index.kappa, k, solution.eigenvalues[k], st.n0, st.sigma2)
+        for k, st in enumerate(stats)
+    ]
     run.write_csv("spectrum.csv", "r,c,kappa,k,lambda,n0,sigma2", rows)
 
-    ground = spectrum.photon_statistics(solution, 0)
+    ground = stats[0]
     run.write_csv(
         "ground_distribution.csv",
         "n,p_n",
@@ -165,31 +165,21 @@ THERMAL_HEADER = (
     "oracle_m_mean,oracle_m_var,oracle_r2_mean,oracle_r2_var,oracle_sigma_r2"
 )
 
+# moment attributes in THERMAL_HEADER order, for the closed forms and the oracle
+THERMAL_MOMENTS = ("m_mean", "m_variance", "r2_mean", "r2_variance", "sigma_r2_mean")
+
 
 def _run_thermal(run: Run) -> None:
     rows = []
     for params in run.config.ensemble:
         moments = thermal.thermal_moments(params)
-        row = [
-            params.n_molecules,
-            params.beta,
-            moments.m_mean,
-            moments.m_variance,
-            moments.r2_mean,
-            moments.r2_variance,
-            moments.sigma_r2_mean,
-        ]
+        row = [params.n_molecules, params.beta]
+        row += [getattr(moments, name) for name in THERMAL_MOMENTS]
         if params.n_molecules <= thermal.ENUMERATION_LIMIT:
             oracle = thermal.enumeration_moments(params)
-            row += [
-                oracle.m_mean,
-                oracle.m_variance,
-                oracle.r2_mean,
-                oracle.r2_variance,
-                oracle.sigma_r2_mean,
-            ]
+            row += [getattr(oracle, name) for name in THERMAL_MOMENTS]
         else:
-            row += ["", "", "", "", ""]
+            row += [""] * len(THERMAL_MOMENTS)
         rows.append(row)
     run.write_csv("thermal.csv", THERMAL_HEADER, rows)
 
@@ -223,18 +213,13 @@ def _point_row(solution: condensation.SteadyStateSolution, eta_t: float):
     )
 
 
-def _failed_row(s: float):
-    nan = math.nan
-    return (s, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, "failed")
-
-
 def _emit_sweep(run: Run, name: str, s_grid, solutions: list) -> None:
     eta_t = condensation.eta_thermal(run.config.ladder, run.config.bath)
     rows = []
     for s, solution in zip(s_grid, solutions):
         if isinstance(solution, Exception):
             run.flags.append(f"point s={_fmt(float(s))} failed: {solution}")
-            rows.append(_failed_row(float(s)))
+            rows.append((float(s), *[math.nan] * 10, "failed"))
             continue
         row = _point_row(solution, eta_t)
         if row[-1] == "not-converged":

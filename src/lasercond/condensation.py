@@ -26,7 +26,7 @@ condensation pole, where an eta-space iteration loses digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -75,6 +75,7 @@ class LevelLadder:
 
     omegas: np.ndarray
     source: str = "analytic"
+    is_degenerate: bool = field(init=False)
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
@@ -83,8 +84,10 @@ class LevelLadder:
             raise ValueError(f"need a 1-d non-empty level array, got shape {om.shape}")
         if np.any(om <= 0.0):
             raise ValueError("all level energies must be positive")
-        if np.any(np.diff(om) < 0.0):
+        steps = np.diff(om)
+        if np.any(steps < 0.0):
             raise ValueError("level energies must be ascending")
+        object.__setattr__(self, "is_degenerate", bool(np.any(steps == 0.0)))
 
     @property
     def n_levels(self) -> int:
@@ -93,10 +96,6 @@ class LevelLadder:
     @property
     def two_r(self) -> int:
         return self.omegas.size - 1
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(np.any(np.diff(self.omegas) == 0.0)) if self.n_levels > 1 else False
 
     @property
     def bottom(self) -> float:
@@ -153,7 +152,7 @@ class SteadyStateSolution:
     eta: float
     s_supply: float  # excitation transfer from the supply side
     s_balance: float  # same quantity from the occupation balance side
-    residuals: np.ndarray
+    max_residual: float  # max over levels of |s - L1 - L2|
     eta_closure: float  # |eta - sum(occupations)| of the scalar reduction
 
     @property
@@ -167,10 +166,6 @@ class SteadyStateSolution:
     @property
     def condensate_fraction(self) -> float:
         return self.n_c / self.eta
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max())
 
     def converged(self) -> bool:
         tol = 1e-8 * max(self.pump.p, self.bath.phi)
@@ -330,13 +325,6 @@ def chemical_potential(amplification: float, beta: float) -> float:
     return max(0.0, -math.log(min(amplification, 1.0)) / beta)
 
 
-def stationarity_residuals(solution_occupations, ladder, bath, pump) -> np.ndarray:
-    """Per-level |p - L1 - L2 - Q| evaluated through the loss formulas."""
-    l1 = first_order_loss(solution_occupations, ladder.omegas, bath)
-    l2 = second_order_loss(solution_occupations, ladder, bath)
-    return np.abs(pump.s - l1 - l2)
-
-
 def solve_steady_state(
     ladder: LevelLadder, bath: BathParams, pump: PumpParams
 ) -> SteadyStateSolution:
@@ -359,20 +347,21 @@ def solve_steady_state(
     omegas = ladder.omegas
     beta = bath.beta
     transfer = excitation_transfer_supply(s, ladder, bath)
+    gap_top = omegas[0] * beta
 
     if s == 0.0 or bath.chi == 0.0:
         with np.errstate(over="ignore"):
             occupations = (1.0 + s / bath.phi) / np.expm1(omegas * beta)
         if occupations[0] == 0.0:
             raise ConvergenceError(
-                f"omega_-r beta = {omegas[0] * beta:.6g} exceeds ln(DBL_MAX): "
+                f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
                 "e^(omega beta) overflows and every occupation underflows to 0"
             )
+        eta = float(occupations.sum())
         log_a = 0.0
     else:
-        gap_top = omegas[0] * beta
         if bath.chi * transfer < bath.phi**2 * np.finfo(float).eps:
-            # eta_of_gap recovers phi + chi eta by subtracting phi, which
+            # state() recovers phi + chi eta by subtracting phi, which
             # then cancels to exactly 0 for every gap
             raise ConvergenceError(
                 f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
@@ -380,17 +369,18 @@ def solve_steady_state(
                 "epsilon: the root lies closer to the pole than the gap "
                 "variable can resolve"
             )
+        level_gaps = (omegas - omegas[0]) * beta
 
-        def eta_of_gap(g: float) -> float:
+        def state(g: float) -> tuple[float, np.ndarray]:
             # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)
             x = -math.expm1(g - gap_top)
-            return (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+            eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+            k = 1.0 + s / (bath.phi + bath.chi * eta)
+            return eta, k / np.expm1(level_gaps + g)
 
         def closure(g: float) -> float:
-            eta = eta_of_gap(g)
-            k = 1.0 + s / (bath.phi + bath.chi * eta)
-            gaps = (omegas - omegas[0]) * beta + g
-            return float((k / np.expm1(gaps)).sum()) - eta
+            eta, occupations = state(g)
+            return float(occupations.sum()) - eta
 
         lo = gap_top * 1e-18
         while closure(lo) <= 0.0:  # pragma: no cover - pathological scales
@@ -404,13 +394,12 @@ def solve_steady_state(
                 f"the admissible gap (0, {gap_top})"
             )
         gap = brentq(closure, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
-        eta = eta_of_gap(gap)
-        k = 1.0 + s / (bath.phi + bath.chi * eta)
-        occupations = k / np.expm1((omegas - omegas[0]) * beta + gap)
+        eta, occupations = state(gap)
         log_a = gap - gap_top
 
     eta_sum = float(occupations.sum())
-    eta_model = eta_sum if (s == 0.0 or bath.chi == 0.0) else eta
+    l1 = first_order_loss(occupations, omegas, bath)
+    l2 = second_order_loss(occupations, ladder, bath)
     return SteadyStateSolution(
         ladder=ladder,
         bath=bath,
@@ -421,8 +410,8 @@ def solve_steady_state(
         eta=eta_sum,
         s_supply=transfer,
         s_balance=excitation_transfer_balance(occupations, ladder, bath),
-        residuals=stationarity_residuals(occupations, ladder, bath, pump),
-        eta_closure=abs(eta_model - eta_sum),
+        max_residual=float(np.abs(s - l1 - l2).max()),
+        eta_closure=abs(eta - eta_sum),
     )
 
 

@@ -25,9 +25,13 @@ Numbers must be finite (``thermal.beta = inf`` is the one exception, the
 frozen limit).  ``pump.s_min``, ``pump.s_max`` and ``pump.points`` go
 together: ``sweep`` needs all three, ``threshold`` takes all three or none
 (then it sweeps around its own estimate), and ``threshold`` needs
-``bath.chi > 0``.  The output directory is not a config key; it comes
-from ``--out`` alone, and a config that sets ``output.dir`` is rejected
-as an unknown key.
+``bath.chi > 0`` and an excited level (``ladder.r >= 1/2``).  The output
+directory is not a config key; it comes from ``--out`` alone, and a
+config that sets ``output.dir`` is rejected as an unknown key.
+
+The run's ``manifest.json`` echoes the config as strict JSON (RFC 8259
+has no NaN or Infinity): ``thermal.beta = inf`` is echoed as ``"inf"``,
+and a non-finite residual summary is written as ``null``.
 """
 
 from __future__ import annotations
@@ -174,12 +178,17 @@ class RunConfig:
     s_grid: np.ndarray | None = None
 
     def echo(self) -> dict:
-        """``values`` in the config file's units: half-integer keys undoubled."""
+        """``values`` in the config file's units: half-integer keys undoubled,
+        and ``thermal.beta = inf`` as the string ``"inf"`` (strict JSON)."""
         keys = _KEYS_BY_COMMAND[self.command]
-        return {
-            key: _undouble(value) if keys[key] is _parse_half_integer else value
-            for key, value in self.values.items()
-        }
+        echoed = {}
+        for key, value in self.values.items():
+            if keys[key] is _parse_half_integer:
+                value = _undouble(value)
+            elif keys[key] is _parse_beta_list:
+                value = [beta if math.isfinite(beta) else str(beta) for beta in value]
+            echoed[key] = value
+        return echoed
 
 
 def _undouble(doubled: int):
@@ -279,6 +288,10 @@ def _build_typed(config: RunConfig, problems: list[str]) -> None:
             if config.command == "threshold" and not v["bath.chi"] > 0.0:
                 problems.append(
                     "threshold: bath.chi must be > 0 for a condensation threshold"
+                )
+            if config.command == "threshold" and v["ladder.r"] < 1:
+                problems.append(
+                    "threshold: ladder.r must be >= 1/2, the bound needs an excited level"
                 )
 
         if (

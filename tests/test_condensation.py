@@ -258,6 +258,21 @@ def test_sweep_supply_keeps_failures_in_place():
         assert "below machine epsilon" in str(failure)
 
 
+@pytest.mark.parametrize("chi", [0.1, 0.0], ids=["chi", "no-chi"])
+def test_max_residual_is_the_per_level_stationarity_residual(chi):
+    bath = cd.BathParams(beta=BATH.beta, phi=BATH.phi, chi=chi)
+    for s in (0.0, 0.5, 500.0):
+        solution = solve(s, bath=bath)
+        n = solution.occupations
+        residuals = (
+            s
+            - cd.first_order_loss(n, LADDER.omegas, bath)
+            - cd.second_order_loss(n, LADDER, bath)
+        )
+        assert solution.max_residual == float(np.abs(residuals).max())
+    assert cd.ladder_analytic(0, 1.0, 0.1, 100.0).is_degenerate is False
+
+
 def test_solution_bounds_and_stationarity():
     for s in (0.2, 5.0, 500.0):
         solution = solve(s)

@@ -1,7 +1,9 @@
 """Config parsing, CLI runs, manifests, exit codes and point isolation."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -222,6 +224,45 @@ def test_cli_manifest_checksums(tmp_path):
         assert digest == entry["sha256"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "thermal.cfg", "thermal.n = 8\nthermal.beta = 0.5, inf\n")
+    out = tmp_path / "thermal"
+    assert cli.main(["thermal", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    config = json.loads(text, parse_constant=_reject_constant)["config"]
+    assert config["thermal.beta"] == [0.5, "inf"]
+
+    original = condensation.solve_steady_state
+
+    def nan_residual(ladder, bath, pump):
+        solution = original(ladder, bath, pump)
+        if abs(pump.s - 50.0) < 1e-9:
+            return dataclasses.replace(solution, max_residual=math.nan)
+        return solution
+
+    monkeypatch.setattr(cli.condensation, "solve_steady_state", nan_residual)
+    cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=_reject_constant)
+    assert manifest["residuals"] == {"min": None, "max": None}
+    assert manifest["flags"] == ["point s=50 did not converge"]
+
+
+def test_cli_sweep_on_a_linear_grid(tmp_path):
+    cfg = _write(tmp_path, "run.cfg", _set(SWEEP_CFG, "pump.grid", "linear"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok"] * 12
+    assert np.array_equal([float(row[0]) for row in rows], np.linspace(0.0, 50.0, 12))
+
+
 def test_cli_manifest_echoes_half_integers_as_written(tmp_path):
     cfg = _write(tmp_path, "run.cfg", "spectrum.r = 2.5\nspectrum.c = 100.5\nspectrum.kappa = 1\n")
     out = tmp_path / "out"
@@ -406,8 +447,9 @@ THRESHOLD_CFG = "".join(
         ),
         ("threshold", _set(THRESHOLD_CFG, "bath.chi", "0"), "threshold: bath.chi must be > 0"),
         ("sweep", SWEEP_CFG + "output.dir = x\n", "unknown key 'output.dir'"),
+        ("threshold", _set(THRESHOLD_CFG, "ladder.r", "0"), "threshold: ladder.r must be >= 1/2"),
     ],
-    ids=["partial-grid", "threshold-chi-zero", "output-dir"],
+    ids=["partial-grid", "threshold-chi-zero", "output-dir", "threshold-one-level"],
 )
 def test_cli_rejected_settings_leave_no_output(tmp_path, capsys, command, text, message):
     cfg = _write(tmp_path, "run.cfg", text)
