@@ -260,15 +260,10 @@ def _run_threshold(run: Run) -> None:
             "(condensation immediate); reported unclamped"
         )
 
-    if run.config.s_grid is not None:
-        s_grid = run.config.s_grid
-    else:
-        if estimate.s0 > 0.0:
-            s_grid = np.concatenate(
-                [[0.0], np.geomspace(estimate.s0 * 1e-2, estimate.s0 * 1e2, 59)]
-            )
-        else:
-            s_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 59)])
+    s_grid = run.config.s_grid
+    if s_grid is None:  # s = 0 and four decades around s0 (around 1 if s0 <= 0)
+        scale = estimate.s0 if estimate.s0 > 0.0 else 1.0
+        s_grid = np.concatenate([[0.0], np.geomspace(scale * 1e-2, scale * 1e2, 59)])
     solutions = condensation.sweep_supply(ladder, bath, s_grid)
     _emit_sweep(run, "sweep.csv", s_grid, solutions)
 

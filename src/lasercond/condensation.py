@@ -422,7 +422,7 @@ def eta_thermal(ladder: LevelLadder, bath: BathParams) -> float:
 
 def eta_thermal_effective(n_levels: int, omega_bar: float, beta: float) -> float:
     """Single-frequency estimate (2r+1) / (e^(omega_bar beta) - 1)."""
-    return n_levels / math.expm1(omega_bar * beta)
+    return n_levels * planck_occupation(omega_bar, beta)
 
 
 def noncondensate_bound(
@@ -438,13 +438,13 @@ def noncondensate_bound(
         raise ValueError("supply must be >= 0")
     if ladder.n_levels < 2:
         raise ValueError("bound needs at least one excited level")
-    gaps = (ladder.omegas[1:] - ladder.omegas[0]) * bath.beta
-    if np.any(gaps <= 0.0):
+    gaps = ladder.omegas[1:] - ladder.omegas[0]
+    if np.any(gaps * bath.beta <= 0.0):
         raise ValueError(
             "degenerate ladder: an excited level sits at the bottom energy, "
             "the bound diverges"
         )
-    b_sum = float((1.0 / np.expm1(gaps)).sum())
+    b_sum = float(planck_occupation(gaps, bath.beta).sum())
     if bath.chi == 0.0:
         bound = b_sum * (1.0 + s / bath.phi)
         asymptote = math.inf
@@ -481,8 +481,8 @@ def total_occupancy_prediction(
     s: float, ladder: LevelLadder, bath: BathParams, omega_bar: float
 ) -> float:
     """Linear-growth estimate eta_T + (2r+1) s / (phi (e^(omega_bar beta) - 1))."""
-    return eta_thermal(ladder, bath) + ladder.n_levels * s / (
-        bath.phi * math.expm1(omega_bar * bath.beta)
+    return eta_thermal(ladder, bath) + s / bath.phi * eta_thermal_effective(
+        ladder.n_levels, omega_bar, bath.beta
     )
 
 
@@ -495,8 +495,8 @@ def condensate_prediction(
     omega_bar: float,
 ) -> float:
     """Ground-level estimate eta_T - eta_n + (2r+1) s / (phi (e^(omega_bar beta) - 1))."""
-    return eta_t - eta_n + ladder.n_levels * s / (
-        bath.phi * math.expm1(omega_bar * bath.beta)
+    return eta_t - eta_n + s / bath.phi * eta_thermal_effective(
+        ladder.n_levels, omega_bar, bath.beta
     )
 
 

@@ -25,7 +25,11 @@ Numbers must be finite (``thermal.beta = inf`` is the one exception, the
 frozen limit).  ``pump.s_min``, ``pump.s_max`` and ``pump.points`` go
 together: ``sweep`` needs all three, ``threshold`` takes all three or none
 (then it sweeps around its own estimate), and ``threshold`` needs
-``bath.chi > 0`` and an excited level (``ladder.r >= 1/2``).  The output
+``bath.chi > 0`` and an excited level (``ladder.r >= 1/2``).  A log grid
+from ``pump.s_min = 0`` keeps s = 0 and spreads the other points over the
+top four decades, ending at ``pump.s_max`` (two points give
+``[0, s_max]``).  Where e^(omega beta) overflows a double (omega beta >
+709.78), the threshold report's B and eta_T_effective read 0.  The output
 directory is not a config key; it comes from ``--out`` alone, and a
 config that sets ``output.dir`` is rejected as an unknown key.
 
@@ -246,63 +250,38 @@ def parse_config_text(text: str, command: str) -> RunConfig:
 def _build_typed(config: RunConfig, problems: list[str]) -> None:
     """Re-validate through the module constructors and keep the objects."""
     v = config.values
-    if config.command == "spectrum":
+    for attribute, section, build in _BUILDERS[config.command]:
         try:
-            config.block_index = spectrum.BlockIndex(
-                two_r=v["spectrum.r"], two_c=v["spectrum.c"], kappa=v["spectrum.kappa"]
-            )
+            setattr(config, attribute, build(v))
         except ValueError as exc:
-            problems.append(f"spectrum: {exc}")
+            problems.append(f"{section}: {exc}")
 
-    elif config.command == "thermal":
-        try:
-            config.ensemble = [
-                thermal.EnsembleParams(n_molecules=v["thermal.n"], beta=beta)
-                for beta in v["thermal.beta"]
-            ]
-        except ValueError as exc:
-            problems.append(f"thermal: {exc}")
+    if config.command == "threshold" and not v["bath.chi"] > 0.0:
+        problems.append("threshold: bath.chi must be > 0 for a condensation threshold")
+    if config.command == "threshold" and v["ladder.r"] < 1:
+        problems.append(
+            "threshold: ladder.r must be >= 1/2, the bound needs an excited level"
+        )
+    ladder, bath = config.ladder, config.bath
+    if ladder is not None and bath is not None and ladder.is_degenerate and bath.chi > 0.0:
+        problems.append("ladder: degenerate levels are incompatible with bath.chi > 0")
 
-    else:
-        try:
-            config.ladder = _build_ladder(v)
-        except ValueError as exc:
-            problems.append(f"ladder: {exc}")
-        try:
-            config.bath = condensation.BathParams(
-                beta=v["bath.beta"], phi=v["bath.phi"], chi=v["bath.chi"]
-            )
-        except ValueError as exc:
-            problems.append(f"bath: {exc}")
 
-        if config.command == "steady-state":
-            try:
-                config.pump = _build_pump(v)
-            except ValueError as exc:
-                problems.append(f"pump: {exc}")
-        else:
-            try:
-                config.s_grid = _build_grid(v)
-            except ValueError as exc:
-                problems.append(f"pump: {exc}")
-            if config.command == "threshold" and not v["bath.chi"] > 0.0:
-                problems.append(
-                    "threshold: bath.chi must be > 0 for a condensation threshold"
-                )
-            if config.command == "threshold" and v["ladder.r"] < 1:
-                problems.append(
-                    "threshold: ladder.r must be >= 1/2, the bound needs an excited level"
-                )
+def _build_block_index(v: dict) -> spectrum.BlockIndex:
+    return spectrum.BlockIndex(
+        two_r=v["spectrum.r"], two_c=v["spectrum.c"], kappa=v["spectrum.kappa"]
+    )
 
-        if (
-            config.ladder is not None
-            and config.bath is not None
-            and config.ladder.is_degenerate
-            and config.bath.chi > 0.0
-        ):
-            problems.append(
-                "ladder: degenerate levels are incompatible with bath.chi > 0"
-            )
+
+def _build_ensemble(v: dict) -> list[thermal.EnsembleParams]:
+    return [
+        thermal.EnsembleParams(n_molecules=v["thermal.n"], beta=beta)
+        for beta in v["thermal.beta"]
+    ]
+
+
+def _build_bath(v: dict) -> condensation.BathParams:
+    return condensation.BathParams(beta=v["bath.beta"], phi=v["bath.phi"], chi=v["bath.chi"])
 
 
 def _build_ladder(v: dict) -> condensation.LevelLadder:
@@ -357,10 +336,22 @@ def _build_grid(v: dict) -> np.ndarray | None:
         raise ValueError(f"pump.s_max={s_max} must exceed pump.s_min={s_min}")
     if mode == "linear":
         return np.linspace(s_min, s_max, points)
-    # log grid; an s_min of zero keeps the equilibrium point and spreads
-    # the rest over the top four decades
-    if s_min == 0.0:
-        return np.concatenate(
-            [[0.0], np.geomspace(s_max * 1e-4, s_max, points - 1)]
-        )
-    return np.geomspace(s_min, s_max, points)
+    if s_min > 0.0:
+        return np.geomspace(s_min, s_max, points)
+    # an s_min of zero keeps the equilibrium point and spreads the rest over
+    # the top four decades; a one-point geomspace is only its start, so the
+    # last point is pinned to s_max
+    grid = np.concatenate([[0.0], np.geomspace(s_max * 1e-4, s_max, points - 1)])
+    grid[-1] = s_max
+    return grid
+
+
+# command -> (RunConfig attribute, section named in problems, builder)
+_POINT_BUILDERS = (("ladder", "ladder", _build_ladder), ("bath", "bath", _build_bath))
+_BUILDERS = {
+    "spectrum": (("block_index", "spectrum", _build_block_index),),
+    "thermal": (("ensemble", "thermal", _build_ensemble),),
+    "steady-state": (*_POINT_BUILDERS, ("pump", "pump", _build_pump)),
+    "sweep": (*_POINT_BUILDERS, ("s_grid", "pump", _build_grid)),
+    "threshold": (*_POINT_BUILDERS, ("s_grid", "pump", _build_grid)),
+}

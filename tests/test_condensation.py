@@ -1,6 +1,7 @@
 """Ladders, bath losses, steady-state solver, bounds and threshold."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,18 @@ def test_condensate_prediction():
     p1 = cd.condensate_prediction(100.0, eta_t, 5.0, BATH, LADDER, omega_bar)
     p2 = cd.condensate_prediction(200.0, eta_t, 5.0, BATH, LADDER, omega_bar)
     assert p2 - p1 == pytest.approx(100.0 * slope, rel=1e-12)
+
+
+def test_planck_factors_read_zero_past_overflow():
+    # omega beta > 709.78: e^(omega beta) overflows a double, the factor is 0
+    assert cd.eta_thermal_effective(11, 1.0, 800.0) == 0.0
+    eta_t = cd.eta_thermal(LADDER, BATH)
+    assert cd.total_occupancy_prediction(1.0, LADDER, BATH, 800.0) == eta_t
+    hot = cd.ladder_analytic(10, 1.0, 0.17, 1.0)  # gaps 0.17..1.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = cd.noncondensate_bound(0.0, hot, cd.BathParams(beta=800.0, phi=1.0, chi=0.1))
+    assert 0.0 < bound.b_sum < math.inf
 
 
 def test_threshold_edge_cases():

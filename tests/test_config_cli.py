@@ -311,6 +311,63 @@ def test_cli_threshold_default_grid(tmp_path):
     assert float(report["knee"]) > 0.0
 
 
+def _report(out_dir):
+    text = (out_dir / "threshold_report.txt").read_text()
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def _s_column(out_dir):
+    rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+    return np.array([float(row.split(",")[0]) for row in rows])
+
+
+HOT_THRESHOLD_CFG = (
+    "ladder.r = 5\nladder.omega = 1.0\nladder.kappa = 0.17\nladder.c_ref = 1\n"
+    "bath.beta = 800\nbath.phi = 1.0\nbath.chi = 0.1\n"
+)
+
+
+def test_cli_threshold_where_planck_factors_overflow(tmp_path):
+    # omega_bar beta = 800 > 709.78: e^(omega beta) overflows, so eta_T_effective
+    # and the top levels' share of B read 0 instead of ending the run
+    cfg = _write(tmp_path, "run.cfg", HOT_THRESHOLD_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["threshold", "--config", cfg, "--out", str(out)]) == 2
+    assert (out / "manifest.json").exists()
+    report = _report(out)
+    assert report["eta_T_effective"] == "0"
+    assert report["immediate_condensation"] == "true"
+    flags = _manifest(out)["flags"]
+    assert any(flag.startswith("threshold: knee detection failed") for flag in flags)
+
+
+def test_cli_threshold_immediate_condensation(tmp_path):
+    # 2B <= eta_T: s0 is reported unclamped and the default grid sweeps around s = 1
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "ladder.r = 0.5\nladder.omega = 1.0\nladder.kappa = 1\nladder.c_ref = 1\n"
+        "bath.beta = 0.01\nbath.phi = 1.0\nbath.chi = 0.1\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["threshold", "--config", cfg, "--out", str(out)]) == 2
+    assert any("2B <= eta_T" in flag for flag in _manifest(out)["flags"])
+    report = _report(out)
+    assert report["s0"] == "-0.26983063753988468"
+    assert report["immediate_condensation"] == "true"
+    assert report["knee_over_s0"] == "nan"
+    expected = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 59)])
+    assert np.array_equal(_s_column(out), expected)
+
+
+def test_cli_two_point_log_grid_from_zero_ends_at_s_max(tmp_path):
+    text = _set(_set(SWEEP_CFG, "pump.s_max", "1000"), "pump.points", "2")
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert np.array_equal(_s_column(out), [0.0, 1000.0])
+
+
 def test_cli_config_errors_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "spectrum.r = 1\nspectrum.c = -9\nspectrum.kappa = 1\n")
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
