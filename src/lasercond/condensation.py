@@ -20,7 +20,10 @@ here in the gap variable g = (omega_{-r} - mu) beta rather than in eta:
 the map g -> eta is monotone, the admissible bracket is simply
 0 < g < omega_{-r} beta, and occupations evaluated through expm1 of
 (omega_l - omega_{-r}) beta + g stay accurate arbitrarily close to the
-condensation pole, where an eta-space iteration loses digits.
+condensation pole, where an eta-space iteration loses digits.  The root
+is found by an in-module Brent solve (``_brentq``), a step-for-step port
+of scipy's ``brentq`` that returns the same bits without importing
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectrum import ConvergenceError
 from . import spectrum
@@ -383,17 +385,22 @@ def solve_steady_state(
             return float(occupations.sum()) - eta
 
         lo = gap_top * 1e-18
-        while closure(lo) <= 0.0:  # pragma: no cover - pathological scales
+        f_lo = closure(lo)
+        while f_lo <= 0.0:  # pragma: no cover - pathological scales
             lo *= 1e-3
             if lo < 1e-280:
                 raise ConvergenceError("no admissible bracket below the pole")
+            f_lo = closure(lo)
         hi = gap_top * (1.0 - 1e-15)
-        if closure(hi) >= 0.0:
+        f_hi = closure(hi)
+        if f_hi >= 0.0:
             raise ConvergenceError(
                 "no root: total occupation cannot match the supply inside "
                 f"the admissible gap (0, {gap_top})"
             )
-        gap = brentq(closure, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
+        gap = _brentq(
+            closure, lo, hi, f_lo, f_hi, xtol=1e-30, rtol=8.9e-16, maxiter=200
+        )
         eta, occupations = state(gap)
         log_a = gap - gap_top
 
@@ -412,6 +419,83 @@ def solve_steady_state(
         s_balance=excitation_transfer_balance(occupations, ladder, bath),
         max_residual=float(np.abs(s - l1 - l2).max()),
         eta_closure=abs(eta - eta_sum),
+    )
+
+
+def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb], given fa = f(xa) and fb = f(xb) of opposite signs.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) as scipy implements it in scipy/optimize/Zeros/brentq.c: the
+    same secant / inverse-quadratic / bisection choice and the same float
+    operations in the same order, so the root is bit-identical to
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)``.  A NaN value of f or running out of iterations
+    raises ConvergenceError naming the gap bracket.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = fa, fb
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ConvergenceError(
+            f"closure is NaN at the ends of the gap bracket [{xpre!r}, {xcur!r}]"
+        )
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if (
+            fpre != 0.0
+            and fcur != 0.0
+            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:
+                # C's x/0 is inf or NaN, and either fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(
+                f"closure is NaN at gap {xcur!r} after {i} Brent iterations "
+                f"inside the gap bracket [{min(xpre, xblk)!r}, {max(xpre, xblk)!r}]"
+            )
+    raise ConvergenceError(
+        f"Brent iteration did not converge in {maxiter} iterations: gap "
+        f"bracket [{min(xcur, xblk)!r}, {max(xcur, xblk)!r}]"
     )
 
 

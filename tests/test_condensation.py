@@ -2,9 +2,13 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lasercond import condensation as cd
 
@@ -257,6 +261,88 @@ def test_sweep_supply_keeps_failures_in_place():
     for failure in solutions[1:]:
         assert isinstance(failure, cd.ConvergenceError)
         assert "below machine epsilon" in str(failure)
+
+
+# ---------------------------------------------------------------------------
+# Brent root finder: a bit-identical port of scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+def _log_floats(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _solver_brent_calls(ladder, bath, s):
+    """(f, xa, xb, tolerances, root) of each _brentq call in one solve."""
+    calls = []
+    port = cd._brentq
+
+    def spy(f, xa, xb, fa, fb, **tols):
+        root = port(f, xa, xb, fa, fb, **tols)
+        calls.append((f, xa, xb, tols, root))
+        return root
+
+    with mock.patch.object(cd, "_brentq", spy):
+        cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+    return calls
+
+
+# the sweep_analytic domain: 2r <= 78, beta 0.1-10, chi 0.01-1, s 1e-2-1e4
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    two_r=st.integers(0, 78),
+    omega=st.floats(0.5, 2.0),
+    c_ref=_log_floats(1e2, 1e4),
+    share=_log_floats(1e-3, 1.0),
+    beta=_log_floats(0.1, 10.0),
+    chi=_log_floats(0.01, 1.0),
+    s=_log_floats(1e-2, 1e4),
+)
+def test_brentq_port_matches_scipy_on_the_solver_closure(
+    two_r, omega, c_ref, share, beta, chi, s
+):
+    kappa = share * min(1.0, 0.8 * math.sqrt(c_ref) / max(two_r / 2.0, 0.5))
+    ladder = cd.ladder_analytic(two_r, omega, kappa, c_ref)
+    bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
+    calls = _solver_brent_calls(ladder, bath, s)
+    assert len(calls) == 1
+    closure, lo, hi, tols, root = calls[0]
+    assert root == scipy.optimize.brentq(closure, lo, hi, **tols)
+
+
+SYNTHETIC_ROOTS = [
+    (lambda x: x**3 - 2.0, 0.0, 4.0),  # increasing
+    (lambda x: math.exp(-x) - 0.3, 0.0, 10.0),  # decreasing
+    (lambda x: math.atan(50.0 * (x - 0.7)), -3.0, 1.0),  # increasing, steep
+    (lambda x: 1.0 / (x + 0.01) - 3.0, 0.0, 20.0),  # decreasing, convex
+    (lambda x: math.expm1(4.0 * (x - 0.9)), -2.0, 3.0),  # increasing, convex
+    # decreasing, flat root: every safeguard fires and a divisor underflows to 0
+    (lambda x: (0.05 - x) ** 9, -2.0, 3.0),
+    (lambda x: x - 0.5, 0.0, 1.0),  # first bisection lands exactly on f = 0
+    (lambda x: x - 0.25, 0.25, 1.0),  # root at the bracket end
+]
+
+
+@pytest.mark.parametrize("f, xa, xb", SYNTHETIC_ROOTS)
+@pytest.mark.parametrize(
+    "xtol, rtol", [(1e-30, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-3, 1e-6)]
+)
+def test_brentq_port_matches_scipy_on_monotone_functions(f, xa, xb, xtol, rtol):
+    root = cd._brentq(f, xa, xb, f(xa), f(xb), xtol=xtol, rtol=rtol, maxiter=200)
+    assert root == scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=200)
+
+
+def test_brentq_names_exhausted_iterations():
+    f = lambda x: x**3 - 2.0  # noqa: E731
+    with pytest.raises(cd.ConvergenceError, match=r"in 2 iterations: gap bracket \["):
+        cd._brentq(f, 0.0, 100.0, f(0.0), f(100.0), 1e-30, 8.9e-16, 2)
+
+
+def test_brentq_names_a_nan_closure():
+    # scipy raises ValueError here; the solver's failures are ConvergenceErrors
+    with pytest.raises(cd.ConvergenceError, match="NaN at gap 0.5 after 1 Brent"):
+        cd._brentq(lambda x: math.nan, 0.0, 1.0, 1.0, -1.0, 1e-30, 8.9e-16, 200)
+    with pytest.raises(cd.ConvergenceError, match="NaN at the ends"):
+        cd._brentq(lambda x: x, 0.0, 1.0, math.nan, 1.0, 1e-30, 8.9e-16, 200)
 
 
 @pytest.mark.parametrize("chi", [0.1, 0.0], ids=["chi", "no-chi"])

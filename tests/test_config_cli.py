@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -597,3 +600,22 @@ def test_cli_sweep_on_a_spectral_ladder(tmp_path):
     ladder = condensation.ladder_from_spectrum(10, 20, 0.5, 1.0)
     eta_t = condensation.eta_thermal(ladder, condensation.BathParams(1.0, 1.0, 0.1))
     assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866421
+
+
+def test_cli_import_loads_no_scipy_optimize_or_sparse():
+    # a fresh interpreter: the test process itself imports scipy.optimize;
+    # scipy.linalg (the eigensolver) is still loaded eagerly, on purpose
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import lasercond.cli, sys; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == ""
