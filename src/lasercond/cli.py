@@ -193,7 +193,7 @@ def _point_row(solution: condensation.SteadyStateSolution, eta_t: float):
     s = solution.pump.s
     if s > 0.0 and solution.eta > eta_t:
         omega_bar = condensation.fit_mean_frequency(
-            s, solution.eta, solution.ladder, solution.bath
+            s, solution.eta, eta_t, solution.ladder, solution.bath
         )
     else:
         omega_bar = math.nan

@@ -48,11 +48,9 @@ __all__ = [
     "planck_occupation",
     "first_order_loss",
     "second_order_loss",
-    "pumped_occupation",
     "amplification_factor",
     "excitation_transfer_supply",
     "excitation_transfer_balance",
-    "chemical_potential",
     "solve_steady_state",
     "eta_thermal",
     "eta_thermal_effective",
@@ -61,7 +59,6 @@ __all__ = [
     "total_occupancy_prediction",
     "condensate_prediction",
     "threshold_supply",
-    "above_threshold_dispersion",
     "sweep_supply",
     "detect_condensation_knee",
 ]
@@ -275,19 +272,6 @@ def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.
     return bath.chi * (n * up * absorb - (1.0 + n) * total)
 
 
-def pumped_occupation(
-    omega: float, s: float, bath: BathParams, eta: float, amplification: float
-) -> float:
-    """Displaced Planck occupation (1 + s/(phi + chi eta)) / (A e^(omega beta) - 1)."""
-    denominator = amplification * math.exp(omega * bath.beta) - 1.0
-    if denominator <= 0.0:
-        raise ValueError(
-            f"A e^(omega beta) <= 1: chemical potential has reached level "
-            f"omega={omega}, occupation diverges"
-        )
-    return (1.0 + s / (bath.phi + bath.chi * eta)) / denominator
-
-
 def amplification_factor(
     occupations, ladder: LevelLadder, bath: BathParams, eta: float | None = None
 ) -> float:
@@ -315,16 +299,6 @@ def excitation_transfer_balance(
     n = np.asarray(occupations, dtype=float)
     down = np.exp(-ladder.omegas * bath.beta)
     return bath.phi * float((n - (1.0 + n) * down).sum())
-
-
-def chemical_potential(amplification: float, beta: float) -> float:
-    """mu = -ln(A)/beta; A must not exceed 1 (mu < 0 is unphysical here)."""
-    if amplification > 1.0 + 1e-12:
-        raise ValueError(
-            f"amplification factor {amplification} > 1 implies a negative "
-            f"chemical potential"
-        )
-    return max(0.0, -math.log(min(amplification, 1.0)) / beta)
 
 
 def solve_steady_state(
@@ -543,17 +517,18 @@ def noncondensate_bound(
 
 
 def fit_mean_frequency(
-    s_ref: float, eta_ref: float, ladder: LevelLadder, bath: BathParams
+    s_ref: float, eta_ref: float, eta_t: float, ladder: LevelLadder, bath: BathParams
 ) -> float:
     """Effective level frequency reproducing one solver point.
 
     Inverts eta = eta_T + (2r+1) s / (phi (e^(omega_bar beta) - 1)) for
-    omega_bar; a physically consistent fit lands inside
-    [omega_{-r}, omega_r] (callers flag it otherwise).
+    omega_bar, given eta_T = eta_thermal(ladder, bath); a physically
+    consistent fit lands inside [omega_{-r}, omega_r] (callers flag it
+    otherwise).
     """
     if s_ref <= 0.0:
         raise ValueError("reference supply must be positive")
-    excess = eta_ref - eta_thermal(ladder, bath)
+    excess = eta_ref - eta_t
     if excess <= 0.0:
         raise ValueError("reference point shows no occupation above equilibrium")
     return (
@@ -601,27 +576,6 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
     return ThresholdEstimate(s0=s0, b_sum=b_sum, immediate=not s0 > 0.0)
 
 
-def above_threshold_dispersion(
-    s: float, phi: float, eta_t: float, r_over_c: float = 1.0
-) -> tuple[float, float]:
-    """Photon-number dispersion of the lasing level far above threshold.
-
-    Identifies the condensate mean with n_o = s eta_T / phi, places a
-    consistent block behind it by inverting the asymptotic ground-mean
-    formula at the requested r/c ratio, and returns (sigma2, n_o) from
-    the closed-form ground-state variance.  At r = c this is n_o/sqrt(12).
-    """
-    if s <= 0.0 or phi <= 0.0 or eta_t <= 0.0:
-        raise ValueError("s, phi and eta_T must be positive")
-    if r_over_c <= 0.0:
-        raise ValueError("r/c ratio must be positive")
-    n_o = s * eta_t / phi
-    # invert n_o = (2/3) c + (c/3) sqrt(3 rho^2 + 1) for c at fixed rho = r/c
-    c = 3.0 * n_o / (2.0 + math.sqrt(3.0 * r_over_c**2 + 1.0))
-    r = r_over_c * c
-    return spectrum.ground_variance_formula(r, c, n_o), n_o
-
-
 def sweep_supply(
     ladder: LevelLadder, bath: BathParams, supplies
 ) -> list[SteadyStateSolution | Exception]:
@@ -646,9 +600,12 @@ def detect_condensation_knee(s_values, condensate_fractions) -> float:
 
     The fraction climbs monotonically from its equilibrium value to near
     one; the knee is read off by log-interpolating the crossing of the
-    midpoint between the first and last sweep values.  Deterministic and
-    insensitive to grid details, which is all the factor-level threshold
-    comparison needs.
+    midpoint between the first and last sweep values.  Deterministic, but
+    not grid-independent: the midpoint moves with the fractions at the
+    grid's two ends.  At r = 5, omega = 1, kappa = 0.1, c_ref = 100,
+    beta = phi = 1, chi = 0.1, knee/s0 reads 0.574 on the default
+    threshold grid, 0.552 with its top end one decade lower, and 0.614
+    on 20 points from s0/10 to 100 s0.
     """
     s = np.asarray(s_values, dtype=float)
     f = np.asarray(condensate_fractions, dtype=float)

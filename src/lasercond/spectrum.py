@@ -39,9 +39,7 @@ __all__ = [
     "photon_statistics",
     "predicted_ground_mean",
     "predicted_ground_variance",
-    "ground_variance_formula",
     "effective_ground_eigenvalue",
-    "predicted_spectrum_linear",
     "gaussian_profile",
     "dense_sector_spectra",
     "dense_oracle",
@@ -271,13 +269,15 @@ def predicted_ground_mean(index: BlockIndex) -> tuple[float, float]:
     return float(full), float(asymptotic)
 
 
-def ground_variance_formula(r: float, c: float, n0: float) -> float:
-    """Continuous-argument core of the ground-state variance closed form.
+def predicted_ground_variance(index: BlockIndex, n0: float) -> float:
+    """Closed-form ground-state photon-number variance of a block.
 
     sigma^2 = (1/2) sqrt( n0 [r^2 - (n0 - c)^2] / (3 n0 - 2 c) ),
     derived for c > r > 1.  Special points: sigma^2 = n0/sqrt(12) at
     r = c, and sigma^2 ~ n0/sqrt(6) for r >> c.
     """
+    r = index.r
+    c = index.c
     denominator = 3.0 * n0 - 2.0 * c
     if denominator <= 0.0:
         raise ValueError(
@@ -293,20 +293,9 @@ def ground_variance_formula(r: float, c: float, n0: float) -> float:
     return float(0.5 * np.sqrt(numerator / denominator))
 
 
-def predicted_ground_variance(index: BlockIndex, n0: float) -> float:
-    """Closed-form ground-state photon-number variance of a block."""
-    return ground_variance_formula(index.r, index.c, n0)
-
-
 def effective_ground_eigenvalue(solution: EigenSolution) -> float:
     """Coupling-normalized depth of the ground level: q0 = (c - lambda_min)/|kappa|."""
     return float((solution.index.c - solution.eigenvalues[0]) / solution.index.kappa)
-
-
-def predicted_spectrum_linear(index: BlockIndex, n0: float) -> np.ndarray:
-    """Evenly spaced level ladder lambda_j = c + 2 j |kappa| sqrt(n0), j = -r..r."""
-    j = np.arange(-index.two_r, index.two_r + 1, 2) / 2.0
-    return index.c + 2.0 * j * index.kappa * np.sqrt(n0)
 
 
 def gaussian_profile(n0: float, sigma2: float, basis: BasisRange) -> np.ndarray:

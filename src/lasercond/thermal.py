@@ -25,9 +25,7 @@ __all__ = [
     "ThermalMoments",
     "ThermalEnumeration",
     "degeneracy",
-    "log_degeneracy",
     "thermal_m_mean",
-    "small_beta_m_mean",
     "thermal_m_variance",
     "r2_mean_given_m",
     "r2_spread_given_m",
@@ -117,8 +115,7 @@ def _check_two_r(n_molecules: int, two_r: int) -> None:
 def degeneracy(n_molecules: int, two_r: int) -> int:
     """Multiplicity P(r) = N!(2r+1) / ((N/2+r+1)!(N/2-r)!), exactly.
 
-    Python integers keep this exact for any N; use log_degeneracy when
-    only the logarithm is needed at large N.
+    Python integers keep this exact for any N.
     """
     _check_two_r(n_molecules, two_r)
     upper = (n_molecules + two_r) // 2 + 1
@@ -131,32 +128,12 @@ def degeneracy(n_molecules: int, two_r: int) -> int:
     return quotient
 
 
-def log_degeneracy(n_molecules: int, two_r: int) -> float:
-    """log P(r) via lgamma, for N beyond exact-integer practicality."""
-    _check_two_r(n_molecules, two_r)
-    upper = (n_molecules + two_r) // 2 + 1
-    lower = (n_molecules - two_r) // 2
-    return (
-        math.lgamma(n_molecules + 1)
-        + math.log(two_r + 1)
-        - math.lgamma(upper + 1)
-        - math.lgamma(lower + 1)
-    )
-
-
 def thermal_m_mean(params: EnsembleParams) -> float:
     """<m> = -(N/2) tanh(beta/2); exact for independent molecules."""
     if params.frozen:
         return -params.n_molecules / 2.0
     # + 0.0 keeps beta = 0 from returning a negative zero
     return -(params.n_molecules / 2.0) * math.tanh(params.beta / 2.0) + 0.0
-
-
-def small_beta_m_mean(params: EnsembleParams) -> tuple[float, bool]:
-    """High-temperature linearization -N beta / 4 and its beta < 1 validity."""
-    if params.frozen:
-        return -math.inf, False
-    return -params.n_molecules * params.beta / 4.0, params.beta < 1.0
 
 
 def thermal_m_variance(params: EnsembleParams) -> float:

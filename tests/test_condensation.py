@@ -120,27 +120,8 @@ def test_second_order_loss_vanishes_without_chi():
 
 
 # ---------------------------------------------------------------------------
-# occupation form, amplification, transfer, chemical potential
+# amplification, transfer
 # ---------------------------------------------------------------------------
-
-def test_pumped_occupation_equilibrium_limit():
-    bath = cd.BathParams(beta=1.0, phi=1.0, chi=0.0)
-    assert cd.pumped_occupation(1.0, 0.0, bath, 0.0, 1.0) == pytest.approx(
-        cd.planck_occupation(1.0, 1.0), rel=1e-14
-    )
-
-
-def test_pumped_occupation_uniform_amplification():
-    bath = cd.BathParams(beta=1.0, phi=1.0, chi=0.0)
-    doubled = cd.pumped_occupation(1.0, 1.0, bath, 5.0, 1.0)
-    assert doubled == pytest.approx(2.0 * cd.planck_occupation(1.0, 1.0), rel=1e-14)
-
-
-def test_pumped_occupation_pole_guarded():
-    bath = cd.BathParams(beta=1.0, phi=1.0, chi=0.0)
-    with pytest.raises(ValueError, match="diverges"):
-        cd.pumped_occupation(1.0, 1.0, bath, 0.0, math.exp(-1.0))
-
 
 def test_amplification_factor_identities():
     planck = cd.planck_occupation(LADDER.omegas, BATH.beta)
@@ -168,13 +149,6 @@ def test_excitation_transfer_forms():
     assert cd.excitation_transfer_supply(0.5, flat, BATH) == pytest.approx(expected)
     solution = solve(0.5)
     assert abs(solution.s_supply - solution.s_balance) < 1e-8 * solution.s_supply
-
-
-def test_chemical_potential():
-    assert cd.chemical_potential(1.0, 2.0) == 0.0
-    assert cd.chemical_potential(math.exp(-0.3), 1.0) == pytest.approx(0.3)
-    with pytest.raises(ValueError, match="> 1"):
-        cd.chemical_potential(1.01, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +382,9 @@ def test_noncondensate_bound_rejects_degenerate():
 
 def test_fitted_frequency_inside_ladder():
     solution = solve(5.0)
-    omega_bar = cd.fit_mean_frequency(5.0, solution.eta, LADDER, BATH)
+    omega_bar = cd.fit_mean_frequency(
+        5.0, solution.eta, cd.eta_thermal(LADDER, BATH), LADDER, BATH
+    )
     assert LADDER.omegas[0] <= omega_bar <= LADDER.omegas[-1]
 
 
@@ -428,7 +404,9 @@ def test_total_occupancy_prediction_below_threshold():
     eta_t = cd.eta_thermal(LADDER, BATH)
     s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
     reference = solve(s0 / 20.0)
-    omega_bar = cd.fit_mean_frequency(reference.pump.s, reference.eta, LADDER, BATH)
+    omega_bar = cd.fit_mean_frequency(
+        reference.pump.s, reference.eta, eta_t, LADDER, BATH
+    )
     for s in np.linspace(s0 / 50.0, s0 / 2.0, 7):
         solution = solve(float(s))
         predicted = cd.total_occupancy_prediction(float(s), LADDER, BATH, omega_bar)
@@ -443,7 +421,9 @@ def test_condensate_prediction():
     # far above threshold, with omega_bar fitted at a separate reference point
     s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
     reference = solve(10.0 * s0)
-    omega_bar = cd.fit_mean_frequency(reference.pump.s, reference.eta, LADDER, BATH)
+    omega_bar = cd.fit_mean_frequency(
+        reference.pump.s, reference.eta, eta_t, LADDER, BATH
+    )
     for mult in (30.0, 100.0):
         solution = solve(mult * s0)
         predicted = cd.condensate_prediction(
@@ -478,14 +458,6 @@ def test_threshold_edge_cases():
     assert strong_chi.s0 == pytest.approx((1.0 / 2.0) * (8.0 - 2.0), rel=1e-10)
     with pytest.raises(ValueError, match="chi > 0"):
         cd.threshold_supply(2.0, 4.0, cd.BathParams(1.0, 1.0, 0.0))
-
-
-def test_above_threshold_dispersion():
-    sigma2, n_o = cd.above_threshold_dispersion(1.0, 1.0, 1e4)
-    assert n_o == 1e4
-    assert sigma2 == pytest.approx(1e4 / math.sqrt(12.0), rel=1e-12)
-    _, doubled = cd.above_threshold_dispersion(2.0, 1.0, 1e4)
-    assert doubled == 2.0 * n_o
 
 
 def test_detect_condensation_knee_on_synthetic_sigmoid():

@@ -261,7 +261,7 @@ def test_predicted_ground_variance_special_points():
     # r >> c limit: sigma^2 -> n0 / sqrt(6) with n0 = r / sqrt(3)
     r = 5000.0
     n0 = r / math.sqrt(3.0)
-    sigma2 = sp.ground_variance_formula(r, 1.0, n0)
+    sigma2 = sp.predicted_ground_variance(sp.BlockIndex(10000, 2), n0)
     assert sigma2 == pytest.approx(n0 / math.sqrt(6.0), rel=1e-3)
 
 
@@ -287,15 +287,6 @@ def test_effective_ground_eigenvalue():
     # q0 is invariant under coupling rescaling
     strong = sp.diagonalize(sp.build_block(sp.BlockIndex(2, 2, 2.0)))
     assert sp.effective_ground_eigenvalue(strong) == pytest.approx(SQRT6, rel=1e-12)
-
-
-def test_predicted_spectrum_linear():
-    index = sp.BlockIndex(6, 12, 1.2)
-    n0 = 5.0
-    ladder = sp.predicted_spectrum_linear(index, n0)
-    assert ladder[3] == pytest.approx(index.c)  # j = 0 sits at c
-    spacing = np.diff(ladder)
-    assert np.allclose(spacing, 2.0 * index.kappa * math.sqrt(n0))
 
 
 def test_linear_ladder_matches_diagonalization():

@@ -45,13 +45,6 @@ def test_degeneracy_rejects_bad_arguments():
         th.degeneracy(4, 6)
 
 
-def test_log_degeneracy_matches_exact():
-    for n in (10, 30, 200):
-        for two_r in range(n % 2, n + 1, max(2, n // 5)):
-            exact = math.log(th.degeneracy(n, two_r))
-            assert th.log_degeneracy(n, two_r) == pytest.approx(exact, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # molecular energy moments
 # ---------------------------------------------------------------------------
@@ -64,11 +57,6 @@ def test_m_mean_limits():
 def test_m_mean_value_and_small_beta():
     params = th.EnsembleParams(10, 0.2)
     assert th.thermal_m_mean(params) == pytest.approx(-5.0 * math.tanh(0.1), abs=1e-15)
-    approx, valid = th.small_beta_m_mean(params)
-    assert approx == pytest.approx(-0.5)
-    assert valid
-    _, valid_hot = th.small_beta_m_mean(th.EnsembleParams(10, 1.5))
-    assert not valid_hot
 
 
 def test_m_variance_limits_and_identity():
