@@ -44,6 +44,17 @@ def test_ladder_analytic_rejects_nonpositive_bottom():
         cd.ladder_analytic(40, 1.0, 0.5, 25.0)  # r kappa / sqrt(c_ref) = 2
 
 
+def test_ladder_analytic_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="two_r"):
+        cd.ladder_analytic(-2, 1.0, 0.1, 100.0)
+    with pytest.raises(ValueError, match="mode frequency"):
+        cd.ladder_analytic(4, 0.0, 0.1, 100.0)
+    with pytest.raises(ValueError, match="coupling magnitude"):
+        cd.ladder_analytic(4, 1.0, -0.1, 100.0)
+    with pytest.raises(ValueError, match="c_ref"):
+        cd.ladder_analytic(4, 1.0, 0.1, 0.0)
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError, match="ascending"):
         cd.LevelLadder(np.array([1.0, 0.9, 1.1]))
@@ -179,6 +190,31 @@ def test_chi_zero_closed_form():
         assert np.max(np.abs(solution.occupations - expected) / expected) < 1e-10
         assert solution.amplification == 1.0
         assert solution.converged()
+
+
+def test_solver_occupations_follow_displaced_planck_form():
+    # every level shares one A: <n_l> = (1 + s/(phi + chi eta)) / (A e^(omega_l beta) - 1)
+    eta_t = cd.eta_thermal(LADDER, BATH)
+    s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
+    for s in (0.1 * s0, s0, 10.0 * s0):
+        solution = solve(s)
+        k = 1.0 + s / (BATH.phi + BATH.chi * solution.eta)
+        form = k / (solution.amplification * np.exp(LADDER.omegas * BATH.beta) - 1.0)
+        assert np.max(np.abs(form - solution.occupations) / solution.occupations) < 1e-10
+
+
+def test_solver_mu_rises_toward_bottom_level():
+    eta_t = cd.eta_thermal(LADDER, BATH)
+    s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
+    mus = []
+    for mult in (0.01, 0.1, 1.0, 10.0, 1e3):
+        solution = solve(mult * s0)
+        assert solution.mu == pytest.approx(
+            -math.log(solution.amplification) / BATH.beta, rel=1e-12
+        )
+        mus.append(solution.mu)
+    assert all(a < b for a, b in zip(mus, mus[1:]))
+    assert 0.0 < mus[0] and mus[-1] < LADDER.bottom
 
 
 def test_solver_monotone_in_supply():
@@ -374,6 +410,13 @@ def test_noncondensate_bound_caps_solver():
         assert solution.n_n <= bound.bound * (1.0 + 1e-12)
 
 
+def test_noncondensate_bound_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="supply must be >= 0"):
+        cd.noncondensate_bound(-1.0, LADDER, BATH)
+    with pytest.raises(ValueError, match="at least one excited level"):
+        cd.noncondensate_bound(1.0, cd.LevelLadder(np.array([1.0])), BATH)
+
+
 def test_noncondensate_bound_rejects_degenerate():
     flat = cd.LevelLadder(np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="degenerate"):
@@ -386,6 +429,14 @@ def test_fitted_frequency_inside_ladder():
         5.0, solution.eta, cd.eta_thermal(LADDER, BATH), LADDER, BATH
     )
     assert LADDER.omegas[0] <= omega_bar <= LADDER.omegas[-1]
+
+
+def test_fit_mean_frequency_rejects_points_without_excess():
+    eta_t = cd.eta_thermal(LADDER, BATH)
+    with pytest.raises(ValueError, match="reference supply"):
+        cd.fit_mean_frequency(0.0, eta_t + 1.0, eta_t, LADDER, BATH)
+    with pytest.raises(ValueError, match="no occupation above equilibrium"):
+        cd.fit_mean_frequency(1.0, eta_t, eta_t, LADDER, BATH)
 
 
 def test_total_occupancy_prediction():
@@ -467,3 +518,13 @@ def test_detect_condensation_knee_on_synthetic_sigmoid():
     assert 50.0 < knee < 200.0
     with pytest.raises(ValueError):
         cd.detect_condensation_knee([1.0, 2.0, 3.0], [0.9, 0.5, 0.1])
+
+
+def test_detect_condensation_knee_log_interpolates_and_validates():
+    # midpoint 0.5 falls halfway between f(10) = 0 and f(100) = 1
+    knee = cd.detect_condensation_knee([1.0, 10.0, 100.0], [0.0, 0.0, 1.0])
+    assert knee == pytest.approx(math.sqrt(1000.0), rel=1e-12)
+    with pytest.raises(ValueError, match="need matching"):
+        cd.detect_condensation_knee([1.0, 10.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="need matching"):
+        cd.detect_condensation_knee([1.0, 10.0, 100.0], [0.0, 1.0])

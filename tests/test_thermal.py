@@ -38,6 +38,21 @@ def test_degeneracy_fixed_m_counting():
             assert count == math.comb(n, (n + two_m) // 2)
 
 
+def test_degeneracy_matches_lgamma_form():
+    # log P(r) = ln N! + ln(2r+1) - ln (N/2+r+1)! - ln (N/2-r)!, up to N = 1000
+    for n in (10, 30, 200, 1000):
+        for two_r in range(n % 2, n + 1, max(2, 2 * (n // 10))):
+            upper = (n + two_r) // 2 + 1
+            lower = (n - two_r) // 2
+            reference = (
+                math.lgamma(n + 1)
+                + math.log(two_r + 1)
+                - math.lgamma(upper + 1)
+                - math.lgamma(lower + 1)
+            )
+            assert math.log(th.degeneracy(n, two_r)) == pytest.approx(reference, rel=1e-12)
+
+
 def test_degeneracy_rejects_bad_arguments():
     with pytest.raises(ValueError, match="parity"):
         th.degeneracy(4, 1)
