@@ -9,11 +9,12 @@ each emitted file.  Exit status: 0 all solves converged and no flags,
 2 computed but flagged (non-converged points, out-of-range fits, ...),
 1 errors.
 
-Sweep grid points are solved one after another in this process, by
-``condensation.sweep_supply``.  ``--workers`` is still accepted and
-validated (>= 1) but changes nothing: a process pool measured slower than
-the in-process loop.  A config that sets ``workers`` is rejected as an
-unknown key.
+All grid points of a sweep are solved together, in one batched array
+solve in this process, by ``condensation.solve_supply_grid``, and rows
+are written from its columns; ``steady-state`` is its one-point call.
+``--workers`` is still accepted and validated (>= 1) but changes nothing:
+a process pool measured slower than the in-process solve.  A config that
+sets ``workers`` is rejected as an unknown key.
 """
 
 from __future__ import annotations
@@ -189,63 +190,49 @@ def _run_thermal(run: Run) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _point_row(solution: condensation.SteadyStateSolution, eta_t: float):
-    s = solution.pump.s
-    if s > 0.0 and solution.eta > eta_t:
-        omega_bar = condensation.fit_mean_frequency(
-            s, solution.eta, eta_t, solution.ladder, solution.bath
-        )
-    else:
-        omega_bar = math.nan
-    return (
-        s,
-        solution.eta,
-        solution.amplification,
-        solution.mu,
-        solution.n_c,
-        solution.n_n,
-        solution.condensate_fraction,
-        solution.s_supply,
-        solution.s_balance,
-        solution.max_residual,
-        omega_bar,
-        "ok" if solution.converged() else "not-converged",
-    )
-
-
-def _emit_sweep(run: Run, name: str, s_grid, solutions: list) -> None:
-    eta_t = condensation.eta_thermal(run.config.ladder, run.config.bath)
+def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None:
+    eta_t = condensation.eta_thermal(grid.ladder, grid.bath)
+    columns = np.column_stack([
+        grid.s, grid.eta, grid.amplification, grid.mu, grid.n_c, grid.n_n,
+        grid.condensate_fraction, grid.s_supply, grid.s_balance, grid.max_residual,
+    ])
     rows = []
-    for s, solution in zip(s_grid, solutions):
-        if isinstance(solution, Exception):
-            run.flags.append(f"point s={_fmt(float(s))} failed: {solution}")
-            rows.append((float(s), *[math.nan] * 10, "failed"))
+    for values, converged, error in zip(columns.tolist(), grid.converged.tolist(), grid.errors):
+        s, eta, residual = values[0], values[1], values[-1]
+        if error is not None:
+            run.flags.append(f"point s={_fmt(s)} failed: {error}")
+            rows.append((s, *[math.nan] * 10, "failed"))
             continue
-        row = _point_row(solution, eta_t)
-        if row[-1] == "not-converged":
-            run.flags.append(f"point s={_fmt(float(s))} did not converge")
-        run.residuals.append(solution.max_residual)
-        rows.append(row)
+        omega_bar = math.nan
+        if s > 0.0 and eta > eta_t:
+            omega_bar = condensation.fit_mean_frequency(s, eta, eta_t, grid.ladder, grid.bath)
+        if not converged:
+            run.flags.append(f"point s={_fmt(s)} did not converge")
+        run.residuals.append(residual)
+        rows.append((*values, omega_bar, "ok" if converged else "not-converged"))
     run.write_csv(name, SWEEP_HEADER, rows)
 
 
 def _run_steady_state(run: Run) -> None:
-    pump = run.config.pump
-    solution = condensation.solve_steady_state(run.config.ladder, run.config.bath, pump)
-    _emit_sweep(run, "steady_state.csv", [pump.s], [solution])
-    two_r = run.config.ladder.two_r
-    j_values = (np.arange(run.config.ladder.n_levels) * 2 - two_r) / 2.0
+    config = run.config
+    pump = config.pump
+    grid = condensation.solve_supply_grid(config.ladder, config.bath, [pump.s], scale=[pump.p])
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    _emit_sweep(run, "steady_state.csv", grid)
+    two_r = config.ladder.two_r
+    j_values = (np.arange(config.ladder.n_levels) * 2 - two_r) / 2.0
     run.write_csv(
         "occupations.csv",
         "j,omega,occupation",
-        list(zip(j_values, run.config.ladder.omegas, solution.occupations)),
+        list(zip(j_values, config.ladder.omegas, grid.occupations[0])),
     )
 
 
 def _run_sweep(run: Run) -> None:
     config = run.config
-    solutions = condensation.sweep_supply(config.ladder, config.bath, config.s_grid)
-    _emit_sweep(run, "sweep.csv", config.s_grid, solutions)
+    grid = condensation.solve_supply_grid(config.ladder, config.bath, config.s_grid)
+    _emit_sweep(run, "sweep.csv", grid)
 
 
 def _run_threshold(run: Run) -> None:
@@ -264,18 +251,14 @@ def _run_threshold(run: Run) -> None:
     if s_grid is None:  # s = 0 and four decades around s0 (around 1 if s0 <= 0)
         scale = estimate.s0 if estimate.s0 > 0.0 else 1.0
         s_grid = np.concatenate([[0.0], np.geomspace(scale * 1e-2, scale * 1e2, 59)])
-    solutions = condensation.sweep_supply(ladder, bath, s_grid)
-    _emit_sweep(run, "sweep.csv", s_grid, solutions)
+    grid = condensation.solve_supply_grid(ladder, bath, s_grid)
+    _emit_sweep(run, "sweep.csv", grid)
 
     knee = math.nan
-    good = [
-        (float(s), sol)
-        for s, sol in zip(s_grid, solutions)
-        if not isinstance(sol, Exception)
-    ]
+    solved = np.array([error is None for error in grid.errors], dtype=bool)
     try:
         knee = condensation.detect_condensation_knee(
-            [s for s, _ in good], [sol.condensate_fraction for _, sol in good]
+            grid.s[solved], grid.condensate_fraction[solved]
         )
     except ValueError as exc:
         run.flags.append(f"threshold: knee detection failed: {exc}")

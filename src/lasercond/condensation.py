@@ -20,10 +20,12 @@ here in the gap variable g = (omega_{-r} - mu) beta rather than in eta:
 the map g -> eta is monotone, the admissible bracket is simply
 0 < g < omega_{-r} beta, and occupations evaluated through expm1 of
 (omega_l - omega_{-r}) beta + g stay accurate arbitrarily close to the
-condensation pole, where an eta-space iteration loses digits.  The root
-is found by an in-module Brent solve (``_brentq``), a step-for-step port
-of scipy's ``brentq`` that returns the same bits without importing
-``scipy.optimize``.
+condensation pole, where an eta-space iteration loses digits.
+``solve_supply_grid`` solves every supply of a grid in one array kernel:
+it checks the closure at the bracket ends, then takes safeguarded Newton
+steps on the same equation in a cancellation-free form, log(T / S) = 0,
+for all points still active at once.  ``solve_steady_state`` is its
+one-point call, which takes the same steps on numpy scalars.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "BathParams",
     "PumpParams",
     "SteadyStateSolution",
+    "SteadyStateGrid",
     "NoncondensateBound",
     "ThresholdEstimate",
     "ladder_analytic",
@@ -52,6 +55,8 @@ __all__ = [
     "excitation_transfer_supply",
     "excitation_transfer_balance",
     "solve_steady_state",
+    "solve_supply_grid",
+    "passes_gates",
     "eta_thermal",
     "eta_thermal_effective",
     "noncondensate_bound",
@@ -167,8 +172,76 @@ class SteadyStateSolution:
         return self.n_c / self.eta
 
     def converged(self) -> bool:
-        tol = 1e-8 * max(self.pump.p, self.bath.phi)
-        return self.max_residual < tol and self.eta_closure < 1e-10 * self.eta
+        return bool(
+            passes_gates(
+                self.max_residual, self.eta_closure, self.eta, self.pump.p, self.bath.phi
+            )
+        )
+
+
+@dataclass(frozen=True)
+class SteadyStateGrid:
+    """Stationary states at every supply of a grid, one row per supply.
+
+    Row i belongs to ``s[i]``.  A point whose solve was refused or failed
+    keeps its exception in ``errors[i]`` and NaN in every column the
+    solve fills.
+    """
+
+    ladder: LevelLadder
+    bath: BathParams
+    s: np.ndarray
+    scale: np.ndarray  # p of the residual gate: the pump rate, s at a sweep point
+    occupations: np.ndarray  # (points, levels)
+    gap: np.ndarray  # (omega_{-r} - mu) beta
+    amplification: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+    s_supply: np.ndarray
+    s_balance: np.ndarray
+    max_residual: np.ndarray
+    eta_closure: np.ndarray
+    errors: tuple  # None or the exception of each point
+
+    @property
+    def n_c(self) -> np.ndarray:
+        return self.occupations[:, 0]
+
+    @property
+    def n_n(self) -> np.ndarray:
+        return self.occupations[:, 1:].sum(axis=-1)
+
+    @property
+    def condensate_fraction(self) -> np.ndarray:
+        return self.n_c / self.eta
+
+    @property
+    def converged(self) -> np.ndarray:
+        return passes_gates(
+            self.max_residual, self.eta_closure, self.eta, self.scale, self.bath.phi
+        )
+
+    def solution(self, i: int, pump: PumpParams | None = None) -> SteadyStateSolution:
+        """Row i as a solution; raises the point's error if it has one."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        columns = (
+            "amplification", "mu", "eta", "s_supply",
+            "s_balance", "max_residual", "eta_closure",
+        )
+        return SteadyStateSolution(
+            ladder=self.ladder,
+            bath=self.bath,
+            pump=pump or PumpParams.from_supply(float(self.s[i])),
+            occupations=self.occupations[i],
+            **{name: float(getattr(self, name)[i]) for name in columns},
+        )
+
+
+def passes_gates(max_residual, eta_closure, eta, scale, phi: float):
+    """Converged gate: residual < 1e-8 max(p, phi) and closure < 1e-10 eta."""
+    tol = 1e-8 * np.maximum(scale, phi)
+    return (max_residual < tol) & (eta_closure < 1e-10 * eta)
 
 
 @dataclass(frozen=True)
@@ -257,18 +330,20 @@ def first_order_loss(occupation, omega, bath: BathParams):
 
 
 def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.ndarray:
-    """Net two-quantum exchange loss per level.
+    """Net two-quantum exchange loss per level, of one or stacked occupations.
 
     chi sum_j [ n_l (1+n_j) e^((omega_l - omega_j) beta) - n_j (1+n_l) ];
-    the exponential factorizes, so the pair sum collapses to two totals.
+    the exponential factorizes, so the pair sum collapses to two totals
+    along the last (level) axis.
     """
     n = np.asarray(occupations, dtype=float)
-    if n.shape != (ladder.n_levels,):
+    if n.ndim not in (1, 2) or n.shape[-1] != ladder.n_levels:
         raise ValueError("occupations must match the ladder size")
     up = np.exp(ladder.omegas * bath.beta)
     down = np.exp(-ladder.omegas * bath.beta)
-    absorb = float((1.0 + n) @ down)  # sum_j (1+n_j) e^(-omega_j beta)
-    total = float(n.sum())
+    # sum_j (1+n_j) e^(-omega_j beta); vecdot takes each row's dot as 1-d @ does
+    absorb = np.vecdot(1.0 + n, down)[..., None]
+    total = n.sum(axis=-1)[..., None]
     return bath.chi * (n * up * absorb - (1.0 + n) * total)
 
 
@@ -298,179 +373,310 @@ def excitation_transfer_balance(
     """
     n = np.asarray(occupations, dtype=float)
     down = np.exp(-ladder.omegas * bath.beta)
-    return bath.phi * float((n - (1.0 + n) * down).sum())
+    balance = bath.phi * (n - (1.0 + n) * down).sum(axis=-1)
+    return float(balance) if balance.ndim == 0 else balance
 
 
 def solve_steady_state(
     ladder: LevelLadder, bath: BathParams, pump: PumpParams
 ) -> SteadyStateSolution:
-    """Stationary occupations for net supply s >= 0.
+    """Stationary occupations for net supply s = p - Q >= 0.
+
+    The one-point call of ``solve_supply_grid``, gated at the pump rate p;
+    a refused or failed solve raises its error.
+    """
+    grid = solve_supply_grid(ladder, bath, [pump.s], scale=[pump.p])
+    return grid.solution(0, pump)
+
+
+def sweep_supply(
+    ladder: LevelLadder, bath: BathParams, supplies
+) -> list[SteadyStateSolution | Exception]:
+    """Solve the steady state at each supply value in one batched solve.
+
+    A point whose solve fails does not stop the sweep: its exception
+    takes the place of its solution in the returned list.
+    """
+    grid = solve_supply_grid(ladder, bath, supplies)
+    return [
+        grid.errors[i] if grid.errors[i] is not None else grid.solution(i)
+        for i in range(grid.s.size)
+    ]
+
+
+# ends of the admissible gap bracket, as fractions of omega_{-r} beta
+_GAP_BRACKET = (1e-18, 1.0 - 1e-15)
+_MAX_ITERATIONS = 200
+
+
+def solve_supply_grid(
+    ladder: LevelLadder, bath: BathParams, supplies, scale=None
+) -> SteadyStateGrid:
+    """Stationary occupations at every net supply s >= 0 of a grid, at once.
 
     The closed-form identity A = 1 - chi S / (phi (phi + chi eta)) with
-    the supply-side S reduces the level system to one scalar equation,
-    solved by bracketed root finding in the gap g = (omega_{-r} - mu)
-    beta (see module docstring).  s = 0 or chi = 0 short-circuits to the
-    exact displaced-Planck closed form with A = 1.
+    the supply-side S reduces the level system to one scalar closure per
+    point, sum(occupations) - eta, in the gap g = (omega_{-r} - mu) beta
+    (see module docstring); s = 0 or chi = 0 short-circuits to the exact
+    displaced-Planck closed form with A = 1.  The closure is checked at
+    the ends of _GAP_BRACKET, then its root is found for every point at
+    once by safeguarded Newton steps (``_newton_step``).  ``scale`` is the
+    pump rate p of each point's residual gate (default s, a pure supply).
+    A point that is refused or fails keeps its exception in ``errors``.
+
+    A one-point grid takes the same steps on numpy scalars, which skips
+    the array bookkeeping and returns the same bits; a point that is
+    refused, has a closed form or fails goes the array way.
     """
-    s = pump.s
+    s = np.array(supplies, dtype=float).reshape(-1)
+    scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
+    grid = _solve_point(ladder, bath, s, scale) if s.size == 1 else None
+    return grid if grid is not None else _solve_points(ladder, bath, s, scale)
+
+
+def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
+    """The array way of ``solve_supply_grid``."""
+    omegas = ladder.omegas
+    transfer = excitation_transfer_supply(s, ladder, bath)
+    gap_top = omegas[0] * bath.beta
+    closed = (s == 0.0) | (bath.chi == 0.0)
+    with np.errstate(over="ignore"):
+        occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
+    errors = [
+        _refusal(*point, ladder, bath)
+        for point in zip(
+            s.tolist(), transfer.tolist(), closed.tolist(), occupations[:, 0].tolist()
+        )
+    ]
+    gap = np.full(s.size, gap_top)
+    eta_root = occupations.sum(axis=-1)  # eta of the scalar reduction
+    solve = np.flatnonzero([error is None for error in errors] & ~closed)
+    if solve.size:
+        level_gaps = (omegas - omegas[0]) * bath.beta
+        gap[solve], failures = _find_gaps(
+            s[solve], transfer[solve], level_gaps, gap_top, bath
+        )
+        for j, error in failures.items():
+            errors[solve[j]] = error
+        eta_root[solve], occupations[solve] = _gap_state(
+            gap[solve], s[solve], transfer[solve], level_gaps, gap_top, bath
+        )
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    occupations[failed] = np.nan
+    gap[failed] = np.nan
+    return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
+
+
+def _solve_point(ladder, bath, s, scale) -> SteadyStateGrid | None:
+    """The one-point way of ``solve_supply_grid``, or None to go the array way."""
+    s_point = s[0]
+    transfer = excitation_transfer_supply(s_point, ladder, bath)
+    if not (s_point > 0.0 and bath.chi > 0.0) or _refusal(
+        s_point, transfer, False, 1.0, ladder, bath
+    ):
+        return None
+    gap_top = ladder.omegas[0] * bath.beta
+    level_gaps = (ladder.omegas - ladder.omegas[0]) * bath.beta
+    lo, hi = (gap_top * end for end in _GAP_BRACKET)
+    for end, sign in ((lo, 1.0), (hi, -1.0)):
+        eta, occupations = _gap_state(end, s_point, transfer, level_gaps, gap_top, bath)
+        if not sign * (occupations.sum() - eta) > 0.0:
+            return None
+    t, t_lo, t_hi, k_slope, t_scale = _newton_start(
+        lo, hi, s_point, transfer, gap_top, bath
+    )
+    for _ in range(_MAX_ITERATIONS):
+        g = gap_top / (1.0 + np.exp(-t))
+        h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
+        t, t_lo, t_hi, root, done = _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick)
+        if done:
+            eta, occupations = _gap_state(
+                root, s_point, transfer, level_gaps, gap_top, bath
+            )
+            return _grid(
+                ladder, bath, s, scale, np.array([transfer]), occupations[None, :],
+                np.array([root]), np.array([eta]), [None],
+            )
+    return None
+
+
+def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
+    """The grid's columns from each point's occupations and gap."""
+    eta = occupations.sum(axis=-1)
+    # past omega beta = 709.78 the losses take 0 * inf: a NaN residual
+    # that fails the gate, left to the flag rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1 = first_order_loss(occupations, ladder.omegas, bath)
+        l2 = second_order_loss(occupations, ladder, bath)
+    log_a = gap - ladder.omegas[0] * bath.beta
+    return SteadyStateGrid(
+        ladder=ladder,
+        bath=bath,
+        s=s,
+        scale=scale,
+        occupations=occupations,
+        gap=gap,
+        amplification=np.exp(log_a),
+        mu=0.0 - log_a / bath.beta,
+        eta=eta,
+        s_supply=transfer,
+        s_balance=excitation_transfer_balance(occupations, ladder, bath),
+        max_residual=np.abs(s[:, None] - l1 - l2).max(axis=-1),
+        eta_closure=np.abs(eta_root - eta),
+        errors=tuple(errors),
+    )
+
+
+def _refusal(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathParams):
+    """The error a point is refused with before any root find, or None.
+
+    ``n_bottom`` is the bottom level's closed-form occupation.
+    """
     if s < 0.0:
-        raise ValueError(f"net supply s = p - Q must be >= 0, got {s}")
+        return ValueError(f"net supply s = p - Q must be >= 0, got {s}")
     if ladder.is_degenerate and bath.chi > 0.0 and s > 0.0:
-        raise ValueError(
+        return ValueError(
             "degenerate ladder with chi > 0: level exchange has no energy "
             "scale and the excited-level bound diverges"
         )
-    omegas = ladder.omegas
-    beta = bath.beta
-    transfer = excitation_transfer_supply(s, ladder, bath)
-    gap_top = omegas[0] * beta
-
-    if s == 0.0 or bath.chi == 0.0:
-        with np.errstate(over="ignore"):
-            occupations = (1.0 + s / bath.phi) / np.expm1(omegas * beta)
-        if occupations[0] == 0.0:
-            raise ConvergenceError(
-                f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
-                "e^(omega beta) overflows and every occupation underflows to 0"
-            )
-        eta = float(occupations.sum())
-        log_a = 0.0
-    else:
-        if bath.chi * transfer < bath.phi**2 * np.finfo(float).eps:
-            # state() recovers phi + chi eta by subtracting phi, which
-            # then cancels to exactly 0 for every gap
-            raise ConvergenceError(
-                f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
-                f"{bath.chi * transfer / bath.phi**2:.3g} is below machine "
-                "epsilon: the root lies closer to the pole than the gap "
-                "variable can resolve"
-            )
-        level_gaps = (omegas - omegas[0]) * beta
-
-        def state(g: float) -> tuple[float, np.ndarray]:
-            # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)
-            x = -math.expm1(g - gap_top)
-            eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
-            k = 1.0 + s / (bath.phi + bath.chi * eta)
-            return eta, k / np.expm1(level_gaps + g)
-
-        def closure(g: float) -> float:
-            eta, occupations = state(g)
-            return float(occupations.sum()) - eta
-
-        lo = gap_top * 1e-18
-        f_lo = closure(lo)
-        while f_lo <= 0.0:  # pragma: no cover - pathological scales
-            lo *= 1e-3
-            if lo < 1e-280:
-                raise ConvergenceError("no admissible bracket below the pole")
-            f_lo = closure(lo)
-        hi = gap_top * (1.0 - 1e-15)
-        f_hi = closure(hi)
-        if f_hi >= 0.0:
-            raise ConvergenceError(
-                "no root: total occupation cannot match the supply inside "
-                f"the admissible gap (0, {gap_top})"
-            )
-        gap = _brentq(
-            closure, lo, hi, f_lo, f_hi, xtol=1e-30, rtol=8.9e-16, maxiter=200
+    gap_top = ladder.omegas[0] * bath.beta
+    if closed and n_bottom == 0.0:
+        return ConvergenceError(
+            f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
+            "e^(omega beta) overflows and every occupation underflows to 0"
         )
-        eta, occupations = state(gap)
-        log_a = gap - gap_top
-
-    eta_sum = float(occupations.sum())
-    l1 = first_order_loss(occupations, omegas, bath)
-    l2 = second_order_loss(occupations, ladder, bath)
-    return SteadyStateSolution(
-        ladder=ladder,
-        bath=bath,
-        pump=pump,
-        occupations=occupations,
-        amplification=math.exp(log_a),
-        mu=0.0 - log_a / beta,
-        eta=eta_sum,
-        s_supply=transfer,
-        s_balance=excitation_transfer_balance(occupations, ladder, bath),
-        max_residual=float(np.abs(s - l1 - l2).max()),
-        eta_closure=abs(eta - eta_sum),
-    )
+    if not closed and bath.chi * transfer < bath.phi**2 * np.finfo(float).eps:
+        # the closure recovers phi + chi eta by subtracting phi, which
+        # then cancels to exactly 0 for every gap
+        return ConvergenceError(
+            f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
+            f"{bath.chi * transfer / bath.phi**2:.3g} is below machine "
+            "epsilon: the root lies closer to the pole than the gap "
+            "variable can resolve"
+        )
+    return None
 
 
-def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
-    """Root of f in [xa, xb], given fa = f(xa) and fb = f(xb) of opposite signs.
+def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
+    """eta and occupations of the scalar reduction at gap g of each point."""
+    # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)
+    x = -np.expm1(g - gap_top)
+    eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+    k = 1.0 + s / (bath.phi + bath.chi * eta)
+    return eta, k[..., None] / np.expm1(np.add.outer(g, level_gaps))
 
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) as scipy implements it in scipy/optimize/Zeros/brentq.c: the
-    same secant / inverse-quadratic / bisection choice and the same float
-    operations in the same order, so the root is bit-identical to
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
-    maxiter=maxiter)``.  A NaN value of f or running out of iterations
-    raises ConvergenceError naming the gap bracket.
+
+def _newton_start(lo, hi, s, transfer, gap_top, bath: BathParams):
+    """Starting t, bracket on t and the constants of ``_log_ratio``."""
+    t_lo = np.log(lo / (gap_top - lo))
+    t_hi = math.log(hi / (gap_top - hi))
+    k_slope = s * bath.phi / (bath.chi * transfer)  # k = 1 + k_slope x
+    t_scale = bath.phi / transfer  # T / S = x w t_scale
+    return 0.5 * (t_lo + t_hi), t_lo, t_hi, k_slope, t_scale
+
+
+def _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath: BathParams):
+    """log(T / S) and its derivative in g at gap g of each point.
+
+    The closure's root solves T = S with T = phi x (k Phi(g) + phi/chi),
+    x = 1 - e^(g - gap_top), k = 1 + s phi x / (chi S) and Phi(g) =
+    sum_l 1/expm1(level_gap_l + g).  Every term is positive, so nothing
+    cancels, and log T is close to linear in t = log(g / (gap_top - g))
+    at both ends of the gap range.
     """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = fa, fb
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise ConvergenceError(
-            f"closure is NaN at the ends of the gap bracket [{xpre!r}, {xcur!r}]"
-        )
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for i in range(1, maxiter + 1):
-        if (
-            fpre != 0.0
-            and fcur != 0.0
-            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                        dblk * dpre * (fblk - fpre)
-                    )
-            except ZeroDivisionError:
-                # C's x/0 is inf or NaN, and either fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ConvergenceError(
-                f"closure is NaN at gap {xcur!r} after {i} Brent iterations "
-                f"inside the gap bracket [{min(xpre, xblk)!r}, {max(xpre, xblk)!r}]"
-            )
-    raise ConvergenceError(
-        f"Brent iteration did not converge in {maxiter} iterations: gap "
-        f"bracket [{min(xcur, xblk)!r}, {max(xcur, xblk)!r}]"
+    x = -np.expm1(g - gap_top)
+    planck = 1.0 / np.expm1(np.add.outer(g, level_gaps))
+    phi_sum = planck.sum(axis=-1)
+    k = 1.0 + k_slope * x
+    w = k * phi_sum + bath.phi / bath.chi
+    dh_dg = (x - 1.0) / x * (1.0 + (k - 1.0) * phi_sum / w) - k * (
+        phi_sum + np.vecdot(planck, planck)
+    ) / w
+    return np.log(x * w * t_scale), dh_dg
+
+
+def _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, where):
+    """Newton step on log(T / S) = 0 in t, kept inside the bracket [t_lo, t_hi].
+
+    The sign of log(T / S) at t moves one end of the bracket; a step that
+    would leave it bisects it.  Returns the next t, the bracket, the root
+    g + step in g and whether that step was below 1e-12 in t or one float
+    in g, where Newton's quadratic convergence leaves nothing to gain.
+    """
+    t_lo = where(h > 0.0, t, t_lo)
+    t_hi = where(h < 0.0, t, t_hi)
+    g_step = -h / dh_dg
+    t_step = g_step / (g * (1.0 - g / gap_top))
+    t_next = t + t_step
+    t = where((t_next > t_lo) & (t_next < t_hi), t_next, 0.5 * (t_lo + t_hi))
+    done = (abs(t_step) <= 1e-12) | (abs(g_step) <= np.spacing(g))
+    return t, t_lo, t_hi, g + g_step, done
+
+
+def _pick(condition, if_true, if_false):
+    """np.where for one point."""
+    return if_true if condition else if_false
+
+
+def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
+    """Root gap of each point's closure, NaN where it fails, and {point: error}.
+
+    Only points still active are evaluated.
+    """
+    failures: dict[int, ConvergenceError] = {}
+
+    def fail(mask, message):
+        for i in np.flatnonzero(mask):
+            failures.setdefault(int(i), ConvergenceError(message(i)))
+
+    def closure(g, j=slice(None)):
+        eta, occupations = _gap_state(g, s[j], transfer[j], level_gaps, gap_top, bath)
+        return occupations.sum(axis=-1) - eta
+
+    lo_end, hi = (gap_top * end for end in _GAP_BRACKET)
+    lo = np.full(s.size, lo_end)
+    f_lo = closure(lo)
+    low = np.flatnonzero(f_lo <= 0.0)
+    while low.size:  # pragma: no cover - pathological scales
+        lo[low] *= 1e-3
+        fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
+        low = low[lo[low] >= 1e-280]
+        f_lo[low] = closure(lo[low], low)
+        low = low[f_lo[low] <= 0.0]
+    f_hi = closure(np.full(s.size, hi))
+    fail(f_hi >= 0.0, lambda i: (
+        "no root: total occupation cannot match the supply inside "
+        f"the admissible gap (0, {gap_top})"
+    ))
+    fail(np.isnan(f_lo) | np.isnan(f_hi), lambda i: (
+        f"closure is NaN at the ends of the gap bracket [{float(lo[i])!r}, {hi!r}]"
+    ))
+
+    roots = np.full(s.size, np.nan)
+    j = np.flatnonzero([i not in failures for i in range(s.size)])
+    t, t_lo, t_hi, k_slope, t_scale = _newton_start(
+        lo[j], hi, s[j], transfer[j], gap_top, bath
     )
+    t_hi = np.full(j.size, t_hi)
+    for _ in range(_MAX_ITERATIONS):
+        if not j.size:
+            return roots, failures
+        g = gap_top / (1.0 + np.exp(-t))
+        h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
+        t, t_lo, t_hi, root, done = _newton_step(
+            t, t_lo, t_hi, g, h, dh_dg, gap_top, np.where
+        )
+        if done.any():
+            roots[j[done]] = root[done]
+            j, t, t_lo, t_hi, k_slope, t_scale = (
+                v[~done] for v in (j, t, t_lo, t_hi, k_slope, t_scale)
+            )
+    g_lo, g_hi = (gap_top / (1.0 + np.exp(-end)) for end in (t_lo, t_hi))
+    fail(np.isin(np.arange(s.size), j), lambda i: (
+        f"Newton iteration did not converge in {_MAX_ITERATIONS} iterations: gap bracket "
+        f"[{float(g_lo[j == i][0])!r}, {float(g_hi[j == i][0])!r}]"
+    ))
+    return roots, failures
 
 
 def eta_thermal(ladder: LevelLadder, bath: BathParams) -> float:
@@ -574,25 +780,6 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
         2.0 * b_sum - eta_t
     )
     return ThresholdEstimate(s0=s0, b_sum=b_sum, immediate=not s0 > 0.0)
-
-
-def sweep_supply(
-    ladder: LevelLadder, bath: BathParams, supplies
-) -> list[SteadyStateSolution | Exception]:
-    """Solve the steady state at each supply value (independent solves).
-
-    A point whose solve raises does not stop the sweep: its exception
-    takes the place of its solution in the returned list.
-    """
-    solutions: list[SteadyStateSolution | Exception] = []
-    for s in supplies:
-        try:
-            solutions.append(
-                solve_steady_state(ladder, bath, PumpParams.from_supply(float(s)))
-            )
-        except Exception as exc:  # noqa: BLE001 - isolate the point
-            solutions.append(exc)
-    return solutions
 
 
 def detect_condensation_knee(s_values, condensate_fractions) -> float:

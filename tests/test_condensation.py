@@ -1,12 +1,15 @@
 """Ladders, bath losses, steady-state solver, bounds and threshold."""
 
+import functools
 import math
+import random
+import re
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,30 +277,27 @@ def test_sweep_supply_keeps_failures_in_place():
 
 
 # ---------------------------------------------------------------------------
-# Brent root finder: a bit-identical port of scipy.optimize.brentq
+# batched root find: one kernel for a grid and for one point
 # ---------------------------------------------------------------------------
 
 def _log_floats(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def _solver_brent_calls(ladder, bath, s):
-    """(f, xa, xb, tolerances, root) of each _brentq call in one solve."""
-    calls = []
-    port = cd._brentq
-
-    def spy(f, xa, xb, fa, fb, **tols):
-        root = port(f, xa, xb, fa, fb, **tols)
-        calls.append((f, xa, xb, tols, root))
-        return root
-
-    with mock.patch.object(cd, "_brentq", spy):
-        cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
-    return calls
+def _domain_ladder(two_r, omega, c_ref, share):
+    """A ladder of the sweep_analytic domain: bottom level kept positive."""
+    kappa = share * min(1.0, 0.8 * math.sqrt(c_ref) / max(two_r / 2.0, 0.5))
+    return cd.ladder_analytic(two_r, omega, kappa, c_ref)
 
 
-# the sweep_analytic domain: 2r <= 78, beta 0.1-10, chi 0.01-1, s 1e-2-1e4
-@settings(derandomize=True, deadline=None, max_examples=300)
+SOLUTION_FIELDS = (
+    "amplification", "mu", "eta", "s_supply", "s_balance", "max_residual", "eta_closure"
+)
+
+
+# the sweep_analytic domain (2r <= 78, beta 0.1-10, chi 0.01-1) on grids that
+# reach from s = 0 and the chi S / phi^2 < eps refusal up to s = 1e4
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     two_r=st.integers(0, 78),
     omega=st.floats(0.5, 2.0),
@@ -305,54 +305,140 @@ def _solver_brent_calls(ladder, bath, s):
     share=_log_floats(1e-3, 1.0),
     beta=_log_floats(0.1, 10.0),
     chi=_log_floats(0.01, 1.0),
-    s=_log_floats(1e-2, 1e4),
+    s_min=_log_floats(1e-14, 1e2),
+    decades=st.floats(1.0, 8.0),
+    points=st.integers(2, 12),
+    from_zero=st.booleans(),
 )
-def test_brentq_port_matches_scipy_on_the_solver_closure(
-    two_r, omega, c_ref, share, beta, chi, s
+def test_sweep_supply_is_the_one_point_solve_at_every_grid_point(
+    two_r, omega, c_ref, share, beta, chi, s_min, decades, points, from_zero
 ):
-    kappa = share * min(1.0, 0.8 * math.sqrt(c_ref) / max(two_r / 2.0, 0.5))
-    ladder = cd.ladder_analytic(two_r, omega, kappa, c_ref)
+    ladder = _domain_ladder(two_r, omega, c_ref, share)
     bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
-    calls = _solver_brent_calls(ladder, bath, s)
-    assert len(calls) == 1
-    closure, lo, hi, tols, root = calls[0]
-    assert root == scipy.optimize.brentq(closure, lo, hi, **tols)
+    grid = np.geomspace(s_min, s_min * 10.0**decades, points)
+    if from_zero:
+        grid = np.concatenate([[0.0], grid])
+    solutions = cd.sweep_supply(ladder, bath, grid)
+    assert len(solutions) == grid.size
+    for s, solution in zip(grid, solutions):
+        pump = cd.PumpParams.from_supply(float(s))
+        if isinstance(solution, Exception):
+            with pytest.raises(type(solution)) as raised:
+                cd.solve_steady_state(ladder, bath, pump)
+            assert str(raised.value) == str(solution)
+            continue
+        alone = cd.solve_steady_state(ladder, bath, pump)
+        assert alone.occupations.tobytes() == solution.occupations.tobytes()
+        for name in SOLUTION_FIELDS:
+            assert getattr(alone, name) == getattr(solution, name), name
+        assert alone.converged() == solution.converged()
+    # the gap (omega_-r - mu) beta falls as the supply rises
+    gaps = cd.solve_supply_grid(ladder, bath, grid).gap
+    solved = gaps[np.isfinite(gaps)]
+    assert np.all(np.diff(solved) <= 0.0)
 
 
-SYNTHETIC_ROOTS = [
-    (lambda x: x**3 - 2.0, 0.0, 4.0),  # increasing
-    (lambda x: math.exp(-x) - 0.3, 0.0, 10.0),  # decreasing
-    (lambda x: math.atan(50.0 * (x - 0.7)), -3.0, 1.0),  # increasing, steep
-    (lambda x: 1.0 / (x + 0.01) - 3.0, 0.0, 20.0),  # decreasing, convex
-    (lambda x: math.expm1(4.0 * (x - 0.9)), -2.0, 3.0),  # increasing, convex
-    # decreasing, flat root: every safeguard fires and a divisor underflows to 0
-    (lambda x: (0.05 - x) ** 9, -2.0, 3.0),
-    (lambda x: x - 0.5, 0.0, 1.0),  # first bisection lands exactly on f = 0
-    (lambda x: x - 0.25, 0.25, 1.0),  # root at the bracket end
-]
+def test_solve_supply_grid_columns_match_the_solutions():
+    grid = cd.solve_supply_grid(LADDER, BATH, [0.0, 0.5, 500.0], scale=[1.0, 2.0, 600.0])
+    for i, p in enumerate((1.0, 2.0, 600.0)):
+        solution = grid.solution(i, cd.PumpParams(p=p, q=p - grid.s[i]))
+        assert solution.n_c == grid.n_c[i] and solution.n_n == grid.n_n[i]
+        assert solution.condensate_fraction == grid.condensate_fraction[i]
+        assert solution.converged() == grid.converged[i]
+    assert grid.converged.tolist() == [True, True, True]
 
 
-@pytest.mark.parametrize("f, xa, xb", SYNTHETIC_ROOTS)
-@pytest.mark.parametrize(
-    "xtol, rtol", [(1e-30, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-3, 1e-6)]
-)
-def test_brentq_port_matches_scipy_on_monotone_functions(f, xa, xb, xtol, rtol):
-    root = cd._brentq(f, xa, xb, f(xa), f(xb), xtol=xtol, rtol=rtol, maxiter=200)
-    assert root == scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=200)
+def test_root_find_names_a_nan_closure():
+    real = cd._gap_state
+
+    def nan_state(g, *args):
+        eta, occupations = real(g, *args)
+        return eta, occupations * math.nan
+
+    with mock.patch.object(cd, "_gap_state", nan_state):
+        with pytest.raises(cd.ConvergenceError, match=r"NaN at the ends of the gap bracket \["):
+            solve(0.5)
 
 
-def test_brentq_names_exhausted_iterations():
-    f = lambda x: x**3 - 2.0  # noqa: E731
-    with pytest.raises(cd.ConvergenceError, match=r"in 2 iterations: gap bracket \["):
-        cd._brentq(f, 0.0, 100.0, f(0.0), f(100.0), 1e-30, 8.9e-16, 2)
+def test_root_find_names_exhausted_iterations():
+    with mock.patch.object(cd, "_MAX_ITERATIONS", 2):
+        grid = cd.solve_supply_grid(LADDER, BATH, [0.5, 5.0])
+        with pytest.raises(cd.ConvergenceError, match=r"in 2 iterations: gap bracket \["):
+            solve(0.5)
+    for error in grid.errors:
+        assert isinstance(error, cd.ConvergenceError)
+        assert re.search(r"in 2 iterations: gap bracket \[", str(error))
+    assert np.all(np.isnan(grid.occupations))
 
 
-def test_brentq_names_a_nan_closure():
-    # scipy raises ValueError here; the solver's failures are ConvergenceErrors
-    with pytest.raises(cd.ConvergenceError, match="NaN at gap 0.5 after 1 Brent"):
-        cd._brentq(lambda x: math.nan, 0.0, 1.0, 1.0, -1.0, 1e-30, 8.9e-16, 200)
-    with pytest.raises(cd.ConvergenceError, match="NaN at the ends"):
-        cd._brentq(lambda x: x, 0.0, 1.0, math.nan, 1.0, 1e-30, 8.9e-16, 200)
+def _domain_points(count, seed):
+    """Seeded (ladder, bath, s) draws of the sweep_analytic domain past the refusal."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = []
+    while len(points) < count:
+        two_r, omega = rng.randint(2, 78), rng.uniform(0.5, 2.0)
+        c_ref, share = log_uniform(1e2, 1e4), log_uniform(1e-3, 1.0)
+        beta, chi, s = log_uniform(0.1, 10.0), log_uniform(0.01, 1.0), log_uniform(1e-2, 1e4)
+        ladder = _domain_ladder(two_r, omega, c_ref, share)
+        bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
+        if chi * cd.excitation_transfer_supply(s, ladder, bath) >= np.finfo(float).eps:
+            points.append((ladder, bath, s))
+    return points
+
+
+def _closure_root(ladder, bath, s, near):
+    """50-digit bisection root of the solver's closure, from its float inputs."""
+    with mpmath.workdps(50):
+        gap_top = mpmath.mpf(float(ladder.omegas[0] * bath.beta))
+        level_gaps = [
+            mpmath.mpf(float(v)) for v in (ladder.omegas - ladder.omegas[0]) * bath.beta
+        ]
+        transfer = mpmath.mpf(cd.excitation_transfer_supply(s, ladder, bath))
+        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
+
+        def closure(g):
+            eta = (chi * transfer / (phi * -mpmath.expm1(g - gap_top)) - phi) / chi
+            k = 1 + s / (phi + chi * eta)
+            return mpmath.fsum(k / mpmath.expm1(gap + g) for gap in level_gaps) - eta
+
+        near = mpmath.mpf(near)
+        lo, hi = near * (1 - mpmath.mpf("1e-12")), near * (1 + mpmath.mpf("1e-12"))
+        assert closure(lo) > 0 > closure(hi)
+        while hi - lo > near * mpmath.mpf("1e-25"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if closure(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+ORACLE_POINTS = _domain_points(40, seed=12)
+# relative distance of the scipy-identical Brent root, which the kernel
+# replaced, from the 50-digit root at ORACLE_POINTS
+BRENT_DISTANCE_MEDIAN = 5.861874242896193e-17
+BRENT_DISTANCE_MAX = 8.773801407357959e-16
+
+
+@functools.cache
+def _kernel_distance(index):
+    ladder, bath, s = ORACLE_POINTS[index]
+    gap = float(cd.solve_supply_grid(ladder, bath, [s]).gap[0])
+    root = _closure_root(ladder, bath, s, gap)
+    return float(abs(gap - root) / root)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
+def test_kernel_gap_is_within_brent_tolerance_of_the_closure_root(index):
+    # Brent stopped on a bracket narrower than 8.9e-16 g
+    assert _kernel_distance(index) <= 8.9e-16
+
+
+def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
+    distances = [_kernel_distance(index) for index in range(len(ORACLE_POINTS))]
+    assert np.median(distances) <= BRENT_DISTANCE_MEDIAN
+    assert max(distances) <= BRENT_DISTANCE_MAX
 
 
 @pytest.mark.parametrize("chi", [0.1, 0.0], ids=["chi", "no-chi"])

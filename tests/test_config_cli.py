@@ -167,7 +167,8 @@ def test_cli_steady_state_outputs(tmp_path):
 
 
 def test_cli_not_converged_points_are_flagged(tmp_path, monkeypatch):
-    monkeypatch.setattr(condensation.SteadyStateSolution, "converged", lambda self: False)
+    never = property(lambda self: np.zeros(self.s.shape, dtype=bool))
+    monkeypatch.setattr(condensation.SteadyStateGrid, "converged", never)
     cfg = _write(tmp_path, "point.cfg", STEADY_CFG)
     out = tmp_path / "point"
     assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 2
@@ -239,15 +240,14 @@ def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
     config = json.loads(text, parse_constant=_reject_constant)["config"]
     assert config["thermal.beta"] == [0.5, "inf"]
 
-    original = condensation.solve_steady_state
+    original = condensation.solve_supply_grid
 
-    def nan_residual(ladder, bath, pump):
-        solution = original(ladder, bath, pump)
-        if abs(pump.s - 50.0) < 1e-9:
-            return dataclasses.replace(solution, max_residual=math.nan)
-        return solution
+    def nan_residual(ladder, bath, supplies, **kwargs):
+        grid = original(ladder, bath, supplies, **kwargs)
+        at_50 = np.abs(grid.s - 50.0) < 1e-9
+        return dataclasses.replace(grid, max_residual=np.where(at_50, math.nan, grid.max_residual))
 
-    monkeypatch.setattr(cli.condensation, "solve_steady_state", nan_residual)
+    monkeypatch.setattr(cli.condensation, "solve_supply_grid", nan_residual)
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -442,14 +442,17 @@ def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
 def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
     cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)
     out = tmp_path / "out"
-    original = condensation.solve_steady_state
+    original = condensation.solve_supply_grid
 
-    def sabotage(ladder, bath, pump):
-        if abs(pump.s - 50.0) < 1e-9:
-            raise condensation.ConvergenceError("injected failure")
-        return original(ladder, bath, pump)
+    def sabotage(ladder, bath, supplies, **kwargs):
+        grid = original(ladder, bath, supplies, **kwargs)
+        errors = [
+            condensation.ConvergenceError("injected failure") if abs(s - 50.0) < 1e-9 else error
+            for s, error in zip(grid.s, grid.errors)
+        ]
+        return dataclasses.replace(grid, errors=tuple(errors))
 
-    monkeypatch.setattr(cli.condensation, "solve_steady_state", sabotage)
+    monkeypatch.setattr(cli.condensation, "solve_supply_grid", sabotage)
     status = cli.main(["sweep", "--config", cfg, "--out", str(out), *workers])
     assert status == 2  # computed, but flagged
     rows = (out / "sweep.csv").read_text().splitlines()
