@@ -30,6 +30,7 @@ one-point call, which takes the same steps on numpy scalars.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -407,6 +408,8 @@ def sweep_supply(
 # ends of the admissible gap bracket, as fractions of omega_{-r} beta
 _GAP_BRACKET = (1e-18, 1.0 - 1e-15)
 _MAX_ITERATIONS = 200
+# (points x levels) entries per array pass: bounds the kernel's temporaries
+_BLOCK = 2**15
 
 
 def solve_supply_grid(
@@ -431,7 +434,22 @@ def solve_supply_grid(
     s = np.array(supplies, dtype=float).reshape(-1)
     scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
     grid = _solve_point(ladder, bath, s, scale) if s.size == 1 else None
-    return grid if grid is not None else _solve_points(ladder, bath, s, scale)
+    if grid is not None:
+        return grid
+    points = max(1, _BLOCK // ladder.n_levels)
+    if s.size <= points:
+        return _solve_points(ladder, bath, s, scale)
+    blocks = [
+        _solve_points(ladder, bath, s[i : i + points], scale[i : i + points])
+        for i in range(0, s.size, points)
+    ]
+    columns = {
+        f.name: np.concatenate([getattr(block, f.name) for block in blocks])
+        for f in dataclasses.fields(SteadyStateGrid)
+        if f.name not in ("ladder", "bath", "errors")
+    }
+    errors = sum((block.errors for block in blocks), ())
+    return SteadyStateGrid(ladder=ladder, bath=bath, errors=errors, **columns)
 
 
 def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:

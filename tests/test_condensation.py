@@ -348,6 +348,19 @@ def test_solve_supply_grid_columns_match_the_solutions():
     assert grid.converged.tolist() == [True, True, True]
 
 
+def test_blocks_of_a_long_grid_match_one_pass():
+    # beta = 100 refuses every s > 0 (see test_sweep_supply_keeps_failures_in_place)
+    hot = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
+    for bath, ladder in ((BATH, LADDER), (hot, cd.ladder_analytic(2, 1.0, 0.1, 100.0))):
+        supplies = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 40)])
+        whole = cd.solve_supply_grid(ladder, bath, supplies)
+        with mock.patch.object(cd, "_BLOCK", 3 * ladder.n_levels):
+            blocked = cd.solve_supply_grid(ladder, bath, supplies)
+        for name in ("occupations", "gap", "eta", "mu", "max_residual", "eta_closure"):
+            assert np.array_equal(getattr(whole, name), getattr(blocked, name), equal_nan=True)
+        assert [str(e) for e in whole.errors] == [str(e) for e in blocked.errors]
+
+
 def test_root_find_names_a_nan_closure():
     real = cd._gap_state
 
