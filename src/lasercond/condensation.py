@@ -429,7 +429,9 @@ def solve_supply_grid(
 
     A one-point grid takes the same steps on numpy scalars, which skips
     the array bookkeeping and returns the same bits; a point that is
-    refused, has a closed form or fails goes the array way.
+    refused, has a closed form or fails goes the array way.  A long grid
+    goes the array way in blocks of at most _BLOCK (points x levels)
+    entries, with the same bits.
     """
     s = np.array(supplies, dtype=float).reshape(-1)
     scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
