@@ -429,7 +429,7 @@ def solve_supply_grid(
 
     A one-point grid takes the same steps on numpy scalars, which skips
     the array bookkeeping and returns the same bits; a point that is
-    refused, has a closed form or fails goes the array way.  A long grid
+    refused or fails goes the array way.  A long grid
     goes the array way in blocks of at most _BLOCK (points x levels)
     entries, with the same bits.
     """
@@ -491,33 +491,36 @@ def _solve_point(ladder, bath, s, scale) -> SteadyStateGrid | None:
     """The one-point way of ``solve_supply_grid``, or None to go the array way."""
     s_point = s[0]
     transfer = excitation_transfer_supply(s_point, ladder, bath)
-    if not (s_point > 0.0 and bath.chi > 0.0) or _refusal(
-        s_point, transfer, False, 1.0, ladder, bath
-    ):
+    gap = gap_top = ladder.omegas[0] * bath.beta
+    closed = bool(s_point == 0.0 or bath.chi == 0.0)
+    with np.errstate(over="ignore"):
+        occupations = (1.0 + s_point / bath.phi) / np.expm1(ladder.omegas * bath.beta)
+    if _refusal(s_point, transfer, closed, occupations[0], ladder, bath):
         return None
-    gap_top = ladder.omegas[0] * bath.beta
-    level_gaps = (ladder.omegas - ladder.omegas[0]) * bath.beta
-    lo, hi = (gap_top * end for end in _GAP_BRACKET)
-    for end, sign in ((lo, 1.0), (hi, -1.0)):
-        eta, occupations = _gap_state(end, s_point, transfer, level_gaps, gap_top, bath)
-        if not sign * (occupations.sum() - eta) > 0.0:
+    eta = occupations.sum()
+    if not closed:
+        level_gaps = (ladder.omegas - ladder.omegas[0]) * bath.beta
+        lo, hi = (gap_top * end for end in _GAP_BRACKET)
+        for end, sign in ((lo, 1.0), (hi, -1.0)):
+            eta, occupations = _gap_state(end, s_point, transfer, level_gaps, gap_top, bath)
+            if not sign * (occupations.sum() - eta) > 0.0:
+                return None
+        t, t_lo, t_hi, k_slope, t_scale = _newton_start(
+            lo, hi, s_point, transfer, gap_top, bath
+        )
+        for _ in range(_MAX_ITERATIONS):
+            g = gap_top / (1.0 + np.exp(-t))
+            h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
+            t, t_lo, t_hi, gap, done = _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick)
+            if done:
+                break
+        else:
             return None
-    t, t_lo, t_hi, k_slope, t_scale = _newton_start(
-        lo, hi, s_point, transfer, gap_top, bath
+        eta, occupations = _gap_state(gap, s_point, transfer, level_gaps, gap_top, bath)
+    return _grid(
+        ladder, bath, s, scale, np.array([transfer]), occupations[None, :],
+        np.array([gap]), np.array([eta]), [None],
     )
-    for _ in range(_MAX_ITERATIONS):
-        g = gap_top / (1.0 + np.exp(-t))
-        h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
-        t, t_lo, t_hi, root, done = _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick)
-        if done:
-            eta, occupations = _gap_state(
-                root, s_point, transfer, level_gaps, gap_top, bath
-            )
-            return _grid(
-                ladder, bath, s, scale, np.array([transfer]), occupations[None, :],
-                np.array([root]), np.array([eta]), [None],
-            )
-    return None
 
 
 def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
