@@ -57,7 +57,6 @@ __all__ = [
     "excitation_transfer_balance",
     "solve_steady_state",
     "solve_supply_grid",
-    "passes_gates",
     "eta_thermal",
     "eta_thermal_effective",
     "noncondensate_bound",
@@ -65,7 +64,6 @@ __all__ = [
     "total_occupancy_prediction",
     "condensate_prediction",
     "threshold_supply",
-    "sweep_supply",
     "detect_condensation_knee",
 ]
 
@@ -174,7 +172,7 @@ class SteadyStateSolution:
 
     def converged(self) -> bool:
         return bool(
-            passes_gates(
+            _passes_gates(
                 self.max_residual, self.eta_closure, self.eta, self.pump.p, self.bath.phi
             )
         )
@@ -218,7 +216,7 @@ class SteadyStateGrid:
 
     @property
     def converged(self) -> np.ndarray:
-        return passes_gates(
+        return _passes_gates(
             self.max_residual, self.eta_closure, self.eta, self.scale, self.bath.phi
         )
 
@@ -239,7 +237,7 @@ class SteadyStateGrid:
         )
 
 
-def passes_gates(max_residual, eta_closure, eta, scale, phi: float):
+def _passes_gates(max_residual, eta_closure, eta, scale, phi: float):
     """Converged gate: residual < 1e-8 max(p, phi) and closure < 1e-10 eta."""
     tol = 1e-8 * np.maximum(scale, phi)
     return (max_residual < tol) & (eta_closure < 1e-10 * eta)
@@ -342,8 +340,8 @@ def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.
         raise ValueError("occupations must match the ladder size")
     up = np.exp(ladder.omegas * bath.beta)
     down = np.exp(-ladder.omegas * bath.beta)
-    # sum_j (1+n_j) e^(-omega_j beta); vecdot takes each row's dot as 1-d @ does
-    absorb = np.vecdot(1.0 + n, down)[..., None]
+    # sum_j (1+n_j) e^(-omega_j beta), one dot per row, each as 1-d @ takes it
+    absorb = (1.0 + n)[..., None, :] @ down
     total = n.sum(axis=-1)[..., None]
     return bath.chi * (n * up * absorb - (1.0 + n) * total)
 
@@ -388,21 +386,6 @@ def solve_steady_state(
     """
     grid = solve_supply_grid(ladder, bath, [pump.s], scale=[pump.p])
     return grid.solution(0, pump)
-
-
-def sweep_supply(
-    ladder: LevelLadder, bath: BathParams, supplies
-) -> list[SteadyStateSolution | Exception]:
-    """Solve the steady state at each supply value in one batched solve.
-
-    A point whose solve fails does not stop the sweep: its exception
-    takes the place of its solution in the returned list.
-    """
-    grid = solve_supply_grid(ladder, bath, supplies)
-    return [
-        grid.errors[i] if grid.errors[i] is not None else grid.solution(i)
-        for i in range(grid.s.size)
-    ]
 
 
 # ends of the admissible gap bracket, as fractions of omega_{-r} beta
@@ -612,8 +595,9 @@ def _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath: BathParams):
     phi_sum = planck.sum(axis=-1)
     k = 1.0 + k_slope * x
     w = k * phi_sum + bath.phi / bath.chi
+    squares = (planck[..., None, :] @ planck[..., :, None])[..., 0, 0]
     dh_dg = (x - 1.0) / x * (1.0 + (k - 1.0) * phi_sum / w) - k * (
-        phi_sum + np.vecdot(planck, planck)
+        phi_sum + squares
     ) / w
     return np.log(x * w * t_scale), dh_dg
 

@@ -172,7 +172,8 @@ def _transition_sweep():
     s_grid = np.concatenate(
         [[0.0], np.geomspace(100.0 * estimate.s0 / 1e4, 100.0 * estimate.s0, 59)]
     )
-    return estimate, s_grid, cd.sweep_supply(LADDER, BATH, s_grid)
+    grid = cd.solve_supply_grid(LADDER, BATH, s_grid)
+    return estimate, s_grid, [grid.solution(i) for i in range(s_grid.size)]
 
 
 def test_07_stationarity_along_sweep():

@@ -262,16 +262,16 @@ def test_solver_names_underflowing_occupations(beta):
             cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
 
 
-def test_sweep_supply_keeps_failures_in_place():
+def test_solve_supply_grid_keeps_failures_in_place():
     # beta = 100: s = 0 has a closed form, s > 0 hits the unresolvable pole
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
-    solutions = cd.sweep_supply(ladder, bath, [0.0, 1.0, 10.0])
-    assert len(solutions) == 3
-    assert isinstance(solutions[0], cd.SteadyStateSolution)
+    grid = cd.solve_supply_grid(ladder, bath, [0.0, 1.0, 10.0])
+    assert len(grid.errors) == 3
+    assert isinstance(grid.solution(0), cd.SteadyStateSolution)
     at_zero = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(0.0))
-    assert solutions[0].occupations.tobytes() == at_zero.occupations.tobytes()
-    for failure in solutions[1:]:
+    assert grid.solution(0).occupations.tobytes() == at_zero.occupations.tobytes()
+    for failure in grid.errors[1:]:
         assert isinstance(failure, cd.ConvergenceError)
         assert "below machine epsilon" in str(failure)
 
@@ -310,7 +310,7 @@ SOLUTION_FIELDS = (
     points=st.integers(2, 12),
     from_zero=st.booleans(),
 )
-def test_sweep_supply_is_the_one_point_solve_at_every_grid_point(
+def test_solve_supply_grid_is_the_one_point_solve_at_every_grid_point(
     two_r, omega, c_ref, share, beta, chi, s_min, decades, points, from_zero
 ):
     ladder = _domain_ladder(two_r, omega, c_ref, share)
@@ -318,24 +318,24 @@ def test_sweep_supply_is_the_one_point_solve_at_every_grid_point(
     grid = np.geomspace(s_min, s_min * 10.0**decades, points)
     if from_zero:
         grid = np.concatenate([[0.0], grid])
-    solutions = cd.sweep_supply(ladder, bath, grid)
-    assert len(solutions) == grid.size
-    for s, solution in zip(grid, solutions):
+    solved = cd.solve_supply_grid(ladder, bath, grid)
+    assert len(solved.errors) == grid.size
+    for i, s in enumerate(grid):
         pump = cd.PumpParams.from_supply(float(s))
-        if isinstance(solution, Exception):
-            with pytest.raises(type(solution)) as raised:
+        if solved.errors[i] is not None:
+            with pytest.raises(type(solved.errors[i])) as raised:
                 cd.solve_steady_state(ladder, bath, pump)
-            assert str(raised.value) == str(solution)
+            assert str(raised.value) == str(solved.errors[i])
             continue
+        solution = solved.solution(i)
         alone = cd.solve_steady_state(ladder, bath, pump)
         assert alone.occupations.tobytes() == solution.occupations.tobytes()
         for name in SOLUTION_FIELDS:
             assert getattr(alone, name) == getattr(solution, name), name
         assert alone.converged() == solution.converged()
     # the gap (omega_-r - mu) beta falls as the supply rises
-    gaps = cd.solve_supply_grid(ladder, bath, grid).gap
-    solved = gaps[np.isfinite(gaps)]
-    assert np.all(np.diff(solved) <= 0.0)
+    gaps = solved.gap[np.isfinite(solved.gap)]
+    assert np.all(np.diff(gaps) <= 0.0)
 
 
 def test_solve_supply_grid_columns_match_the_solutions():
@@ -349,7 +349,7 @@ def test_solve_supply_grid_columns_match_the_solutions():
 
 
 def test_blocks_of_a_long_grid_match_one_pass():
-    # beta = 100 refuses every s > 0 (see test_sweep_supply_keeps_failures_in_place)
+    # beta = 100 refuses every s > 0 (see test_solve_supply_grid_keeps_failures_in_place)
     hot = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
     for bath, ladder in ((BATH, LADDER), (hot, cd.ladder_analytic(2, 1.0, 0.1, 100.0))):
         supplies = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 40)])
