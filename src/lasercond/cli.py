@@ -5,7 +5,11 @@
 Every run writes its data as CSV (floats at 17 significant digits, so
 identical configs reproduce byte-identical payloads) plus a
 ``manifest.json`` echoing the config and carrying a sha256 checksum for
-each emitted file.  Exit status: 0 all solves converged and no flags,
+each emitted file, taken from the bytes as they are written.  A CSV row
+is formatted by one ``%`` operation, with a format built once for each
+row shape (the cell types) by the ``_fmt`` rule that also formats the
+``*.txt`` reports.  The argument parser is built once per process.
+Exit status: 0 all solves converged and no flags,
 2 computed but flagged (non-converged points, out-of-range fits, ...),
 1 errors.
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -50,26 +55,41 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """One ``%`` format for a CSV row of these cell types, by the ``_fmt`` rule.
+
+    ``'%.17g' % x`` and ``format(x, '.17g')`` share one float-to-string
+    path, so nan, inf and -0 read the same either way.
+    """
+    return ",".join(
+        "%s" if issubclass(t, str) else "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+        for t in types
+    )
+
+
 class Run:
     """Collects output files, flags and residuals for one CLI invocation."""
 
     def __init__(self, config: RunConfig, out_dir: Path):
         self.config = config
         self.out_dir = out_dir
-        self.files: list[Path] = []
+        self.files: list[dict] = []  # manifest entries: name and sha256
         self.flags: list[str] = []
         self.residuals: list[float] = []
 
     def write_csv(self, name: str, header: str, rows) -> Path:
         lines = [header]
         for row in rows:
-            lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+            row = tuple(row)
+            lines.append(_row_format(tuple(map(type, row))) % row)
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        self.files.append(path)
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        self.files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
         return path
 
     def finish(self) -> int:
@@ -90,10 +110,7 @@ class Run:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "files": [
-                {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                for p in self.files
-            ],
+            "files": self.files,
             "flags": self.flags,
             "residuals": summary,
         }
@@ -284,7 +301,9 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lasercond",
         description=(
@@ -300,7 +319,11 @@ def main(argv=None) -> int:
         p.add_argument(
             "--workers", type=int, default=None, help="ignored; grid points solve in-process"
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = parse_config(args.config, args.command)

@@ -391,6 +391,7 @@ def solve_steady_state(
 # ends of the admissible gap bracket, as fractions of omega_{-r} beta
 _GAP_BRACKET = (1e-18, 1.0 - 1e-15)
 _MAX_ITERATIONS = 200
+_EPS = float(np.finfo(float).eps)
 # (points x levels) entries per array pass: bounds the kernel's temporaries
 _BLOCK = 2**15
 
@@ -445,15 +446,17 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     closed = (s == 0.0) | (bath.chi == 0.0)
     with np.errstate(over="ignore"):
         occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
-    errors = [
-        _refusal(*point, ladder, bath)
-        for point in zip(
-            s.tolist(), transfer.tolist(), closed.tolist(), occupations[:, 0].tolist()
-        )
-    ]
+    # _refusal's four conditions as masks; it words the refused points only
+    refused = (s < 0.0) | ((ladder.is_degenerate and bath.chi > 0.0) & (s > 0.0))
+    refused |= closed & (occupations[:, 0] == 0.0)
+    refused |= ~closed & (bath.chi * transfer < bath.phi**2 * _EPS)
+    errors = [None] * s.size
+    for i in np.flatnonzero(refused).tolist():
+        point = (s[i], transfer[i], closed[i], occupations[i, 0])
+        errors[i] = _refusal(*(value.item() for value in point), ladder, bath)
     gap = np.full(s.size, gap_top)
     eta_root = occupations.sum(axis=-1)  # eta of the scalar reduction
-    solve = np.flatnonzero([error is None for error in errors] & ~closed)
+    solve = np.flatnonzero(~refused & ~closed)
     if solve.size:
         level_gaps = (omegas - omegas[0]) * bath.beta
         gap[solve], failures = _find_gaps(
@@ -551,7 +554,7 @@ def _refusal(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathParam
             f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
             "e^(omega beta) overflows and every occupation underflows to 0"
         )
-    if not closed and bath.chi * transfer < bath.phi**2 * np.finfo(float).eps:
+    if not closed and bath.chi * transfer < bath.phi**2 * _EPS:
         # the closure recovers phi + chi eta by subtracting phi, which
         # then cancels to exactly 0 for every gap
         return ConvergenceError(

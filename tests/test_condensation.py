@@ -276,6 +276,33 @@ def test_solve_supply_grid_keeps_failures_in_place():
         assert "below machine epsilon" in str(failure)
 
 
+def test_grid_refusals_match_the_one_point_refusals():
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    flat = cd.ladder_analytic(2, 1.0, 0.0, 100.0)
+    cases = [
+        # beta past 709.78: s = 0 underflows, s > 0 meets the pole
+        (ladder, cd.BathParams(beta=800.0, phi=1.0, chi=0.1), [0.0, 2.5, -1.0]),
+        # chi S / phi^2 < eps at s = 1e-3; s = 0, 1 and 10 solve
+        (ladder, cd.BathParams(beta=25.0, phi=1.0, chi=1e-3), [1e-3, 1.0, 0.0, -0.5, 10.0]),
+        # degenerate ladder with chi > 0: s > 0 refused, s = 0 closed form
+        (flat, cd.BathParams(beta=1.0, phi=1.0, chi=0.1), [0.0, 1.0, -2.0, 3.0]),
+    ]
+    refusals = ("must be >= 0", "degenerate", "underflows", "below machine epsilon")
+    seen = set()
+    for ladder_i, bath, supplies in cases:
+        grid = cd.solve_supply_grid(ladder_i, bath, supplies)
+        for s, error in zip(supplies, grid.errors):
+            pump = cd.PumpParams(p=max(s, 0.0), q=max(-s, 0.0))
+            try:
+                cd.solve_steady_state(ladder_i, bath, pump)
+            except (ValueError, cd.ConvergenceError) as exc:
+                assert type(error) is type(exc) and str(error) == str(exc)
+                seen.update(name for name in refusals if name in str(exc))
+            else:
+                assert error is None
+    assert seen == set(refusals)
+
+
 # ---------------------------------------------------------------------------
 # batched root find: one kernel for a grid and for one point
 # ---------------------------------------------------------------------------

@@ -223,9 +223,66 @@ def test_cli_manifest_checksums(tmp_path):
     assert manifest["residuals"]["max"] >= manifest["residuals"]["min"]
     assert manifest["versions"]["scipy"] == scipy.__version__
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
-    for entry in manifest["files"]:
-        digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
-        assert digest == entry["sha256"]
+    # the hashes are taken from the bytes written: each must match the file
+    threshold = _write(tmp_path, "threshold.cfg", SWEEP_CFG)
+    spectrum = _write(tmp_path, "spectrum.cfg", SPECTRUM_CFG)
+    runs = [(out, "sweep"), (tmp_path / "t", "threshold"), (tmp_path / "s", "spectrum")]
+    assert cli.main(["threshold", "--config", threshold, "--out", str(runs[1][0])]) == 0
+    assert cli.main(["spectrum", "--config", spectrum, "--out", str(runs[2][0])]) == 0
+    for out_dir, command in runs:
+        entries = _manifest(out_dir)["files"]
+        written = {p.name for p in out_dir.iterdir()} - {"manifest.json"}
+        assert sorted(entry["name"] for entry in entries) == sorted(written), command
+        for entry in entries:
+            digest = hashlib.sha256((out_dir / entry["name"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"]
+
+
+# one CSV cell: the floats _fmt must render (nan, +-inf, -0, subnormals,
+# 1e+-300), Python and numpy ints, and strings down to the empty oracle cell
+_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e300, -1e-300]),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.sampled_from(["", "ok", "not-converged", "failed"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=12), max_size=6))
+def test_write_csv_renders_every_cell_by_the_fmt_rule(tmp_path_factory, rows):
+    expected = [",".join(x if isinstance(x, str) else cli._fmt(x) for x in row) for row in rows]
+    path = cli.Run(None, tmp_path_factory.getbasetemp()).write_csv("rows.csv", "h", rows)
+    assert path.read_bytes().decode("utf-8") == "\n".join(["h", *expected]) + "\n"
+
+
+def test_cli_calls_in_a_row_get_independent_options(tmp_path, monkeypatch):
+    # the parser is built once; each call must still see only its own argv
+    assert cli._parser() is cli._parser()
+    sweep = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
+    thermal = _write(tmp_path, "thermal.cfg", "thermal.n = 8\nthermal.beta = 0.5\n")
+    here = tmp_path / "cwd"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", sweep, "--out", str(out), "--workers", "2"]) == 0
+    assert cli.main(["thermal", "--config", thermal]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+    assert sorted(p.name for p in here.iterdir()) == ["manifest.json", "thermal.csv"]
+    assert _manifest(here)["command"] == "thermal"
+    args = cli._parser().parse_args(["steady-state", "--config", "a.cfg"])
+    assert (args.command, args.config, args.out, args.workers) == (
+        "steady-state", "a.cfg", None, None
+    )
+    for bad in (["sweep"], ["no-such-command", "--config", sweep], ["thermal", "--workers", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+    assert cli.main(["sweep", "--config", sweep, "--out", str(tmp_path / "again")]) == 0
 
 
 def _reject_constant(token):
