@@ -243,7 +243,7 @@ def test_cli_manifest_checksums(tmp_path):
 _CELLS = st.one_of(
     st.floats(),
     st.floats().map(np.float64),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e300, -1e-300]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310, 1e300, -1e-300]),
     st.integers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans(),
@@ -252,7 +252,7 @@ _CELLS = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=12), max_size=6))
 def test_write_csv_renders_every_cell_by_the_fmt_rule(tmp_path_factory, rows):
     expected = [",".join(x if isinstance(x, str) else cli._fmt(x) for x in row) for row in rows]
