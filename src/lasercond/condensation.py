@@ -288,9 +288,14 @@ def ladder_from_spectrum(
 
     The frequency of level j is the energy a block gains when one more
     quantum enters it, i.e. the difference of lambda_j between the blocks
-    at c+1 and c (in mode-quantum units, scaled by omega).  Deep in the
-    collective regime this reproduces omega (1 + j |kappa| / sqrt(c)).
-    Requires complete blocks (c >= r) so the 2r+1 levels line up.
+    at c+1 and c (in mode-quantum units, scaled by omega).  Every block's
+    diagonal is exactly c, so lambda_j = c + mu_j with mu the spectrum of
+    the zero-diagonal block H - c I, and omega_j = omega (1 + mu_j(c+1) -
+    mu_j(c)): the difference never cancels two eigenvalues of size c, and
+    the eigensolver's relative accuracy applies to mu, whose scale is the
+    coupling.  Deep in the collective regime this reproduces
+    omega (1 + j |kappa| / sqrt(c)).  Requires complete blocks (c >= r) so
+    the 2r+1 levels line up.
     """
     if not omega > 0.0:
         raise ValueError("mode frequency must be positive")
@@ -299,16 +304,20 @@ def ladder_from_spectrum(
             f"spectral ladder needs a complete block (c >= r), got "
             f"c={two_c / 2}, r={two_r / 2}"
         )
-    lower = spectrum.block_eigenvalues(
-        spectrum.build_block(spectrum.BlockIndex(two_r, two_c, kappa))
-    )
-    upper = spectrum.block_eigenvalues(
-        spectrum.build_block(spectrum.BlockIndex(two_r, two_c + 2, kappa))
-    )
-    omegas = omega * (upper - lower)
+    lower = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c, kappa))
+    upper = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c + 2, kappa))
+    omegas = omega * (1.0 + (upper - lower))
     if np.any(omegas <= 0.0):
         raise ValueError("spectral ladder produced a non-positive level energy")
     return LevelLadder(omegas=np.sort(omegas), source="spectral")
+
+
+def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
+    """Ascending spectrum mu of H - c I on one block (the diagonal is exactly c)."""
+    block = spectrum.build_block(index)
+    return spectrum.block_eigenvalues(
+        dataclasses.replace(block, diagonal=np.zeros(block.basis.dim))
+    )
 
 
 def planck_occupation(omega, beta: float):

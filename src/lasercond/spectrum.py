@@ -17,6 +17,10 @@ condensation model downstream relies on.
 
 Half-integers are carried as doubled integers (two_r = 2r, two_c = 2c)
 so parity checks are exact.
+
+``photon_moments`` gives every eigenstate's photon-number mean and
+variance in one array pass over blocks of eigenstates; ``photon_statistics``
+is its one-state case, which also returns the distribution.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "diagonalize",
     "block_eigenvalues",
     "photon_statistics",
+    "photon_moments",
     "predicted_ground_mean",
     "predicted_ground_variance",
     "effective_ground_eigenvalue",
@@ -236,20 +241,60 @@ def block_eigenvalues(block: HamiltonianBlock) -> np.ndarray:
     return _solve_block(eigvalsh_tridiagonal, block)
 
 
+# Eigenstates per photon-statistics pass are capped at _BLOCK (states x dim)
+# entries, the bound condensation.solve_supply_grid uses for its grid blocks.
+_BLOCK = 2**15
+
+
+def _block_moments(amplitudes: np.ndarray, n: np.ndarray):
+    """Distributions, means and centred variances of the columns of ``amplitudes``.
+
+    Rows of the squared, transposed amplitudes are normalized in place, and
+    each moment is a stacked (1 x dim) @ (dim x 1) matmul, which reproduces
+    the 1-d dot ``p @ n`` bit for bit (a (states x dim) @ (dim,) gemv does not).
+    """
+    p = np.square(amplitudes.T, order="C")
+    p /= p.sum(axis=1, keepdims=True)
+    n0 = (p[:, None, :] @ n[:, None])[:, 0, 0]
+    deviation = n - n0[:, None]
+    np.square(deviation, out=deviation)
+    sigma2 = (p[:, None, :] @ deviation[:, :, None])[:, 0, 0]
+    return p, n0, sigma2
+
+
+def photon_moments(solution: EigenSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-number mean n0 and variance sigma^2 of every eigenstate, in order.
+
+    One array pass per block of at most _BLOCK (states x dim) entries; each
+    value equals ``photon_statistics(solution, k)``'s bit for bit.
+    """
+    n = solution.basis.n_values.astype(float)
+    n0 = np.empty(solution.dim)
+    sigma2 = np.empty(solution.dim)
+    step = max(1, _BLOCK // solution.dim)
+    for lo in range(0, solution.dim, step):
+        _, n0[lo:lo + step], sigma2[lo:lo + step] = _block_moments(
+            solution.amplitudes[:, lo:lo + step], n
+        )
+    return n0, sigma2
+
+
 def photon_statistics(solution: EigenSolution, k: int) -> PhotonStatistics:
-    """Photon-number distribution p_n = |A_n|^2 and its mean/variance."""
+    """Photon-number distribution p_n = |A_n|^2 and its mean/variance.
+
+    The one-column case of the ``photon_moments`` kernel.
+    """
     if not 0 <= k < solution.dim:
         raise IndexError(f"eigenstate index {k} outside 0..{solution.dim - 1}")
-    p = solution.amplitudes[:, k] ** 2
-    p = p / p.sum()
-    n = solution.basis.n_values.astype(float)
-    n0 = float(p @ n)
-    sigma2 = float(p @ (n - n0) ** 2)
+    p, n0, sigma2 = _block_moments(
+        solution.amplitudes[:, k:k + 1], solution.basis.n_values.astype(float)
+    )
+    n0 = float(n0[0])
     return PhotonStatistics(
         n_values=solution.basis.n_values,
-        distribution=p,
+        distribution=p[0],
         n0=n0,
-        sigma2=sigma2,
+        sigma2=float(sigma2[0]),
         m_mean=solution.index.c - n0,
     )
 

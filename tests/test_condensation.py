@@ -84,6 +84,38 @@ def test_ladder_from_spectrum_needs_complete_block():
         cd.ladder_from_spectrum(10, 6, 0.1, 1.0)
 
 
+def _mpmath_block_levels(two_r, two_c, kappa):
+    """Ascending spectrum of H - c I on one block, from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        n_min = max(0, two_c - two_r) // 2
+        dim = (two_c + two_r) // 2 - n_min + 1
+        h = mpmath.zeros(dim, dim)
+        for i in range(1, dim):
+            n = n_min + i
+            two_m = two_c - 2 * n
+            t = kappa * mpmath.sqrt(n) * mpmath.sqrt(
+                mpmath.mpf(two_r * (two_r + 2) - two_m * (two_m + 2)) / 4
+            )
+            h[i - 1, i] = h[i, i - 1] = t
+        return sorted(mpmath.eigsy(h, eigvals_only=True))
+
+
+@pytest.mark.parametrize("two_r,two_c", [(10, 2 * 10**6), (20, 2 * 10**8)])
+def test_ladder_from_spectrum_matches_mpmath_to_the_level_spacing(two_r, two_c):
+    # MRRR's error on the shifted levels is a few eps * ||H - c I||, with
+    # ||H - c I|| ~ 2 r sqrt(c) and a spacing ~ 1/sqrt(c) (kappa = 1): the
+    # bound below is 10x that scale.  Differencing the unshifted spectra,
+    # whose scale is c, misses it (1.0e-7 and 8.5e-5 of the spacing here).
+    with mpmath.workdps(40):
+        lower = _mpmath_block_levels(two_r, two_c, 1)
+        upper = _mpmath_block_levels(two_r, two_c + 2, 1)
+        exact = sorted(1 + u - l for u, l in zip(upper, lower))
+        spacing = float(exact[1] - exact[0])
+        ladder = cd.ladder_from_spectrum(two_r, two_c, 1.0, 1.0)
+        error = max(abs(float(mpmath.mpf(w) - e)) for w, e in zip(ladder.omegas, exact))
+    assert error / spacing < 20 * np.finfo(float).eps * (two_c / 2) * (two_r / 2)
+
+
 # ---------------------------------------------------------------------------
 # bath exchange rates
 # ---------------------------------------------------------------------------

