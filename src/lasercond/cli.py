@@ -222,7 +222,7 @@ def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None
         grid.condensate_fraction, grid.s_supply, grid.s_balance, grid.max_residual,
     ])
     rows = []
-    for values, converged, error in zip(columns.tolist(), grid.converged.tolist(), grid.errors):
+    for values, converged, error in zip(columns.tolist(), grid.converged().tolist(), grid.errors):
         s, eta, residual = values[0], values[1], values[-1]
         if error is not None:
             run.flags.append(f"point s={_fmt(s)} failed: {error}")
@@ -275,6 +275,11 @@ def _run_threshold(run: Run) -> None:
     s_grid = run.config.s_grid
     if s_grid is None:  # s = 0 and four decades around s0 (around 1 if s0 <= 0)
         scale = estimate.s0 if estimate.s0 > 0.0 else 1.0
+        if not math.isfinite(scale * 1e2):
+            raise ValueError(
+                f"threshold: the default grid's top end 1e2 s0 overflows (s0 = "
+                f"{_fmt(scale)}); give pump.s_min, pump.s_max and pump.points"
+            )
         s_grid = np.concatenate([[0.0], np.geomspace(scale * 1e-2, scale * 1e2, 59)])
     grid = condensation.solve_supply_grid(ladder, bath, s_grid)
     _emit_sweep(run, "sweep.csv", grid)

@@ -24,8 +24,10 @@ condensation pole, where an eta-space iteration loses digits.
 ``solve_supply_grid`` solves every supply of a grid in one array kernel:
 it checks the closure at the bracket ends, then takes safeguarded Newton
 steps on the same equation in a cancellation-free form, log(T / S) = 0,
-for all points still active at once.  ``solve_steady_state`` is its
-one-point call, which takes the same steps on numpy scalars.
+for all points still active at once, and returns them as the rows of
+one ``SteadyStateGrid``.  A single solution is a row of that type:
+``solve_steady_state`` is the kernel's one-point call, which takes the
+same steps on numpy scalars, and returns its row.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "LevelLadder",
     "BathParams",
     "PumpParams",
-    "SteadyStateSolution",
     "SteadyStateGrid",
     "NoncondensateBound",
     "ThresholdEstimate",
@@ -142,40 +143,11 @@ class PumpParams:
         return cls(p=s, q=0.0)
 
 
-@dataclass(frozen=True)
-class SteadyStateSolution:
-    """Converged stationary state of one (ladder, bath, pump) triple."""
-
-    ladder: LevelLadder
-    bath: BathParams
-    pump: PumpParams
-    occupations: np.ndarray
-    amplification: float
-    mu: float
-    eta: float
-    s_supply: float  # excitation transfer from the supply side
-    s_balance: float  # same quantity from the occupation balance side
-    max_residual: float  # max over levels of |s - L1 - L2|
-    eta_closure: float  # |eta - sum(occupations)| of the scalar reduction
-
-    @property
-    def n_c(self) -> float:
-        return float(self.occupations[0])
-
-    @property
-    def n_n(self) -> float:
-        return float(self.occupations[1:].sum())
-
-    @property
-    def condensate_fraction(self) -> float:
-        return self.n_c / self.eta
-
-    def converged(self) -> bool:
-        return bool(
-            _passes_gates(
-                self.max_residual, self.eta_closure, self.eta, self.pump.p, self.bath.phi
-            )
-        )
+# the fields of SteadyStateGrid that hold one entry per point
+_COLUMNS = (
+    "s", "scale", "occupations", "gap", "amplification", "mu", "eta",
+    "s_supply", "s_balance", "max_residual", "eta_closure",
+)
 
 
 @dataclass(frozen=True)
@@ -184,7 +156,10 @@ class SteadyStateGrid:
 
     Row i belongs to ``s[i]``.  A point whose solve was refused or failed
     keeps its exception in ``errors[i]`` and NaN in every column the
-    solve fills.
+    solve fills.  ``solution(i)`` is row i as a grid of its own: each
+    field in _COLUMNS holds entry i (a scalar, and one level vector of
+    occupations), ``errors`` is None, and the derived quantities and the
+    converged gate read the same on a row as on the grid.
     """
 
     ladder: LevelLadder
@@ -196,51 +171,35 @@ class SteadyStateGrid:
     amplification: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
-    s_supply: np.ndarray
-    s_balance: np.ndarray
-    max_residual: np.ndarray
-    eta_closure: np.ndarray
-    errors: tuple  # None or the exception of each point
+    s_supply: np.ndarray  # excitation transfer from the supply side
+    s_balance: np.ndarray  # same quantity from the occupation balance side
+    max_residual: np.ndarray  # max over levels of |s - L1 - L2|
+    eta_closure: np.ndarray  # |eta - sum(occupations)| of the scalar reduction
+    errors: tuple | None  # None or the exception of each point; None on a row
 
     @property
-    def n_c(self) -> np.ndarray:
-        return self.occupations[:, 0]
+    def n_c(self):
+        return self.occupations[..., 0]
 
     @property
-    def n_n(self) -> np.ndarray:
-        return self.occupations[:, 1:].sum(axis=-1)
+    def n_n(self):
+        return self.occupations[..., 1:].sum(axis=-1)
 
     @property
-    def condensate_fraction(self) -> np.ndarray:
+    def condensate_fraction(self):
         return self.n_c / self.eta
 
-    @property
-    def converged(self) -> np.ndarray:
-        return _passes_gates(
-            self.max_residual, self.eta_closure, self.eta, self.scale, self.bath.phi
-        )
+    def converged(self):
+        """Residual < 1e-8 max(p, phi) and closure < 1e-10 eta, per point."""
+        tol = 1e-8 * np.maximum(self.scale, self.bath.phi)
+        return (self.max_residual < tol) & (self.eta_closure < 1e-10 * self.eta)
 
-    def solution(self, i: int, pump: PumpParams | None = None) -> SteadyStateSolution:
-        """Row i as a solution; raises the point's error if it has one."""
+    def solution(self, i: int) -> SteadyStateGrid:
+        """Row i; raises the point's error if it has one."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        columns = (
-            "amplification", "mu", "eta", "s_supply",
-            "s_balance", "max_residual", "eta_closure",
-        )
-        return SteadyStateSolution(
-            ladder=self.ladder,
-            bath=self.bath,
-            pump=pump or PumpParams.from_supply(float(self.s[i])),
-            occupations=self.occupations[i],
-            **{name: float(getattr(self, name)[i]) for name in columns},
-        )
-
-
-def _passes_gates(max_residual, eta_closure, eta, scale, phi: float):
-    """Converged gate: residual < 1e-8 max(p, phi) and closure < 1e-10 eta."""
-    tol = 1e-8 * np.maximum(scale, phi)
-    return (max_residual < tol) & (eta_closure < 1e-10 * eta)
+        row = {name: getattr(self, name)[i] for name in _COLUMNS}
+        return SteadyStateGrid(ladder=self.ladder, bath=self.bath, errors=None, **row)
 
 
 @dataclass(frozen=True)
@@ -387,14 +346,13 @@ def excitation_transfer_balance(
 
 def solve_steady_state(
     ladder: LevelLadder, bath: BathParams, pump: PumpParams
-) -> SteadyStateSolution:
-    """Stationary occupations for net supply s = p - Q >= 0.
+) -> SteadyStateGrid:
+    """Stationary state for net supply s = p - Q >= 0, as one grid row.
 
-    The one-point call of ``solve_supply_grid``, gated at the pump rate p;
-    a refused or failed solve raises its error.
+    The one-point call of ``solve_supply_grid``, gated at the pump rate p
+    (the row's ``scale``); a refused or failed solve raises its error.
     """
-    grid = solve_supply_grid(ladder, bath, [pump.s], scale=[pump.p])
-    return grid.solution(0, pump)
+    return solve_supply_grid(ladder, bath, [pump.s], scale=[pump.p]).solution(0)
 
 
 # ends of the admissible gap bracket, as fractions of omega_{-r} beta
@@ -439,9 +397,8 @@ def solve_supply_grid(
         for i in range(0, s.size, points)
     ]
     columns = {
-        f.name: np.concatenate([getattr(block, f.name) for block in blocks])
-        for f in dataclasses.fields(SteadyStateGrid)
-        if f.name not in ("ladder", "bath", "errors")
+        name: np.concatenate([getattr(block, name) for block in blocks])
+        for name in _COLUMNS
     }
     errors = sum((block.errors for block in blocks), ())
     return SteadyStateGrid(ladder=ladder, bath=bath, errors=errors, **columns)
@@ -579,7 +536,11 @@ def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
     """eta and occupations of the scalar reduction at gap g of each point."""
     # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)
     x = -np.expm1(g - gap_top)
-    eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+    # chi S / (phi x) overflows only at a supply near the double range; eta =
+    # inf is the right limit there: the closure reads -inf, and _find_gaps's
+    # bracket search shrinks on and names the point it cannot bracket
+    with np.errstate(over="ignore"):
+        eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
     k = 1.0 + s / (bath.phi + bath.chi * eta)
     return eta, k[..., None] / np.expm1(np.add.outer(g, level_gaps))
 
@@ -656,7 +617,7 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
     lo = np.full(s.size, lo_end)
     f_lo = closure(lo)
     low = np.flatnonzero(f_lo <= 0.0)
-    while low.size:  # pragma: no cover - pathological scales
+    while low.size:  # the root lies below _GAP_BRACKET[0]: huge supplies
         lo[low] *= 1e-3
         fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
         low = low[lo[low] >= 1e-280]
@@ -789,15 +750,25 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
 
     A non-positive bracket (2B <= eta_T) means the excited levels cannot
     even hold the equilibrium population: condensation is immediate and
-    the estimate is flagged, never clamped.
+    the estimate is flagged, never clamped.  An s0 outside the double
+    range (eta_T^2 underflows, or the product overflows) is refused.
     """
     if not eta_t > 0.0:
         raise ValueError("equilibrium occupancy must be positive")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
-    s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
-        2.0 * b_sum - eta_t
-    )
+    s0 = math.inf
+    if eta_t**2 > 0.0:  # eta_t**2 underflows to 0 below about 1.6e-162
+        s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
+            2.0 * b_sum - eta_t
+        )
+    if not math.isfinite(s0):
+        # eta_T > e^(-omega_-r beta) bounds the bottom level's omega beta
+        raise ValueError(
+            "threshold supply s0 = (phi/eta_T^2)(eta_T + 2 phi/chi)(2B - eta_T) "
+            f"overflows the double range: eta_T = {eta_t:.6g} (omega_-r beta > "
+            f"-ln eta_T = {-math.log(eta_t):.6g}), phi/chi = {bath.phi / bath.chi:.6g}"
+        )
     return ThresholdEstimate(s0=s0, b_sum=b_sum, immediate=not s0 > 0.0)
 
 

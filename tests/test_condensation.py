@@ -300,7 +300,7 @@ def test_solve_supply_grid_keeps_failures_in_place():
     bath = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
     grid = cd.solve_supply_grid(ladder, bath, [0.0, 1.0, 10.0])
     assert len(grid.errors) == 3
-    assert isinstance(grid.solution(0), cd.SteadyStateSolution)
+    assert isinstance(grid.solution(0), cd.SteadyStateGrid)
     at_zero = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(0.0))
     assert grid.solution(0).occupations.tobytes() == at_zero.occupations.tobytes()
     for failure in grid.errors[1:]:
@@ -400,11 +400,21 @@ def test_solve_supply_grid_is_the_one_point_solve_at_every_grid_point(
 def test_solve_supply_grid_columns_match_the_solutions():
     grid = cd.solve_supply_grid(LADDER, BATH, [0.0, 0.5, 500.0], scale=[1.0, 2.0, 600.0])
     for i, p in enumerate((1.0, 2.0, 600.0)):
-        solution = grid.solution(i, cd.PumpParams(p=p, q=p - grid.s[i]))
+        solution = grid.solution(i)
         assert solution.n_c == grid.n_c[i] and solution.n_n == grid.n_n[i]
         assert solution.condensate_fraction == grid.condensate_fraction[i]
-        assert solution.converged() == grid.converged[i]
-    assert grid.converged.tolist() == [True, True, True]
+        assert solution.converged() == grid.converged()[i]
+        # a row holds entry i of every per-point column, bit for bit; its
+        # scale is the p its gate runs at
+        for name in cd._COLUMNS:
+            expected = np.asarray(getattr(grid, name)[i]).tobytes()
+            assert np.asarray(getattr(solution, name)).tobytes() == expected, name
+        assert solution.scale == p and solution.errors is None
+    assert grid.converged().tolist() == [True, True, True]
+    refused = cd.solve_supply_grid(LADDER, BATH, [0.5, -1.0])
+    with pytest.raises(ValueError, match="must be >= 0") as raised:
+        refused.solution(1)
+    assert raised.value is refused.errors[1]
 
 
 def test_blocks_of_a_long_grid_match_one_pass():
@@ -513,6 +523,32 @@ def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
     assert max(distances) <= BRENT_DISTANCE_MAX
 
 
+# (2r, beta, chi, s) whose closure root lies below _GAP_BRACKET[0] of the gap
+# range, so _find_gaps lowers the bracket's low end until the closure changes sign
+SHRINK_POINTS = [(2, 1.0, 0.1, 1e19), (4, 2.0, 0.05, 1e20), (6, 0.5, 0.3, 1e22)]
+
+
+@pytest.mark.parametrize(("two_r", "beta", "chi", "s"), SHRINK_POINTS)
+def test_bracket_search_below_the_low_end_finds_the_closure_root(two_r, beta, chi, s):
+    ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
+    grid = cd.solve_supply_grid(ladder, bath, [s])
+    gap = float(grid.gap[0])
+    assert gap < cd._GAP_BRACKET[0] * ladder.omegas[0] * beta
+    root = _closure_root(ladder, bath, s, gap)
+    assert float(abs(gap - root) / root) <= 8.9e-16
+    assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
+    # convergence is not asserted: the float residual cancels at such supplies
+
+
+@pytest.mark.parametrize("s", [1e300, 1e308])
+def test_bracket_search_names_a_supply_it_cannot_bracket(s):
+    # chi S / (phi x) overflows: eta = inf and the closure is -inf at every gap
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    with pytest.raises(cd.ConvergenceError, match="no admissible bracket below the pole"):
+        solve(s, ladder=ladder)
+
+
 @pytest.mark.parametrize("chi", [0.1, 0.0], ids=["chi", "no-chi"])
 def test_max_residual_is_the_per_level_stationarity_residual(chi):
     bath = cd.BathParams(beta=BATH.beta, phi=BATH.phi, chi=chi)
@@ -614,7 +650,7 @@ def test_total_occupancy_prediction_below_threshold():
     s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
     reference = solve(s0 / 20.0)
     omega_bar = cd.fit_mean_frequency(
-        reference.pump.s, reference.eta, eta_t, LADDER, BATH
+        reference.s, reference.eta, eta_t, LADDER, BATH
     )
     for s in np.linspace(s0 / 50.0, s0 / 2.0, 7):
         solution = solve(float(s))
@@ -631,7 +667,7 @@ def test_condensate_prediction():
     s0 = cd.threshold_supply(eta_t, cd.noncondensate_bound(0.0, LADDER, BATH).b_sum, BATH).s0
     reference = solve(10.0 * s0)
     omega_bar = cd.fit_mean_frequency(
-        reference.pump.s, reference.eta, eta_t, LADDER, BATH
+        reference.s, reference.eta, eta_t, LADDER, BATH
     )
     for mult in (30.0, 100.0):
         solution = solve(mult * s0)

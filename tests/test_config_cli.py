@@ -194,7 +194,9 @@ def test_cli_steady_state_outputs(tmp_path):
 
 
 def test_cli_not_converged_points_are_flagged(tmp_path, monkeypatch):
-    never = property(lambda self: np.zeros(self.s.shape, dtype=bool))
+    def never(self):
+        return np.zeros(self.s.shape, dtype=bool)
+
     monkeypatch.setattr(condensation.SteadyStateGrid, "converged", never)
     cfg = _write(tmp_path, "point.cfg", STEADY_CFG)
     out = tmp_path / "point"
@@ -582,6 +584,26 @@ def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, command, bas
 THRESHOLD_CFG = "".join(
     line + "\n" for line in SWEEP_CFG.splitlines() if not line.startswith("pump.")
 )
+
+
+@pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
+def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
+    # the acceptance ladder, omega_-r beta = 0.95 beta: the default grid's top end
+    # 1e2 s0 overflows (371.5), s0 overflows (380) or eta_T^2 underflows (400, 746)
+    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lasercond.cli", "threshold", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "overflows" in line
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
 @pytest.mark.parametrize(
