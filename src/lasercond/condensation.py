@@ -26,8 +26,9 @@ it checks the closure at the bracket ends, then takes safeguarded Newton
 steps on the same equation in a cancellation-free form, log(T / S) = 0,
 for all points still active at once, and returns them as the rows of
 one ``SteadyStateGrid``.  A single solution is a row of that type:
-``solve_steady_state`` is the kernel's one-point call, which takes the
-same steps on numpy scalars, and returns its row.
+``solve_steady_state`` is the kernel's one-point call.  A grid of one
+point goes the same way; only its Newton state, like that of a grid's
+last active point, is numpy scalars instead of 1-element arrays.
 """
 
 from __future__ import annotations
@@ -378,17 +379,13 @@ def solve_supply_grid(
     pump rate p of each point's residual gate (default s, a pure supply).
     A point that is refused or fails keeps its exception in ``errors``.
 
-    A one-point grid takes the same steps on numpy scalars, which skips
-    the array bookkeeping and returns the same bits; a point that is
-    refused or fails goes the array way.  A long grid
-    goes the array way in blocks of at most _BLOCK (points x levels)
+    A grid of one point takes the same path; while a single point is
+    still active, its Newton steps run on numpy scalars, with the same
+    bits.  A long grid goes in blocks of at most _BLOCK (points x levels)
     entries, with the same bits.
     """
     s = np.array(supplies, dtype=float).reshape(-1)
     scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
-    grid = _solve_point(ladder, bath, s, scale) if s.size == 1 else None
-    if grid is not None:
-        return grid
     points = max(1, _BLOCK // ladder.n_levels)
     if s.size <= points:
         return _solve_points(ladder, bath, s, scale)
@@ -405,74 +402,32 @@ def solve_supply_grid(
 
 
 def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
-    """The array way of ``solve_supply_grid``."""
+    """One pass of ``solve_supply_grid``: refuse, close or root-find each point."""
     omegas = ladder.omegas
     transfer = excitation_transfer_supply(s, ladder, bath)
     gap_top = omegas[0] * bath.beta
     closed = (s == 0.0) | (bath.chi == 0.0)
     with np.errstate(over="ignore"):
         occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
-    # _refusal's four conditions as masks; it words the refused points only
-    refused = (s < 0.0) | ((ladder.is_degenerate and bath.chi > 0.0) & (s > 0.0))
-    refused |= closed & (occupations[:, 0] == 0.0)
-    refused |= ~closed & (bath.chi * transfer < bath.phi**2 * _EPS)
-    errors = [None] * s.size
-    for i in np.flatnonzero(refused).tolist():
-        point = (s[i], transfer[i], closed[i], occupations[i, 0])
-        errors[i] = _refusal(*(value.item() for value in point), ladder, bath)
-    gap = np.full(s.size, gap_top)
+    errors, refused = _refusals(s, transfer, closed, occupations[:, 0], ladder, bath)
+    gap = np.full_like(s, gap_top)
     eta_root = occupations.sum(axis=-1)  # eta of the scalar reduction
-    solve = np.flatnonzero(~refused & ~closed)
+    solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
+        # a slice selects every point without copying it
+        at = slice(None) if solve.size == s.size else solve
         level_gaps = (omegas - omegas[0]) * bath.beta
-        gap[solve], failures = _find_gaps(
-            s[solve], transfer[solve], level_gaps, gap_top, bath
+        gap[at], failures = _find_gaps(s[at], transfer[at], level_gaps, gap_top, bath)
+        eta_root[at], occupations[at] = _gap_state(
+            gap[at], s[at], transfer[at], level_gaps, gap_top, bath
         )
         for j, error in failures.items():
             errors[solve[j]] = error
-        eta_root[solve], occupations[solve] = _gap_state(
-            gap[solve], s[solve], transfer[solve], level_gaps, gap_top, bath
-        )
-    failed = np.array([error is not None for error in errors], dtype=bool)
-    occupations[failed] = np.nan
-    gap[failed] = np.nan
+    failed = [i for i, error in enumerate(errors) if error is not None]
+    if failed:
+        occupations[failed] = np.nan
+        gap[failed] = np.nan
     return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
-
-
-def _solve_point(ladder, bath, s, scale) -> SteadyStateGrid | None:
-    """The one-point way of ``solve_supply_grid``, or None to go the array way."""
-    s_point = s[0]
-    transfer = excitation_transfer_supply(s_point, ladder, bath)
-    gap = gap_top = ladder.omegas[0] * bath.beta
-    closed = bool(s_point == 0.0 or bath.chi == 0.0)
-    with np.errstate(over="ignore"):
-        occupations = (1.0 + s_point / bath.phi) / np.expm1(ladder.omegas * bath.beta)
-    if _refusal(s_point, transfer, closed, occupations[0], ladder, bath):
-        return None
-    eta = occupations.sum()
-    if not closed:
-        level_gaps = (ladder.omegas - ladder.omegas[0]) * bath.beta
-        lo, hi = (gap_top * end for end in _GAP_BRACKET)
-        for end, sign in ((lo, 1.0), (hi, -1.0)):
-            eta, occupations = _gap_state(end, s_point, transfer, level_gaps, gap_top, bath)
-            if not sign * (occupations.sum() - eta) > 0.0:
-                return None
-        t, t_lo, t_hi, k_slope, t_scale = _newton_start(
-            lo, hi, s_point, transfer, gap_top, bath
-        )
-        for _ in range(_MAX_ITERATIONS):
-            g = gap_top / (1.0 + np.exp(-t))
-            h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
-            t, t_lo, t_hi, gap, done = _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick)
-            if done:
-                break
-        else:
-            return None
-        eta, occupations = _gap_state(gap, s_point, transfer, level_gaps, gap_top, bath)
-    return _grid(
-        ladder, bath, s, scale, np.array([transfer]), occupations[None, :],
-        np.array([gap]), np.array([eta]), [None],
-    )
 
 
 def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
@@ -502,34 +457,40 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
     )
 
 
-def _refusal(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathParams):
-    """The error a point is refused with before any root find, or None.
+def _refusals(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathParams):
+    """The error each point is refused with before any root find, or None.
 
-    ``n_bottom`` is the bottom level's closed-form occupation.
+    Returns the errors and the refused mask.  ``n_bottom`` is the bottom
+    level's closed-form occupation.  The rules are checked in order, and
+    the first that holds words the point's error.
     """
-    if s < 0.0:
-        return ValueError(f"net supply s = p - Q must be >= 0, got {s}")
-    if ladder.is_degenerate and bath.chi > 0.0 and s > 0.0:
-        return ValueError(
+    gap_top = ladder.omegas[0] * bath.beta
+    rules = (
+        (s < 0.0, lambda i: ValueError(
+            f"net supply s = p - Q must be >= 0, got {float(s[i])}"
+        )),
+        ((ladder.is_degenerate and bath.chi > 0.0) & (s > 0.0), lambda i: ValueError(
             "degenerate ladder with chi > 0: level exchange has no energy "
             "scale and the excited-level bound diverges"
-        )
-    gap_top = ladder.omegas[0] * bath.beta
-    if closed and n_bottom == 0.0:
-        return ConvergenceError(
+        )),
+        (closed & (n_bottom == 0.0), lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
             "e^(omega beta) overflows and every occupation underflows to 0"
-        )
-    if not closed and bath.chi * transfer < bath.phi**2 * _EPS:
+        )),
         # the closure recovers phi + chi eta by subtracting phi, which
         # then cancels to exactly 0 for every gap
-        return ConvergenceError(
+        (~closed & (bath.chi * transfer < bath.phi**2 * _EPS), lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
-            f"{bath.chi * transfer / bath.phi**2:.3g} is below machine "
+            f"{bath.chi * float(transfer[i]) / bath.phi**2:.3g} is below machine "
             "epsilon: the root lies closer to the pole than the gap "
             "variable can resolve"
-        )
-    return None
+        )),
+    )
+    refused = rules[0][0] | rules[1][0] | rules[2][0] | rules[3][0]
+    errors = [None] * s.size
+    for i in refused.nonzero()[0].tolist():
+        errors[i] = next(error(i) for mask, error in rules if mask[i])
+    return errors, refused
 
 
 def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
@@ -601,29 +562,32 @@ def _pick(condition, if_true, if_false):
 def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
     """Root gap of each point's closure, NaN where it fails, and {point: error}.
 
-    Only points still active are evaluated.
+    Only points still active are evaluated.  While a single point is (a
+    one-point grid from the start, a grid's last straggler at the end),
+    its Newton state is numpy scalars and ``_pick`` stands in for
+    np.where: the same steps and bits at a fraction of the cost of
+    1-element arrays.
     """
     failures: dict[int, ConvergenceError] = {}
 
     def fail(mask, message):
-        for i in np.flatnonzero(mask):
-            failures.setdefault(int(i), ConvergenceError(message(i)))
+        for i in mask.nonzero()[0].tolist():
+            failures.setdefault(i, ConvergenceError(message(i)))
 
     def closure(g, j=slice(None)):
         eta, occupations = _gap_state(g, s[j], transfer[j], level_gaps, gap_top, bath)
         return occupations.sum(axis=-1) - eta
 
     lo_end, hi = (gap_top * end for end in _GAP_BRACKET)
-    lo = np.full(s.size, lo_end)
-    f_lo = closure(lo)
-    low = np.flatnonzero(f_lo <= 0.0)
+    f_lo, f_hi = closure(np.array([[lo_end], [hi]]))  # both ends in one pass
+    lo = np.full_like(s, lo_end)
+    low = (f_lo <= 0.0).nonzero()[0]
     while low.size:  # the root lies below _GAP_BRACKET[0]: huge supplies
         lo[low] *= 1e-3
         fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
         low = low[lo[low] >= 1e-280]
         f_lo[low] = closure(lo[low], low)
         low = low[f_lo[low] <= 0.0]
-    f_hi = closure(np.full(s.size, hi))
     fail(f_hi >= 0.0, lambda i: (
         "no root: total occupation cannot match the supply inside "
         f"the admissible gap (0, {gap_top})"
@@ -632,30 +596,40 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         f"closure is NaN at the ends of the gap bracket [{float(lo[i])!r}, {hi!r}]"
     ))
 
-    roots = np.full(s.size, np.nan)
-    j = np.flatnonzero([i not in failures for i in range(s.size)])
+    roots = np.full_like(s, np.nan)
+    j = np.arange(s.size)
+    if failures:
+        j = np.flatnonzero([i not in failures for i in j.tolist()])
+    lone = j.size == 1
+    at = j[0] if lone else j
     t, t_lo, t_hi, k_slope, t_scale = _newton_start(
-        lo[j], hi, s[j], transfer[j], gap_top, bath
+        lo[at], hi, s[at], transfer[at], gap_top, bath
     )
-    t_hi = np.full(j.size, t_hi)
+    state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), k_slope, t_scale)
     for _ in range(_MAX_ITERATIONS):
         if not j.size:
             return roots, failures
+        t, t_lo, t_hi, k_slope, t_scale = state
         g = gap_top / (1.0 + np.exp(-t))
         h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
         t, t_lo, t_hi, root, done = _newton_step(
-            t, t_lo, t_hi, g, h, dh_dg, gap_top, np.where
+            t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick if lone else np.where
         )
-        if done.any():
+        state = (t, t_lo, t_hi, k_slope, t_scale)
+        if lone and done:
+            roots[j] = root
+            return roots, failures
+        if not lone and done.any():
             roots[j[done]] = root[done]
-            j, t, t_lo, t_hi, k_slope, t_scale = (
-                v[~done] for v in (j, t, t_lo, t_hi, k_slope, t_scale)
-            )
-    g_lo, g_hi = (gap_top / (1.0 + np.exp(-end)) for end in (t_lo, t_hi))
-    fail(np.isin(np.arange(s.size), j), lambda i: (
-        f"Newton iteration did not converge in {_MAX_ITERATIONS} iterations: gap bracket "
-        f"[{float(g_lo[j == i][0])!r}, {float(g_hi[j == i][0])!r}]"
-    ))
+            j, *state = (v[~done] for v in (j, *state))
+            if j.size == 1:  # the last straggler steps alone
+                lone, state = True, tuple(v[0] for v in state)
+    g_lo, g_hi = (np.reshape(gap_top / (1.0 + np.exp(-end)), -1) for end in state[1:3])
+    for k, i in enumerate(j.tolist()):
+        failures[i] = ConvergenceError(
+            f"Newton iteration did not converge in {_MAX_ITERATIONS} iterations: "
+            f"gap bracket [{float(g_lo[k])!r}, {float(g_hi[k])!r}]"
+        )
     return roots, failures
 
 

@@ -430,6 +430,39 @@ def test_blocks_of_a_long_grid_match_one_pass():
         assert [str(e) for e in whole.errors] == [str(e) for e in blocked.errors]
 
 
+def test_blocks_of_one_point_match_one_pass():
+    # _BLOCK = levels puts every point in a block of its own, so each takes
+    # numpy scalar Newton steps from its first step; one pass steps arrays
+    rng = random.Random(16)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    # s = 1e19 at r = 1 lowers the bracket's low end (SHRINK_POINTS)
+    cases = [(cd.ladder_analytic(2, 1.0, 0.1, 100.0), BATH, [1e19, 1.0, 0.0, -3.0])]
+    while len(cases) < 40:
+        ladder = _domain_ladder(
+            rng.randint(0, 78), rng.uniform(0.5, 2.0), log_uniform(1e2, 1e4),
+            log_uniform(1e-3, 1.0),
+        )
+        bath = cd.BathParams(
+            beta=log_uniform(0.1, 10.0), phi=log_uniform(0.1, 10.0), chi=log_uniform(0.01, 1.0)
+        )
+        # s = 1e-300 is refused by the chi S / phi^2 < eps rule
+        supplies = [0.0, -rng.uniform(0.1, 10.0), 1e-300]
+        supplies += sorted(log_uniform(1e-14, 1e4) for _ in range(5))
+        cases.append((ladder, bath, supplies))
+    for ladder, bath, supplies in cases:
+        whole = cd.solve_supply_grid(ladder, bath, supplies)
+        with mock.patch.object(cd, "_BLOCK", ladder.n_levels):
+            single = cd.solve_supply_grid(ladder, bath, supplies)
+        for name in cd._COLUMNS:
+            assert getattr(whole, name).tobytes() == getattr(single, name).tobytes(), name
+        assert [(type(e), str(e)) for e in whole.errors] == [
+            (type(e), str(e)) for e in single.errors
+        ]
+
+
 def test_root_find_names_a_nan_closure():
     real = cd._gap_state
 
@@ -451,6 +484,24 @@ def test_root_find_names_exhausted_iterations():
         assert isinstance(error, cd.ConvergenceError)
         assert re.search(r"in 2 iterations: gap bracket \[", str(error))
     assert np.all(np.isnan(grid.occupations))
+    # s = 1e-3 converges in its 4th step and s = 5 in its 6th: allowed 5,
+    # s = 5 takes its 5th step alone, on numpy scalars, and runs out there
+    lone = []
+    step = cd._newton_step
+
+    def spy(*args):
+        lone.append(args[-1] is cd._pick)
+        return step(*args)
+
+    with mock.patch.object(cd, "_MAX_ITERATIONS", 5), mock.patch.object(cd, "_newton_step", spy):
+        straggler = cd.solve_supply_grid(LADDER, BATH, [1e-3, 5.0])
+    assert lone == [False] * 4 + [True]
+    assert straggler.errors[0] is None and np.all(np.isfinite(straggler.occupations[0]))
+    named = re.fullmatch(
+        r"Newton iteration did not converge in 5 iterations: gap bracket \[(.+), (.+)\]",
+        str(straggler.errors[1]),
+    )
+    assert named and float(named[1]) < solve(5.0).gap < float(named[2])
 
 
 def _domain_points(count, seed):
