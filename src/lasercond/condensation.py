@@ -724,15 +724,21 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
 
     A non-positive bracket (2B <= eta_T) means the excited levels cannot
     even hold the equilibrium population: condensation is immediate and
-    the estimate is flagged, never clamped.  An s0 outside the double
-    range (eta_T^2 underflows, or the product overflows) is refused.
+    the estimate is flagged, never clamped.  Where eta_T^2 overflows (a
+    tiny beta), s0 is the same form divided through by eta_T,
+    (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T).  An s0 outside the
+    double range (eta_T^2 underflows, or the product overflows) is refused.
     """
     if not eta_t > 0.0:
         raise ValueError("equilibrium occupancy must be positive")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
     s0 = math.inf
-    if eta_t**2 > 0.0:  # eta_t**2 underflows to 0 below about 1.6e-162
+    if math.isinf(eta_t * eta_t):  # eta_t**2 raises OverflowError above 1.3e154
+        s0 = (bath.phi / eta_t) * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (
+            2.0 * b_sum - eta_t
+        )
+    elif eta_t**2 > 0.0:  # eta_t**2 underflows to 0 below about 1.6e-162
         s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
             2.0 * b_sum - eta_t
         )

@@ -18,6 +18,16 @@ condensation model downstream relies on.
 Half-integers are carried as doubled integers (two_r = 2r, two_c = 2c)
 so parity checks are exact.
 
+Every block is c I + T, with T zero on its diagonal.  Ordering the basis
+by even and odd photon-number offset makes T = [[0, B], [B^T, 0]], with B
+the lower-bidiagonal ceil(d/2) x floor(d/2) "chiral half" of the block.
+Its singular values sigma give the spectrum c -+ sigma (plus c itself
+when d is odd), and its singular vectors give the eigenvectors
+(u, -+v)/sqrt(2) (the odd-d level c is B's left null vector).  One
+``np.linalg.svd`` of B -- numpy's own LAPACK ``gesdd`` -- is therefore
+the only eigensolve: the spectrum is symmetric about c by construction,
+and no ``scipy.linalg`` import is needed.
+
 ``photon_moments`` gives every eigenstate's photon-number mean and
 variance in one array pass over blocks of eigenstates; ``photon_statistics``
 is its one-state case, which also returns the distribution.
@@ -28,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 __all__ = [
     "BlockIndex",
@@ -51,15 +60,8 @@ __all__ = [
     "ConvergenceError",
 ]
 
-# LAPACK's MRRR routine (Dhillon & Parlett, "Multiple representations to
-# compute orthogonal eigenvectors of symmetric tridiagonal matrices", LAA
-# 387, 2004), named explicitly so the algorithm does not follow scipy's
-# lapack_driver="auto" default from one release to the next.
-_DRIVER = "stemr"
-
-
 class ConvergenceError(RuntimeError):
-    """A numerical solve failed: LAPACK did not converge, or no root was found.
+    """A numerical solve failed: the block SVD did not converge, or no root was found.
 
     Raised by the block eigensolve and by the steady-state solver, whose
     message names the regime (a pole the gap variable cannot resolve, a
@@ -120,7 +122,11 @@ class BasisRange:
 
 @dataclass(frozen=True)
 class HamiltonianBlock:
-    """Real symmetric tridiagonal restriction of H to one (r, c) block."""
+    """Real symmetric tridiagonal restriction of H to one (r, c) block.
+
+    The diagonal is constant (c, or 0 for H - c I), which the chiral
+    eigensolve relies on.
+    """
 
     index: BlockIndex
     basis: BasisRange
@@ -203,15 +209,40 @@ def build_block(index: BlockIndex) -> HamiltonianBlock:
     )
 
 
-def _solve_block(solver, block: HamiltonianBlock):
-    """Run a LAPACK tridiagonal ``solver`` on a block; failures name the block."""
+def _chiral_svd(block: HamiltonianBlock, compute_uv: bool):
+    """``np.linalg.svd`` of the block's chiral half B; failures name the block.
+
+    B[i, i] = t[2i] and B[i+1, i] = t[2i+1] couple even offset 2i to odd
+    offsets 2i+1 and 2i-1.  The diagonal must be constant.
+    """
+    if np.any(block.diagonal != block.diagonal[0]):
+        raise ValueError("the chiral solve needs a constant block diagonal")
+    t = block.offdiagonal
+    half = np.zeros(((block.basis.dim + 1) // 2, block.basis.dim // 2))
+    i = np.arange(half.shape[1])
+    half[i, i] = t[0::2]
+    half[i[: t.size // 2] + 1, i[: t.size // 2]] = t[1::2]
     try:
-        return solver(block.diagonal, block.offdiagonal, lapack_driver=_DRIVER)
-    except LinAlgError as exc:
+        return np.linalg.svd(half, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"block (r={block.index.r}, c={block.index.c}, "
             f"dim={block.basis.dim}): {exc}"
         ) from exc
+
+
+def _symmetric_levels(block: HamiltonianBlock, sigma: np.ndarray) -> np.ndarray:
+    """Ascending levels c -+ sigma (and c itself when the dim is odd).
+
+    The level of each pair farther from zero is rounded once and its mirror
+    is 2c minus it.  For a half-integer c that subtraction is exact, so
+    lambda + lambda[::-1] == 2c holds bit for bit.
+    """
+    c = block.diagonal[0]
+    outer = c + np.copysign(sigma, c)
+    inner = 2.0 * c - outer
+    low, high = (inner, outer) if c >= 0.0 else (outer, inner)
+    return np.concatenate((low, block.diagonal[: block.basis.dim % 2], high[::-1]))
 
 
 def _fix_signs(vectors) -> None:
@@ -225,20 +256,38 @@ def _fix_signs(vectors) -> None:
 
 
 def diagonalize(block: HamiltonianBlock) -> EigenSolution:
-    """Full ascending eigensystem of a block, eigenvector signs fixed."""
-    values, vectors = _solve_block(eigh_tridiagonal, block)
+    """Full ascending eigensystem of a block, eigenvector signs fixed.
+
+    Level -sigma_k is (u_k, -v_k)/sqrt(2) on the even and odd rows and
+    +sigma_k is (u_k, v_k)/sqrt(2); the amplitudes are Fortran-ordered so
+    each eigenvector is one contiguous column.
+    """
+    u, sigma, vt = _chiral_svd(block, compute_uv=True)
+    dim = block.basis.dim
+    m = sigma.size
+    vectors = np.empty((dim, dim), order="F")
+    even, odd = vectors[0::2], vectors[1::2]
+    u_half = u[:, :m] * np.sqrt(0.5)
+    v_half = vt.T * np.sqrt(0.5)
+    even[:, :m] = u_half
+    even[:, dim - m:] = u_half[:, ::-1]
+    odd[:, :m] = -v_half
+    odd[:, dim - m:] = v_half[:, ::-1]
+    if dim % 2:
+        even[:, m] = u[:, m]
+        odd[:, m] = 0.0
     _fix_signs(vectors)
     return EigenSolution(
         index=block.index,
         basis=block.basis,
-        eigenvalues=values,
+        eigenvalues=_symmetric_levels(block, sigma),
         amplitudes=vectors,
     )
 
 
 def block_eigenvalues(block: HamiltonianBlock) -> np.ndarray:
     """Ascending spectrum of a block without its eigenvectors."""
-    return _solve_block(eigvalsh_tridiagonal, block)
+    return _symmetric_levels(block, _chiral_svd(block, compute_uv=False))
 
 
 # Eigenstates per photon-statistics pass are capped at _BLOCK (states x dim)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -606,6 +607,34 @@ def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
+@pytest.mark.parametrize("beta", ["1e-200", "1e-300"])
+def test_cli_threshold_at_a_tiny_beta(tmp_path, beta):
+    # eta_T ~ (2r+1)/(omega beta) squares past the double range, but s0 is
+    # finite: the run reports it and flags the grid points it cannot solve
+    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lasercond.cli", "threshold", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    config = parse_config_text(_set(THRESHOLD_CFG, "bath.beta", beta), "threshold")
+    bath = config.bath
+    with mpmath.workdps(40):
+        omegas = [mpmath.mpf(float(w)) for w in config.ladder.omegas]
+        b = mpmath.mpf(bath.beta)
+        eta_t = sum(1 / mpmath.expm1(w * b) for w in omegas)
+        b_sum = sum(1 / mpmath.expm1((w - omegas[0]) * b) for w in omegas[1:])
+        s0 = (bath.phi / eta_t**2) * (eta_t + 2 * bath.phi / bath.chi) * (2 * b_sum - eta_t)
+        error = abs(float(_report(tmp_path / "out")["s0"]) / s0 - 1)
+    assert error < 1e-14
+
+
 @pytest.mark.parametrize(
     ("command", "text", "message"),
     [
@@ -692,13 +721,15 @@ def test_parser_returns_a_config_or_a_config_error(case):
     assert isinstance(config, RunConfig) and config.command == command
 
 
+SPECTRAL_SWEEP_CFG = (
+    "ladder.source = spectral\nladder.r = 5\nladder.c = 10\nladder.omega = 1\n"
+    "ladder.kappa = 0.5\nbath.beta = 1\nbath.phi = 1\nbath.chi = 0.1\n"
+    "pump.s_min = 0\npump.s_max = 50\npump.points = 12\n"
+)
+
+
 def test_cli_sweep_on_a_spectral_ladder(tmp_path):
-    text = (
-        "ladder.source = spectral\nladder.r = 5\nladder.c = 10\nladder.omega = 1\n"
-        "ladder.kappa = 0.5\nbath.beta = 1\nbath.phi = 1\nbath.chi = 0.1\n"
-        "pump.s_min = 0\npump.s_max = 50\npump.points = 12\n"
-    )
-    cfg = _write(tmp_path, "run.cfg", text)
+    cfg = _write(tmp_path, "run.cfg", SPECTRAL_SWEEP_CFG)
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
@@ -709,23 +740,37 @@ def test_cli_sweep_on_a_spectral_ladder(tmp_path):
     # 10.6009383488664161
     ladder = condensation.ladder_from_spectrum(10, 20, 0.5, 1.0)
     eta_t = condensation.eta_thermal(ladder, condensation.BathParams(1.0, 1.0, 0.1))
-    assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866556
+    assert float(rows[1].split(",")[1]) == eta_t == 10.600938348866384
+    assert abs(eta_t - 10.6009383488664161) < 5e-14
 
 
-def test_cli_import_loads_no_scipy_optimize_or_sparse():
-    # a fresh interpreter: the test process itself imports scipy.optimize;
-    # scipy.linalg (the eigensolver) is still loaded eagerly, on purpose
+def test_cli_import_loads_no_scipy_optimize_or_sparse(tmp_path):
+    # a fresh interpreter, since the test process itself imports these
+    # modules: neither the import nor a spectrum run nor a spectral-ladder
+    # sweep (numpy's own SVD solves every block) loads them
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    spectrum_cfg = _write(tmp_path, "spectrum.cfg", SPECTRUM_CFG)
+    sweep_cfg = _write(tmp_path, "sweep.cfg", SPECTRAL_SWEEP_CFG)
     code = (
-        "import lasercond.cli, sys; "
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+        "import sys\n"
+        "from lasercond import cli\n"
+        "modules = ('scipy.linalg', 'scipy.optimize', 'scipy.sparse')\n"
+        "print('loaded:', *(m for m in modules if m in sys.modules))\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert cli.main(argv.split()) == 0\n"
+        "    print('loaded:', *(m for m in modules if m in sys.modules))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [
+            sys.executable, "-c", code,
+            f"spectrum --config {spectrum_cfg} --out {tmp_path / 'spectrum'}",
+            f"sweep --config {sweep_cfg} --out {tmp_path / 'sweep'}",
+        ],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == ""
+    assert result.stdout.splitlines() == ["loaded:"] * 3
+    assert (tmp_path / "sweep" / "sweep.csv").exists()

@@ -1,5 +1,6 @@
 """Block construction, diagonalization and closed-form spectral statistics."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -183,18 +184,74 @@ def test_block_eigenvalues_match_full_solve():
     assert np.max(np.abs(values - sp.diagonalize(block).eigenvalues)) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "lapack_name,solve",
-    [("eigh_tridiagonal", sp.diagonalize), ("eigvalsh_tridiagonal", sp.block_eigenvalues)],
-)
-def test_lapack_failure_raises_convergence_error(monkeypatch, lapack_name, solve):
+@pytest.mark.parametrize("solve", [sp.diagonalize, sp.block_eigenvalues])
+def test_lapack_failure_raises_convergence_error(monkeypatch, solve):
     def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("stemr did not converge (LAPACK info=3)")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(sp, lapack_name, fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     block = sp.build_block(sp.BlockIndex(41, 121, 0.9))
-    with pytest.raises(sp.ConvergenceError, match=r"r=20\.5, c=60\.5, dim=42\): stemr did"):
+    with pytest.raises(sp.ConvergenceError, match=r"r=20\.5, c=60\.5, dim=42\): SVD did"):
         solve(block)
+
+
+@pytest.mark.parametrize("solve", [sp.diagonalize, sp.block_eigenvalues])
+def test_chiral_solve_rejects_a_varying_diagonal(solve):
+    block = sp.build_block(sp.BlockIndex(4, 8, 1.0))
+    diagonal = block.diagonal.copy()
+    diagonal[2] += 1.0
+    with pytest.raises(ValueError, match="constant block diagonal"):
+        solve(dataclasses.replace(block, diagonal=diagonal))
+
+
+@st.composite
+def _chiral_blocks(draw):
+    """2r in 1..120, 2c from -2r to 400 with the parity of 2r, kappa log-uniform in [0.05, 3]."""
+    two_r = draw(st.integers(1, 120))
+    two_c = -two_r + 2 * draw(st.integers(0, (400 + two_r) // 2))
+    kappa = math.exp(draw(st.floats(math.log(0.05), math.log(3.0))))
+    return sp.BlockIndex(two_r, two_c, min(max(kappa, 0.05), 3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(index=_chiral_blocks())
+@example(index=sp.BlockIndex(1, -1, 1.0))  # dim 1
+@example(index=sp.BlockIndex(6, -6, 0.05))  # dim 1, truncated
+@example(index=sp.BlockIndex(1, 1, 3.0))  # dim 2, complete
+@example(index=sp.BlockIndex(8, -6, 0.7))  # dim 2, truncated
+@example(index=sp.BlockIndex(120, 400, 3.0))  # dim 121, complete, largest norm
+@example(index=sp.BlockIndex(119, 1, 0.05))  # dim 60, truncated
+def test_chiral_solve_matches_dense_eigh(index):
+    # error scale eps * ||H|| with ||H|| = |c| + max|lambda - c|; measured
+    # over 3000 draws of this domain: values 12, residual 12.4, vectors
+    # (times the smallest level gap) 5.4, orthonormality 0.83 eps * dim
+    eps = np.finfo(float).eps
+    block = sp.build_block(index)
+    solution = sp.diagonalize(block)
+    values, vectors = solution.eigenvalues, solution.amplitudes
+    dense = (
+        np.diag(block.diagonal)
+        + np.diag(block.offdiagonal, 1)
+        + np.diag(block.offdiagonal, -1)
+    )
+    dense_values, dense_vectors = np.linalg.eigh(dense)
+    norm = abs(index.c) + np.max(np.abs(dense_values - index.c))
+    assert np.max(np.abs(values - dense_values)) <= 50 * eps * norm
+    assert np.max(np.abs(sp.block_eigenvalues(block) - dense_values)) <= 50 * eps * norm
+    residual = dense @ vectors - vectors * values
+    assert np.max(np.abs(residual)) <= 50 * eps * norm
+    gram = vectors.T @ vectors - np.eye(solution.dim)
+    assert np.max(np.abs(gram)) <= 10 * eps * solution.dim
+    if solution.dim > 1:
+        dense_vectors *= np.sign(np.sum(dense_vectors * vectors, axis=0))
+        gap = np.min(np.diff(dense_values))
+        assert np.max(np.abs(vectors - dense_vectors)) <= 50 * eps * norm / gap
+    assert vectors.flags.f_contiguous
+    # the levels pair up about c exactly, in both solves
+    two_c = np.full(solution.dim, 2.0 * index.c)
+    assert _bits(values + values[::-1]) == _bits(two_c)
+    eigenvalues = sp.block_eigenvalues(block)
+    assert _bits(eigenvalues + eigenvalues[::-1]) == _bits(two_c)
 
 
 # ---------------------------------------------------------------------------
