@@ -17,9 +17,6 @@ import os
 import sys
 import time
 
-for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_name] = "1"
-
 DIMS = (101, 201, 401, 801, 1001, 2001)
 
 
@@ -37,6 +34,8 @@ def main() -> None:
     parser.add_argument("--src", required=True, help="directory that holds lasercond/")
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"  # before numpy loads its BLAS
     sys.path.insert(0, os.path.abspath(args.src))
     from lasercond import spectrum
 

@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy  # only for the manifest's version string
 
 from . import __version__, condensation, spectrum, thermal
 from .config import COMMANDS, ConfigError, RunConfig, parse_config

@@ -102,7 +102,7 @@ def _mpmath_block_levels(two_r, two_c, kappa):
 
 @pytest.mark.parametrize("two_r,two_c", [(10, 2 * 10**6), (20, 2 * 10**8)])
 def test_ladder_from_spectrum_matches_mpmath_to_the_level_spacing(two_r, two_c):
-    # MRRR's error on the shifted levels is a few eps * ||H - c I||, with
+    # the SVD's error on the shifted levels is a few eps * ||H - c I||, with
     # ||H - c I|| ~ 2 r sqrt(c) and a spacing ~ 1/sqrt(c) (kappa = 1): the
     # bound below is 10x that scale.  Differencing the unshifted spectra,
     # whose scale is c, misses it (1.0e-7 and 8.5e-5 of the spacing here).
