@@ -221,7 +221,8 @@ def _chiral_svd(block: HamiltonianBlock, compute_uv: bool):
     half = np.zeros(((block.basis.dim + 1) // 2, block.basis.dim // 2))
     i = np.arange(half.shape[1])
     half[i, i] = t[0::2]
-    half[i[: t.size // 2] + 1, i[: t.size // 2]] = t[1::2]
+    j = i[: t.size // 2]
+    half[j + 1, j] = t[1::2]
     try:
         return np.linalg.svd(half, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
