@@ -3,9 +3,11 @@
     lasercond <command> --config run.cfg [--out DIR] [--workers K]
 
 Every run writes its data as CSV (floats at 17 significant digits, so
-identical configs reproduce byte-identical payloads) plus a
-``manifest.json`` echoing the config and carrying a sha256 checksum for
-each emitted file, taken from the bytes as they are written.  A CSV row
+a rerun of a config at the same BLAS thread count reproduces
+byte-identical payloads) plus a ``manifest.json`` echoing the config,
+carrying a sha256 checksum for each emitted file, taken from the bytes
+as they are written, and the versions of python and numpy, the only
+libraries a run executes.  A CSV row
 is formatted by one ``%`` operation, with a format built once for each
 row shape (the cell types) by the ``_fmt`` rule that also formats the
 ``*.txt`` reports.  ``spectrum`` takes every eigenstate's photon-number
@@ -38,7 +40,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy  # only for the manifest's version string
 
 from . import __version__, condensation, spectrum, thermal
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
@@ -112,7 +113,6 @@ class Run:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "files": self.files,
             "flags": self.flags,

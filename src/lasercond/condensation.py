@@ -224,7 +224,7 @@ class ThresholdEstimate:
 def ladder_analytic(two_r: int, omega: float, kappa: float, c_ref: float) -> LevelLadder:
     """Evenly split ladder omega_j = omega (1 + j |kappa| / sqrt(c_ref))."""
     if two_r < 0:
-        raise ValueError("two_r must be >= 0")
+        raise ValueError(f"r must be >= 0, got r = {spectrum.undouble(two_r)}")
     if not omega > 0.0:
         raise ValueError("mode frequency must be positive")
     if kappa < 0.0:
@@ -262,7 +262,7 @@ def ladder_from_spectrum(
     if two_c < two_r:
         raise ValueError(
             f"spectral ladder needs a complete block (c >= r), got "
-            f"c={two_c / 2}, r={two_r / 2}"
+            f"c = {spectrum.undouble(two_c)}, r = {spectrum.undouble(two_r)}"
         )
     lower = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c, kappa))
     upper = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c + 2, kappa))

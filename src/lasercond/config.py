@@ -188,16 +188,11 @@ class RunConfig:
         echoed = {}
         for key, value in self.values.items():
             if keys[key] is _parse_half_integer:
-                value = _undouble(value)
+                value = spectrum.undouble(value)
             elif keys[key] is _parse_beta_list:
                 value = [beta if math.isfinite(beta) else str(beta) for beta in value]
             echoed[key] = value
         return echoed
-
-
-def _undouble(doubled: int):
-    """2.5 for 5 and 100 (an int) for 200."""
-    return doubled // 2 if doubled % 2 == 0 else doubled / 2
 
 
 def parse_config(path, command: str) -> RunConfig:

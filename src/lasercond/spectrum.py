@@ -26,7 +26,7 @@ when d is odd), and its singular vectors give the eigenvectors
 (u, -+v)/sqrt(2) (the odd-d level c is B's left null vector).  One
 ``np.linalg.svd`` of B -- numpy's own LAPACK ``gesdd`` -- is therefore
 the only eigensolve: the spectrum is symmetric about c by construction,
-and no ``scipy.linalg`` import is needed.
+and numpy alone computes it.
 
 ``photon_moments`` gives every eigenstate's photon-number mean and
 variance in one array pass over blocks of eigenstates; ``photon_statistics``
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "undouble",
     "BlockIndex",
     "BasisRange",
     "HamiltonianBlock",
@@ -69,6 +70,11 @@ class ConvergenceError(RuntimeError):
     """
 
 
+def undouble(doubled: int):
+    """The half-integer a doubled integer stands for: 2.5 for 5, 100 (an int) for 200."""
+    return doubled // 2 if doubled % 2 == 0 else doubled / 2
+
+
 @dataclass(frozen=True)
 class BlockIndex:
     """Labels one invariant subspace: spin magnitude r, excitation c, |kappa|.
@@ -83,14 +89,17 @@ class BlockIndex:
 
     def __post_init__(self):
         if self.two_r < 1:
-            raise ValueError(f"two_r must be a positive integer, got {self.two_r}")
+            raise ValueError(
+                f"r must be a positive integer or half-integer, got r = {undouble(self.two_r)}"
+            )
         if (self.two_r - self.two_c) % 2 != 0:
             raise ValueError(
-                f"2r={self.two_r} and 2c={self.two_c} must have equal parity"
+                f"r = {undouble(self.two_r)} and c = {undouble(self.two_c)} must have "
+                f"equal parity (both integers or both half-integers)"
             )
         if self.two_c < -self.two_r:
             raise ValueError(
-                f"empty block: c={self.two_c / 2} is below -r={-self.two_r / 2}"
+                f"empty block: c = {undouble(self.two_c)} is below -r = {undouble(-self.two_r)}"
             )
         if not self.kappa > 0.0:
             raise ValueError(f"coupling magnitude must be positive, got {self.kappa}")

@@ -48,7 +48,7 @@ def test_ladder_analytic_rejects_nonpositive_bottom():
 
 
 def test_ladder_analytic_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="two_r"):
+    with pytest.raises(ValueError, match="r must be >= 0, got r = -1$"):
         cd.ladder_analytic(-2, 1.0, 0.1, 100.0)
     with pytest.raises(ValueError, match="mode frequency"):
         cd.ladder_analytic(4, 0.0, 0.1, 100.0)

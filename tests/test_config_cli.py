@@ -13,7 +13,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,8 +250,8 @@ def test_cli_manifest_checksums(tmp_path):
     assert manifest["config"]["ladder.r"] == 5  # as written, not the doubled 10
     assert isinstance(manifest["config"]["ladder.r"], int)
     assert manifest["residuals"]["max"] >= manifest["residuals"]["min"]
-    assert manifest["versions"]["scipy"] == scipy.__version__
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert set(manifest["versions"]) == {"python", "numpy"}
     # the hashes are taken from the bytes written: each must match the file
     threshold = _write(tmp_path, "threshold.cfg", SWEEP_CFG)
     spectrum = _write(tmp_path, "spectrum.cfg", SPECTRUM_CFG)
@@ -744,33 +743,62 @@ def test_cli_sweep_on_a_spectral_ladder(tmp_path):
     assert abs(eta_t - 10.6009383488664161) < 5e-14
 
 
-def test_cli_import_loads_no_scipy_optimize_or_sparse(tmp_path):
-    # a fresh interpreter, since the test process itself imports these
-    # modules: neither the import nor a spectrum run nor a spectral-ladder
-    # sweep (numpy's own SVD solves every block) loads them
+@pytest.mark.parametrize(
+    ("command", "text", "written", "doubled"),
+    [
+        ("spectrum", _set(SPECTRUM_CFG, "spectrum.r", "-1"), ["r = -1"], "-2"),
+        ("sweep", _set(SPECTRAL_SWEEP_CFG, "ladder.r", "-1"), ["r = -1"], "-2"),
+        ("sweep", _set(SWEEP_CFG, "ladder.r", "-1"), ["r = -1"], "-2"),
+        ("spectrum", _set(_set(SPECTRUM_CFG, "spectrum.r", "1"), "spectrum.c", "0.5"),
+         ["r = 1", "c = 0.5"], "2"),
+    ],
+    ids=["spectrum-r", "spectral-ladder-r", "analytic-ladder-r", "parity"],
+)
+def test_parse_errors_give_r_and_c_as_written(command, text, written, doubled):
+    # r and c are carried doubled; an error names them as the config gives them
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text, command)
+    [problem] = info.value.problems
+    for value in written:
+        assert value in problem
+    assert not re.search(rf"(?<![\d.]){doubled}(?![\d.])", problem), problem
+    assert "two_" not in problem
+
+
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    # a fresh interpreter in which every import of scipy or of a scipy
+    # module fails, as where only the runtime dependency numpy is installed:
+    # the import and a run of each command succeed, and each manifest names
+    # the versions of python and numpy only
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    spectrum_cfg = _write(tmp_path, "spectrum.cfg", SPECTRUM_CFG)
-    sweep_cfg = _write(tmp_path, "sweep.cfg", SPECTRAL_SWEEP_CFG)
+    runs = {
+        "spectrum": ("spectrum", SPECTRUM_CFG),
+        "thermal": ("thermal", "thermal.n = 8\nthermal.beta = 0.5, 1.0\n"),
+        "steady": ("steady-state", STEADY_CFG),
+        "sweep": ("sweep", SWEEP_CFG),
+        "spectral": ("sweep", SPECTRAL_SWEEP_CFG),
+        "threshold": ("threshold", THRESHOLD_CFG),
+    }
+    argvs = [
+        f"{command} --config {_write(tmp_path, name + '.cfg', text)} --out {tmp_path / name}"
+        for name, (command, text) in runs.items()
+    ]
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from lasercond import cli\n"
-        "modules = ('scipy.linalg', 'scipy.optimize', 'scipy.sparse')\n"
-        "print('loaded:', *(m for m in modules if m in sys.modules))\n"
         "for argv in sys.argv[1:]:\n"
-        "    assert cli.main(argv.split()) == 0\n"
-        "    print('loaded:', *(m for m in modules if m in sys.modules))\n"
+        "    print(cli.main(argv.split()))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     result = subprocess.run(
-        [
-            sys.executable, "-c", code,
-            f"spectrum --config {spectrum_cfg} --out {tmp_path / 'spectrum'}",
-            f"sweep --config {sweep_cfg} --out {tmp_path / 'sweep'}",
-        ],
+        [sys.executable, "-c", code, *argvs],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines() == ["loaded:"] * 3
-    assert (tmp_path / "sweep" / "sweep.csv").exists()
+    assert result.stdout.splitlines() == ["0"] * len(runs) + ["scipy"]
+    for name in runs:
+        assert set(_manifest(tmp_path / name)["versions"]) == {"python", "numpy"}, name
