@@ -13,6 +13,13 @@ Three layers, mirroring the physics:
 
 :mod:`lasercond.cli` exposes the ``lasercond`` command with ``spectrum``,
 ``thermal``, ``steady-state``, ``sweep`` and ``threshold`` subcommands.
+
+Every record type is a ``collections.namedtuple`` subclass: immutable and
+compared by value.  Those that validate their fields (``BlockIndex``,
+``LevelLadder``, ``BathParams``, ``PumpParams``, ``EnsembleParams``) do it
+in ``__new__``; ``_replace`` copies a record without re-validating it.  A
+named tuple takes a fraction of a frozen dataclass's time to define, and
+this keeps ``dataclasses`` off the start-up path of every CLI run.
 """
 
 __version__ = "0.1.0"

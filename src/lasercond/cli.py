@@ -324,14 +324,12 @@ def _parser() -> argparse.ArgumentParser:
             "pumped-bath photon condensation."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="key=value parameter file")
-        p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument(
-            "--workers", type=int, default=None, help="ignored; grid points solve in-process"
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="key=value parameter file")
+    parser.add_argument("--out", default=None, help="output directory (default: cwd)")
+    parser.add_argument(
+        "--workers", type=int, default=None, help="ignored; grid points solve in-process"
+    )
     return parser
 
 

@@ -33,9 +33,8 @@ last active point, is numpy scalars instead of 1-element arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -70,29 +69,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LevelLadder:
+class LevelLadder(namedtuple("LevelLadder", "omegas source")):
     """Ascending level energies omega_j, j = -r..r (2r+1 of them).
 
     A degenerate (flat) ladder is a legal zero-coupling limit; operations
     that would divide by the level splitting reject it explicitly.
     """
 
-    omegas: np.ndarray
-    source: str = "analytic"
-    is_degenerate: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
-        object.__setattr__(self, "omegas", om)
+    def __new__(cls, omegas, source: str = "analytic"):
+        om = np.asarray(omegas, dtype=float)
         if om.ndim != 1 or om.size < 1:
             raise ValueError(f"need a 1-d non-empty level array, got shape {om.shape}")
         if np.any(om <= 0.0):
             raise ValueError("all level energies must be positive")
-        steps = np.diff(om)
-        if np.any(steps < 0.0):
+        if np.any(np.diff(om) < 0.0):
             raise ValueError("level energies must be ascending")
-        object.__setattr__(self, "is_degenerate", bool(np.any(steps == 0.0)))
+        return super().__new__(cls, om, source)
+
+    @property
+    def is_degenerate(self) -> bool:
+        return bool(np.any(np.diff(self.omegas) == 0.0))
 
     @property
     def n_levels(self) -> int:
@@ -107,33 +105,30 @@ class LevelLadder:
         return float(self.omegas[0])
 
 
-@dataclass(frozen=True)
-class BathParams:
+class BathParams(namedtuple("BathParams", "beta phi chi")):
     """Bath inverse temperature and its one- and two-quantum couplings."""
 
-    beta: float
-    phi: float
-    chi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"bath beta must be positive, got {self.beta}")
-        if not self.phi > 0.0:
-            raise ValueError(f"first-order coupling phi must be positive, got {self.phi}")
-        if self.chi < 0.0:
-            raise ValueError(f"second-order coupling chi must be >= 0, got {self.chi}")
+    def __new__(cls, beta: float, phi: float, chi: float = 0.0):
+        if not beta > 0.0:
+            raise ValueError(f"bath beta must be positive, got {beta}")
+        if not phi > 0.0:
+            raise ValueError(f"first-order coupling phi must be positive, got {phi}")
+        if chi < 0.0:
+            raise ValueError(f"second-order coupling chi must be >= 0, got {chi}")
+        return super().__new__(cls, beta, phi, chi)
 
 
-@dataclass(frozen=True)
-class PumpParams:
+class PumpParams(namedtuple("PumpParams", "p q")):
     """Per-level pump p and cavity loss Q; only s = p - Q drives the state."""
 
-    p: float
-    q: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0.0 or self.q < 0.0:
+    def __new__(cls, p: float, q: float = 0.0):
+        if p < 0.0 or q < 0.0:
             raise ValueError("pump and loss rates must be >= 0")
+        return super().__new__(cls, p, q)
 
     @property
     def s(self) -> float:
@@ -151,8 +146,7 @@ _COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SteadyStateGrid:
+class SteadyStateGrid(namedtuple("SteadyStateGrid", ("ladder", "bath", *_COLUMNS, "errors"))):
     """Stationary states at every supply of a grid, one row per supply.
 
     Row i belongs to ``s[i]``.  A point whose solve was refused or failed
@@ -161,22 +155,17 @@ class SteadyStateGrid:
     field in _COLUMNS holds entry i (a scalar, and one level vector of
     occupations), ``errors`` is None, and the derived quantities and the
     converged gate read the same on a row as on the grid.
+
+    The columns besides ``s`` and the (points, levels) ``occupations``:
+    ``scale``, the p of the residual gate (the pump rate, s at a sweep
+    point); ``gap`` = (omega_{-r} - mu) beta; ``amplification``, ``mu``
+    and ``eta``; the excitation transfer ``s_supply`` from the supply side
+    and ``s_balance`` from the occupation balance; ``max_residual``, the
+    max over levels of |s - L1 - L2|; and ``eta_closure``, |eta -
+    sum(occupations)| of the scalar reduction.
     """
 
-    ladder: LevelLadder
-    bath: BathParams
-    s: np.ndarray
-    scale: np.ndarray  # p of the residual gate: the pump rate, s at a sweep point
-    occupations: np.ndarray  # (points, levels)
-    gap: np.ndarray  # (omega_{-r} - mu) beta
-    amplification: np.ndarray
-    mu: np.ndarray
-    eta: np.ndarray
-    s_supply: np.ndarray  # excitation transfer from the supply side
-    s_balance: np.ndarray  # same quantity from the occupation balance side
-    max_residual: np.ndarray  # max over levels of |s - L1 - L2|
-    eta_closure: np.ndarray  # |eta - sum(occupations)| of the scalar reduction
-    errors: tuple | None  # None or the exception of each point; None on a row
+    __slots__ = ()
 
     @property
     def n_c(self):
@@ -203,22 +192,25 @@ class SteadyStateGrid:
         return SteadyStateGrid(ladder=self.ladder, bath=self.bath, errors=None, **row)
 
 
-@dataclass(frozen=True)
-class NoncondensateBound:
-    """Cap on the excited-level total n_n implied by mu < omega_{-r}."""
+class NoncondensateBound(namedtuple("NoncondensateBound", "bound b_sum asymptote")):
+    """Cap ``bound`` on the excited-level total n_n implied by mu < omega_{-r}.
 
-    bound: float
-    b_sum: float  # sum over excited levels of Planck at the gap to the bottom level
-    asymptote: float  # sqrt(B s / chi) large-s growth (inf when chi == 0)
+    ``b_sum`` is B, the sum over excited levels of Planck at the gap to the
+    bottom level; ``asymptote`` the large-s growth sqrt(B s / chi) (inf when
+    chi == 0).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
-    """Closed-form threshold supply; flagged when the bracket is negative."""
+class ThresholdEstimate(namedtuple("ThresholdEstimate", "s0 b_sum immediate")):
+    """Closed-form threshold supply s0; flagged when the bracket is negative.
 
-    s0: float
-    b_sum: float
-    immediate: bool  # 2B <= eta_T: no sub-threshold window, formula goes <= 0
+    ``b_sum`` is B; ``immediate`` means 2B <= eta_T: no sub-threshold
+    window, the formula goes <= 0.
+    """
+
+    __slots__ = ()
 
 
 def ladder_analytic(two_r: int, omega: float, kappa: float, c_ref: float) -> LevelLadder:
@@ -276,7 +268,7 @@ def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
     """Ascending spectrum mu of H - c I on one block (the diagonal is exactly c)."""
     block = spectrum.build_block(index)
     return spectrum.block_eigenvalues(
-        dataclasses.replace(block, diagonal=np.zeros(block.basis.dim))
+        block._replace(diagonal=np.zeros(block.basis.dim))
     )
 
 
@@ -727,10 +719,17 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
     the estimate is flagged, never clamped.  Where eta_T^2 overflows (a
     tiny beta), s0 is the same form divided through by eta_T,
     (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T).  An s0 outside the
-    double range (eta_T^2 underflows, or the product overflows) is refused.
+    double range (eta_T^2 underflows, or the product overflows) is refused,
+    and so is an eta_T of 0, where every level's e^(omega beta) overflows.
     """
+    if eta_t == 0.0:  # every planck_occupation term's expm1 overflowed
+        raise ValueError(
+            "threshold needs a positive equilibrium occupancy, but eta_T underflows "
+            f"to 0 at bath.beta = {bath.beta:.6g}: every level has omega beta > "
+            "ln(DBL_MAX) = 709.78, so e^(omega beta) overflows"
+        )
     if not eta_t > 0.0:
-        raise ValueError("equilibrium occupancy must be positive")
+        raise ValueError(f"equilibrium occupancy must be positive, got eta_T = {eta_t}")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
     s0 = math.inf

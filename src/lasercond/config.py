@@ -41,7 +41,6 @@ and a non-finite residual summary is written as ``null``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,20 +165,19 @@ _REQUIRED = {
 }
 
 
-@dataclass
 class RunConfig:
     """Validated parameters of one CLI run."""
 
-    command: str
-    values: dict = field(default_factory=dict)
-
-    # typed objects built at validation time (present per command)
-    block_index: spectrum.BlockIndex | None = None
-    ensemble: list[thermal.EnsembleParams] | None = None
-    ladder: condensation.LevelLadder | None = None
-    bath: condensation.BathParams | None = None
-    pump: condensation.PumpParams | None = None
-    s_grid: np.ndarray | None = None
+    def __init__(self, command: str, values: dict | None = None):
+        self.command = command
+        self.values = {} if values is None else values
+        # typed objects built at validation time (present per command)
+        self.block_index: spectrum.BlockIndex | None = None
+        self.ensemble: list[thermal.EnsembleParams] | None = None
+        self.ladder: condensation.LevelLadder | None = None
+        self.bath: condensation.BathParams | None = None
+        self.pump: condensation.PumpParams | None = None
+        self.s_grid: np.ndarray | None = None
 
     def echo(self) -> dict:
         """``values`` in the config file's units: half-integer keys undoubled,

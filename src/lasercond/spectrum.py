@@ -35,7 +35,7 @@ is its one-state case, which also returns the distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -75,34 +75,32 @@ def undouble(doubled: int):
     return doubled // 2 if doubled % 2 == 0 else doubled / 2
 
 
-@dataclass(frozen=True)
-class BlockIndex:
+class BlockIndex(namedtuple("BlockIndex", "two_r two_c kappa")):
     """Labels one invariant subspace: spin magnitude r, excitation c, |kappa|.
 
     two_r and two_c are the doubled (exact) values; they must share parity
     because c = n + m with integer photon number n and m on the -r..r ladder.
     """
 
-    two_r: int
-    two_c: int
-    kappa: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.two_r < 1:
+    def __new__(cls, two_r: int, two_c: int, kappa: float = 1.0):
+        if two_r < 1:
             raise ValueError(
-                f"r must be a positive integer or half-integer, got r = {undouble(self.two_r)}"
+                f"r must be a positive integer or half-integer, got r = {undouble(two_r)}"
             )
-        if (self.two_r - self.two_c) % 2 != 0:
+        if (two_r - two_c) % 2 != 0:
             raise ValueError(
-                f"r = {undouble(self.two_r)} and c = {undouble(self.two_c)} must have "
+                f"r = {undouble(two_r)} and c = {undouble(two_c)} must have "
                 f"equal parity (both integers or both half-integers)"
             )
-        if self.two_c < -self.two_r:
+        if two_c < -two_r:
             raise ValueError(
-                f"empty block: c = {undouble(self.two_c)} is below -r = {undouble(-self.two_r)}"
+                f"empty block: c = {undouble(two_c)} is below -r = {undouble(-two_r)}"
             )
-        if not self.kappa > 0.0:
-            raise ValueError(f"coupling magnitude must be positive, got {self.kappa}")
+        if not kappa > 0.0:
+            raise ValueError(f"coupling magnitude must be positive, got {kappa}")
+        return super().__new__(cls, two_r, two_c, kappa)
 
     @property
     def r(self) -> float:
@@ -113,12 +111,10 @@ class BlockIndex:
         return self.two_c / 2.0
 
 
-@dataclass(frozen=True)
-class BasisRange:
+class BasisRange(namedtuple("BasisRange", "n_min n_max")):
     """Photon-number span n_min..n_max of a block."""
 
-    n_min: int
-    n_max: int
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -129,22 +125,18 @@ class BasisRange:
         return np.arange(self.n_min, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class HamiltonianBlock:
+class HamiltonianBlock(namedtuple("HamiltonianBlock", "index basis diagonal offdiagonal")):
     """Real symmetric tridiagonal restriction of H to one (r, c) block.
 
-    The diagonal is constant (c, or 0 for H - c I), which the chiral
-    eigensolve relies on.
+    ``index`` and ``basis`` label it; ``diagonal`` and ``offdiagonal`` are
+    arrays.  The diagonal is constant (c, or 0 for H - c I), which the
+    chiral eigensolve relies on.
     """
 
-    index: BlockIndex
-    basis: BasisRange
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenSolution:
+class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues amplitudes")):
     """Ascending spectrum and photon-basis amplitudes of one block.
 
     Column k of ``amplitudes`` holds the coefficients A_n of eigenstate k
@@ -152,10 +144,7 @@ class EigenSolution:
     (dim == 2r+1) the levels carry the conventional labels j = k - r.
     """
 
-    index: BlockIndex
-    basis: BasisRange
-    eigenvalues: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -168,15 +157,15 @@ class EigenSolution:
         return (np.arange(-self.index.two_r, self.index.two_r + 1, 2)) / 2.0
 
 
-@dataclass(frozen=True)
-class PhotonStatistics:
-    """Photon-number distribution and moments of a single eigenstate."""
+class PhotonStatistics(
+    namedtuple("PhotonStatistics", "n_values distribution n0 sigma2 m_mean")
+):
+    """Photon-number distribution p_n over n_values, its mean n0 and variance sigma2.
 
-    n_values: np.ndarray
-    distribution: np.ndarray
-    n0: float
-    sigma2: float
-    m_mean: float  # molecular energy <m> = c - n0, conserved partner of n0
+    ``m_mean`` is the molecular energy <m> = c - n0, the conserved partner of n0.
+    """
+
+    __slots__ = ()
 
 
 def block_basis(index: BlockIndex) -> BasisRange:

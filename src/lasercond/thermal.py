@@ -15,8 +15,7 @@ beta = E/kT is dimensionless; ``math.inf`` is accepted as the frozen
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,49 +39,43 @@ __all__ = [
 ENUMERATION_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(namedtuple("EnsembleParams", "n_molecules beta")):
     """N molecules at inverse temperature beta = E/kT (beta=inf allowed)."""
 
-    n_molecules: int
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_molecules < 1:
-            raise ValueError(f"need at least one molecule, got {self.n_molecules}")
-        if math.isnan(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+    def __new__(cls, n_molecules: int, beta: float):
+        if n_molecules < 1:
+            raise ValueError(f"need at least one molecule, got {n_molecules}")
+        if math.isnan(beta) or beta < 0.0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        return super().__new__(cls, n_molecules, beta)
 
     @property
     def frozen(self) -> bool:
         return math.isinf(self.beta)
 
 
-@dataclass(frozen=True)
-class ThermalMoments:
+class ThermalMoments(
+    namedtuple("ThermalMoments", "m_mean m_variance r2_mean r2_variance sigma_r2_mean")
+):
     """Closed-form thermal averages (the spread/variance of r(r+1) are
     the printed large-N forms, not exact -- compare enumeration_moments)."""
 
-    m_mean: float
-    m_variance: float
-    r2_mean: float
-    r2_variance: float
-    sigma_r2_mean: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThermalEnumeration:
+class ThermalEnumeration(
+    namedtuple("ThermalEnumeration", "n_molecules beta z m_moments r2_moments")
+):
     """Exact (r, m)-ensemble sums for small N.
 
-    m_moments[k] = <m^k>, r2_moments[k] = <[r(r+1)]^k> for k = 0..4;
-    sigma_r2_mean is the thermal average of the fixed-m spread N^2/4 - m^2.
+    z is the partition function; m_moments[k] = <m^k>, r2_moments[k] =
+    <[r(r+1)]^k> for k = 0..4 (arrays); sigma_r2_mean is the thermal
+    average of the fixed-m spread N^2/4 - m^2.
     """
 
-    n_molecules: int
-    beta: float
-    z: float
-    m_moments: np.ndarray
-    r2_moments: np.ndarray
+    __slots__ = ()
 
     @property
     def m_mean(self) -> float:
@@ -163,12 +156,16 @@ def _check_two_m(n_molecules: int, two_m: int) -> None:
         raise ValueError(f"2m={two_m} must have the parity of N={n_molecules}")
 
 
-def fixed_m_enumeration(n_molecules: int, two_m: int) -> tuple[Fraction, Fraction]:
+def fixed_m_enumeration(n_molecules: int, two_m: int) -> tuple:
     """Exact degeneracy-weighted mean and variance of r(r+1) at fixed m.
 
     Sums P(r) over r >= |m| with Fraction arithmetic, so comparisons with
-    the closed forms are integer identities, not float checks.
+    the closed forms are integer identities, not float checks.  No command
+    calls this test reference, so ``fractions`` is imported here, off the
+    CLI's start-up path.
     """
+    from fractions import Fraction
+
     _check_two_m(n_molecules, two_m)
     total = 0
     first = Fraction(0)
@@ -227,9 +224,12 @@ def thermal_moments(params: EnsembleParams) -> ThermalMoments:
 def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     """Direct partition sum Z = sum_r P(r) sum_m e^(-beta m), N <= 14.
 
-    Returns <m^k> and <[r(r+1)]^k> for k <= 4.  The frozen beta=inf limit
-    is evaluated symbolically: only the unique maximal multiplet reaches
-    m = -N/2.
+    Returns <m^k> and <[r(r+1)]^k> for k <= 4.  Each term is weighted by
+    e^(-beta (m + N/2)) <= 1, relative to the lowest level m = -N/2, and the
+    sums are divided through by their own total, so no moment overflows at
+    any beta; Z itself is e^(beta N/2) times that total, inf once it passes
+    the double range.  The frozen beta=inf limit is evaluated symbolically:
+    only the unique maximal multiplet reaches m = -N/2.
     """
     n = params.n_molecules
     if n > ENUMERATION_LIMIT:
@@ -245,7 +245,7 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
             m_moments=m_floor**powers,
             r2_moments=x_top**powers,
         )
-    z = 0.0
+    total = 0.0
     m_sums = np.zeros(5)
     x_sums = np.zeros(5)
     for two_r in range(n % 2, n + 1, 2):
@@ -253,14 +253,18 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
         x = two_r * (two_r + 2) / 4.0
         for two_m in range(-two_r, two_r + 1, 2):
             m = two_m / 2.0
-            boltzmann = weight * math.exp(-params.beta * m)
-            z += boltzmann
+            boltzmann = weight * math.exp(-params.beta * ((two_m + n) // 2))
+            total += boltzmann
             m_sums += boltzmann * m**powers
             x_sums += boltzmann * x**powers
+    try:
+        z = total * math.exp(params.beta * n / 2.0)
+    except OverflowError:  # beta N/2 > ln(DBL_MAX) = 709.78
+        z = math.inf
     return ThermalEnumeration(
         n_molecules=n,
         beta=params.beta,
         z=z,
-        m_moments=m_sums / z,
-        r2_moments=x_sums / z,
+        m_moments=m_sums / total,
+        r2_moments=x_sums / total,
     )

@@ -1,6 +1,5 @@
 """Config parsing, CLI runs, manifests, exit codes and point isolation."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -331,7 +330,7 @@ def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
     def nan_residual(ladder, bath, supplies, **kwargs):
         grid = original(ladder, bath, supplies, **kwargs)
         at_50 = np.abs(grid.s - 50.0) < 1e-9
-        return dataclasses.replace(grid, max_residual=np.where(at_50, math.nan, grid.max_residual))
+        return grid._replace(max_residual=np.where(at_50, math.nan, grid.max_residual))
 
     monkeypatch.setattr(cli.condensation, "solve_supply_grid", nan_residual)
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
@@ -536,7 +535,7 @@ def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
             condensation.ConvergenceError("injected failure") if abs(s - 50.0) < 1e-9 else error
             for s, error in zip(grid.s, grid.errors)
         ]
-        return dataclasses.replace(grid, errors=tuple(errors))
+        return grid._replace(errors=tuple(errors))
 
     monkeypatch.setattr(cli.condensation, "solve_supply_grid", sabotage)
     status = cli.main(["sweep", "--config", cfg, "--out", str(out), *workers])
@@ -586,23 +585,40 @@ THRESHOLD_CFG = "".join(
 )
 
 
-@pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
-def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
-    # the acceptance ladder, omega_-r beta = 0.95 beta: the default grid's top end
-    # 1e2 s0 overflows (371.5), s0 overflows (380) or eta_T^2 underflows (400, 746)
+def _threshold_in_a_fresh_interpreter(tmp_path, beta):
+    """``lasercond threshold`` on the acceptance ladder at ``bath.beta = beta``,
+    run as ``python -m lasercond.cli`` so stderr shows what a user sees."""
     cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lasercond.cli", "threshold", "--config", cfg,
          "--out", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
+def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
+    # the acceptance ladder, omega_-r beta = 0.95 beta: the default grid's top end
+    # 1e2 s0 overflows (371.5), s0 overflows (380) or eta_T^2 underflows (400, 746)
+    result = _threshold_in_a_fresh_interpreter(tmp_path, beta)
     assert result.returncode == 1
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ") and "overflows" in line
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+def test_cli_threshold_names_an_underflowing_equilibrium_occupancy(tmp_path):
+    # omega_-r beta = 0.95 * 760 > 709.78: every level's Planck occupation is
+    # 0, so eta_T is 0 and no threshold can be formed
+    result = _threshold_in_a_fresh_interpreter(tmp_path, "760")
+    assert result.returncode == 1
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "eta_T underflows to 0" in line
+    assert "bath.beta = 760" in line and "709.78" in line
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
@@ -610,16 +626,7 @@ def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
 def test_cli_threshold_at_a_tiny_beta(tmp_path, beta):
     # eta_T ~ (2r+1)/(omega beta) squares past the double range, but s0 is
     # finite: the run reports it and flags the grid points it cannot solve
-    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "lasercond.cli", "threshold", "--config", cfg,
-         "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    result = _threshold_in_a_fresh_interpreter(tmp_path, beta)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     config = parse_config_text(_set(THRESHOLD_CFG, "bath.beta", beta), "threshold")
@@ -765,32 +772,34 @@ def test_parse_errors_give_r_and_c_as_written(command, text, written, doubled):
     assert "two_" not in problem
 
 
-def test_cli_runs_every_command_without_scipy(tmp_path):
-    # a fresh interpreter in which every import of scipy or of a scipy
-    # module fails, as where only the runtime dependency numpy is installed:
-    # the import and a run of each command succeed, and each manifest names
-    # the versions of python and numpy only
+# one run of each command, the spectral sweep apart from the analytic one
+_EVERY_COMMAND = {
+    "spectrum": ("spectrum", SPECTRUM_CFG),
+    "thermal": ("thermal", "thermal.n = 8\nthermal.beta = 0.5, 1.0\n"),
+    "steady": ("steady-state", STEADY_CFG),
+    "sweep": ("sweep", SWEEP_CFG),
+    "spectral": ("sweep", SPECTRAL_SWEEP_CFG),
+    "threshold": ("threshold", THRESHOLD_CFG),
+}
+
+
+def _every_command_in_one_interpreter(tmp_path, prelude, epilogue):
+    """Lines a fresh interpreter prints: it runs ``prelude``, imports
+    lasercond.cli, prints the exit status of an in-process ``cli.main`` run
+    of each of _EVERY_COMMAND (output in ``tmp_path / name``), then runs
+    ``epilogue``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = {
-        "spectrum": ("spectrum", SPECTRUM_CFG),
-        "thermal": ("thermal", "thermal.n = 8\nthermal.beta = 0.5, 1.0\n"),
-        "steady": ("steady-state", STEADY_CFG),
-        "sweep": ("sweep", SWEEP_CFG),
-        "spectral": ("sweep", SPECTRAL_SWEEP_CFG),
-        "threshold": ("threshold", THRESHOLD_CFG),
-    }
     argvs = [
         f"{command} --config {_write(tmp_path, name + '.cfg', text)} --out {tmp_path / name}"
-        for name, (command, text) in runs.items()
+        for name, (command, text) in _EVERY_COMMAND.items()
     ]
     code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        f"import sys\n{prelude}\n"
         "from lasercond import cli\n"
         "for argv in sys.argv[1:]:\n"
         "    print(cli.main(argv.split()))\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"{epilogue}\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, *argvs],
@@ -799,6 +808,29 @@ def test_cli_runs_every_command_without_scipy(tmp_path):
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines() == ["0"] * len(runs) + ["scipy"]
-    for name in runs:
+    return result.stdout.splitlines()
+
+
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    # a fresh interpreter in which every import of scipy or of a scipy
+    # module fails, as where only the runtime dependency numpy is installed:
+    # the import and a run of each command succeed, and each manifest names
+    # the versions of python and numpy only
+    lines = _every_command_in_one_interpreter(
+        tmp_path,
+        "sys.modules['scipy'] = None",
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))",
+    )
+    assert lines == ["0"] * len(_EVERY_COMMAND) + ["scipy"]
+    for name in _EVERY_COMMAND:
         assert set(_manifest(tmp_path / name)["versions"]) == {"python", "numpy"}, name
+
+
+def test_cli_runs_load_no_dataclasses_fractions_or_decimal(tmp_path):
+    # the CLI's start-up cost stays off: records are named tuples and only the
+    # test reference fixed_m_enumeration needs fractions (and its decimal);
+    # running every command also shows that no command imports one late
+    lines = _every_command_in_one_interpreter(
+        tmp_path, "", "print(*[m for m in ('dataclasses', 'fractions', 'decimal') if m in sys.modules])"
+    )
+    assert lines == ["0"] * len(_EVERY_COMMAND) + [""]

@@ -1,6 +1,5 @@
 """Block construction, diagonalization and closed-form spectral statistics."""
 
-import dataclasses
 import math
 from unittest import mock
 
@@ -201,7 +200,7 @@ def test_chiral_solve_rejects_a_varying_diagonal(solve):
     diagonal = block.diagonal.copy()
     diagonal[2] += 1.0
     with pytest.raises(ValueError, match="constant block diagonal"):
-        solve(dataclasses.replace(block, diagonal=diagonal))
+        solve(block._replace(diagonal=diagonal))
 
 
 @st.composite

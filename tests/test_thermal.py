@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lasercond import thermal as th
 
@@ -109,6 +111,13 @@ def test_r2_given_m_exact_against_enumeration():
             assert mean == Fraction(th.r2_mean_given_m(n, two_m))
             # the printed spread formula turns out to be exact as well
             assert spread == Fraction(th.r2_spread_given_m(n, two_m))
+
+
+def test_fixed_m_enumeration_returns_exact_fractions():
+    # fractions is imported inside the function, off the CLI's import path
+    mean, spread = th.fixed_m_enumeration(5, 1)
+    assert type(mean) is Fraction and type(spread) is Fraction
+    assert (mean, spread) == (Fraction(11, 4), Fraction(6))
 
 
 def test_r2_spread_given_m_extremal():
@@ -253,6 +262,71 @@ def test_enumeration_frozen_limit():
     assert oracle.m_mean == -3.0
     assert oracle.m_variance == 0.0
     assert oracle.r2_mean == 12.0  # unique maximal multiplet value
+
+
+def _fraction_enumeration(n, beta):
+    """<m^k> and <[r(r+1)]^k>, k <= 4, as exact Fraction sums.
+
+    Term (r, m) weighs P(r) q^(m + N/2) with q = e^(-beta) rounded once to
+    a double, so the only rounding is in q.
+    """
+    q = Fraction(math.exp(-beta))
+    total = Fraction(0)
+    m_sums = [Fraction(0)] * 5
+    x_sums = [Fraction(0)] * 5
+    for two_r in range(n % 2, n + 1, 2):
+        x = Fraction(two_r * (two_r + 2), 4)
+        for two_m in range(-two_r, two_r + 1, 2):
+            weight = th.degeneracy(n, two_r) * q ** ((two_m + n) // 2)
+            total += weight
+            for k in range(5):
+                m_sums[k] += weight * Fraction(two_m, 2) ** k
+                x_sums[k] += weight * x**k
+    return [float(s / total) for s in m_sums], [float(s / total) for s in x_sums]
+
+
+@pytest.mark.parametrize(
+    ("n", "beta"),
+    [(14, 102.0), (2, 711.0), (10, 140.0), (9, 0.7), (14, 3.0), (13, 36.0)],
+)
+def test_enumeration_matches_fraction_sums_past_the_exponent_range(n, beta):
+    # beta N/2 passes ln(DBL_MAX) = 709.78 at the first two points, and
+    # e^(-beta m) alone overflows a moment sum at the third; the weights
+    # relative to m = -N/2 keep every sum finite, and Z reads inf past it
+    oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
+    m_exact, x_exact = _fraction_enumeration(n, beta)
+    np.testing.assert_allclose(oracle.m_moments, m_exact, rtol=1e-14)
+    np.testing.assert_allclose(oracle.r2_moments, x_exact, rtol=1e-14)
+    assert (oracle.z == math.inf) == (beta * n / 2.0 > 709.78)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, th.ENUMERATION_LIMIT), beta=st.floats(0.0, 1e300))
+def test_enumeration_m_moments_match_the_exact_closed_forms(n, beta):
+    # <m> = -(N/2) tanh(beta/2) and Var(m) = (N/4) sech^2(beta/2) hold
+    # exactly; over the whole beta range the oracle agrees to rounding
+    params = th.EnsembleParams(n, beta)
+    oracle = th.enumeration_moments(params)
+    assert np.all(np.isfinite(oracle.m_moments)) and np.all(np.isfinite(oracle.r2_moments))
+    assert oracle.m_mean == pytest.approx(th.thermal_m_mean(params), rel=1e-12, abs=1e-12 * n)
+    assert oracle.m_variance == pytest.approx(
+        th.thermal_m_variance(params), rel=1e-12, abs=1e-12 * n * n
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumeration_reaches_the_frozen_limit_as_beta_grows(n):
+    frozen = th.enumeration_moments(th.EnsembleParams(n, math.inf))
+    gaps = []
+    for beta in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 1e300):
+        oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
+        gaps.append(max(
+            np.max(np.abs(oracle.m_moments / frozen.m_moments - 1.0)),
+            np.max(np.abs(oracle.r2_moments / frozen.r2_moments - 1.0)),
+        ))
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-2:] == [0.0, 0.0]  # e^(-beta) underflows: the frozen values exactly
+    assert oracle.z == math.inf
 
 
 def test_enumeration_size_limit():
