@@ -28,9 +28,17 @@ when d is odd), and its singular vectors give the eigenvectors
 the only eigensolve: the spectrum is symmetric about c by construction,
 and numpy alone computes it.
 
+The two levels c -+ sigma_k differ only in the sign of their odd rows, so
+they share one photon distribution.  ``diagonalize`` therefore keeps the
+eigensystem in its chiral half: one amplitude column (u_k, v_k)/sqrt(2)
+per level pair, d x ceil(d/2) entries instead of d x d.  The full signed
+d x d matrix is built only when ``EigenSolution.amplitudes`` is read; no
+command reads it.
+
 ``photon_moments`` gives every eigenstate's photon-number mean and
-variance in one array pass over blocks of eigenstates; ``photon_statistics``
-is its one-state case, which also returns the distribution.
+variance in one array pass over the pair columns, each pair's values
+written to both of its levels; ``photon_statistics`` is its one-state
+case, which also returns the distribution.
 """
 
 from __future__ import annotations
@@ -136,12 +144,17 @@ class HamiltonianBlock(namedtuple("HamiltonianBlock", "index basis diagonal offd
     __slots__ = ()
 
 
-class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues amplitudes")):
+class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues pairs")):
     """Ascending spectrum and photon-basis amplitudes of one block.
 
-    Column k of ``amplitudes`` holds the coefficients A_n of eigenstate k
-    on |n>|r, c-n>, n = n_min..n_max.  When the block is complete
-    (dim == 2r+1) the levels carry the conventional labels j = k - r.
+    ``pairs`` holds one Fortran-ordered column per level pair, on
+    |n>|r, c-n>, n = n_min..n_max: column k < dim//2 is (u_k, v_k)/sqrt(2)
+    on the even and odd photon-number offsets, the amplitudes of level
+    dim-1-k (c + sigma_k) and, with the odd rows negated, of level k
+    (c - sigma_k).  For an odd dim, column dim//2 is the middle level
+    (u, 0).  Column min(k, dim-1-k) therefore gives level k's photon
+    distribution.  When the block is complete (dim == 2r+1) the levels
+    carry the conventional labels j = k - r.
     """
 
     __slots__ = ()
@@ -149,6 +162,14 @@ class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues amplitu
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Full dim x dim eigenvector matrix, signs fixed, built on each call.
+
+        Column k holds the coefficients A_n of eigenstate k.
+        """
+        return _full_amplitudes(self.pairs)
 
     def j_labels(self):
         """j = k - r for complete blocks; None when dim < 2r+1."""
@@ -254,33 +275,46 @@ def _fix_signs(vectors) -> None:
     vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def diagonalize(block: HamiltonianBlock) -> EigenSolution:
-    """Full ascending eigensystem of a block, eigenvector signs fixed.
+def _full_amplitudes(pairs: np.ndarray) -> np.ndarray:
+    """The signed dim x dim eigenvectors of a ``pairs`` record, Fortran-ordered.
 
-    Level -sigma_k is (u_k, -v_k)/sqrt(2) on the even and odd rows and
-    +sigma_k is (u_k, v_k)/sqrt(2); the amplitudes are Fortran-ordered so
-    each eigenvector is one contiguous column.
+    Level k < dim//2 is column k with its odd rows negated, level dim-1-k
+    is column k as it stands, and the middle level of an odd dim is the
+    middle column; then the signs are fixed.
+    """
+    dim = pairs.shape[0]
+    m = dim // 2
+    vectors = np.empty((dim, dim), order="F")
+    vectors[:, :m] = pairs[:, :m]
+    np.negative(pairs[1::2, :m], out=vectors[1::2, :m])
+    vectors[:, dim - m:] = pairs[:, :m][:, ::-1]
+    if dim % 2:
+        vectors[:, m] = pairs[:, m]
+    _fix_signs(vectors)
+    return vectors
+
+
+def diagonalize(block: HamiltonianBlock) -> EigenSolution:
+    """Ascending eigensystem of a block, one amplitude column per level pair.
+
+    Column k of the pair record is (u_k, v_k)/sqrt(2) on the even and odd
+    rows, straight from the SVD factors of the chiral half; an odd dim adds
+    the null vector (u, 0) as the middle column.  No sign is fixed here.
     """
     u, sigma, vt = _chiral_svd(block, compute_uv=True)
     dim = block.basis.dim
     m = sigma.size
-    vectors = np.empty((dim, dim), order="F")
-    even, odd = vectors[0::2], vectors[1::2]
-    u_half = u[:, :m] * np.sqrt(0.5)
-    v_half = vt.T * np.sqrt(0.5)
-    even[:, :m] = u_half
-    even[:, dim - m:] = u_half[:, ::-1]
-    odd[:, :m] = -v_half
-    odd[:, dim - m:] = v_half[:, ::-1]
+    pairs = np.empty((dim, (dim + 1) // 2), order="F")
+    np.multiply(u[:, :m], np.sqrt(0.5), out=pairs[0::2, :m])
+    np.multiply(vt.T, np.sqrt(0.5), out=pairs[1::2, :m])
     if dim % 2:
-        even[:, m] = u[:, m]
-        odd[:, m] = 0.0
-    _fix_signs(vectors)
+        pairs[0::2, m] = u[:, m]
+        pairs[1::2, m] = 0.0
     return EigenSolution(
         index=block.index,
         basis=block.basis,
         eigenvalues=_symmetric_levels(block, sigma),
-        amplitudes=vectors,
+        pairs=pairs,
     )
 
 
@@ -313,29 +347,37 @@ def _block_moments(amplitudes: np.ndarray, n: np.ndarray):
 def photon_moments(solution: EigenSolution) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number mean n0 and variance sigma^2 of every eigenstate, in order.
 
-    One array pass per block of at most _BLOCK (states x dim) entries; each
+    One array pass per block of at most _BLOCK (pairs x dim) entries over
+    the pair columns; levels k and dim-1-k share column k's values.  Each
     value equals ``photon_statistics(solution, k)``'s bit for bit.
     """
     n = solution.basis.n_values.astype(float)
-    n0 = np.empty(solution.dim)
-    sigma2 = np.empty(solution.dim)
+    columns = solution.pairs.shape[1]
+    n0 = np.empty(columns)
+    sigma2 = np.empty(columns)
     step = max(1, _BLOCK // solution.dim)
-    for lo in range(0, solution.dim, step):
+    for lo in range(0, columns, step):
         _, n0[lo:lo + step], sigma2[lo:lo + step] = _block_moments(
-            solution.amplitudes[:, lo:lo + step], n
+            solution.pairs[:, lo:lo + step], n
         )
-    return n0, sigma2
+    mirror = solution.dim // 2
+    return (
+        np.concatenate((n0, n0[:mirror][::-1])),
+        np.concatenate((sigma2, sigma2[:mirror][::-1])),
+    )
 
 
 def photon_statistics(solution: EigenSolution, k: int) -> PhotonStatistics:
     """Photon-number distribution p_n = |A_n|^2 and its mean/variance.
 
-    The one-column case of the ``photon_moments`` kernel.
+    The one-column case of the ``photon_moments`` kernel, on pair column
+    min(k, dim-1-k).
     """
     if not 0 <= k < solution.dim:
         raise IndexError(f"eigenstate index {k} outside 0..{solution.dim - 1}")
+    column = min(k, solution.dim - 1 - k)
     p, n0, sigma2 = _block_moments(
-        solution.amplitudes[:, k:k + 1], solution.basis.n_values.astype(float)
+        solution.pairs[:, column:column + 1], solution.basis.n_values.astype(float)
     )
     n0 = float(n0[0])
     return PhotonStatistics(

@@ -66,13 +66,18 @@ class ThermalMoments(
 
 
 class ThermalEnumeration(
-    namedtuple("ThermalEnumeration", "n_molecules beta z m_moments r2_moments")
+    namedtuple(
+        "ThermalEnumeration",
+        "n_molecules beta z m_moments r2_moments m_variance r2_variance sigma_r2_mean",
+    )
 ):
     """Exact (r, m)-ensemble sums for small N.
 
     z is the partition function; m_moments[k] = <m^k>, r2_moments[k] =
-    <[r(r+1)]^k> for k = 0..4 (arrays); sigma_r2_mean is the thermal
-    average of the fixed-m spread N^2/4 - m^2.
+    <[r(r+1)]^k> for k = 0..4 (arrays).  m_variance and r2_variance are
+    centred sums <(x - <x>)^2>, and sigma_r2_mean is the thermal average
+    of the fixed-m spread N^2/4 - m^2 summed term by term, so none of the
+    three cancels to rounding noise when the spread is far below <x>^2.
     """
 
     __slots__ = ()
@@ -82,20 +87,8 @@ class ThermalEnumeration(
         return self.m_moments[1]
 
     @property
-    def m_variance(self) -> float:
-        return self.m_moments[2] - self.m_moments[1] ** 2
-
-    @property
     def r2_mean(self) -> float:
         return self.r2_moments[1]
-
-    @property
-    def r2_variance(self) -> float:
-        return self.r2_moments[2] - self.r2_moments[1] ** 2
-
-    @property
-    def sigma_r2_mean(self) -> float:
-        return self.n_molecules**2 / 4.0 - self.m_moments[2]
 
 
 def _check_two_r(n_molecules: int, two_r: int) -> None:
@@ -224,7 +217,8 @@ def thermal_moments(params: EnsembleParams) -> ThermalMoments:
 def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     """Direct partition sum Z = sum_r P(r) sum_m e^(-beta m), N <= 14.
 
-    Returns <m^k> and <[r(r+1)]^k> for k <= 4.  Each term is weighted by
+    Returns <m^k> and <[r(r+1)]^k> for k <= 4 and the centred variances,
+    from one array pass over the (r, m) terms.  Each term is weighted by
     e^(-beta (m + N/2)) <= 1, relative to the lowest level m = -N/2, and the
     sums are divided through by their own total, so no moment overflows at
     any beta; Z itself is e^(beta N/2) times that total, inf once it passes
@@ -234,7 +228,6 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     n = params.n_molecules
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration oracle limited to N <= {ENUMERATION_LIMIT}")
-    powers = np.arange(5)
     if params.frozen:
         m_floor = -n / 2.0
         x_top = (n / 2.0) * (n / 2.0 + 1.0)
@@ -242,29 +235,34 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
             n_molecules=n,
             beta=params.beta,
             z=math.inf,
-            m_moments=m_floor**powers,
-            r2_moments=x_top**powers,
+            m_moments=m_floor ** np.arange(5),
+            r2_moments=x_top ** np.arange(5),
+            m_variance=0.0,
+            r2_variance=0.0,
+            sigma_r2_mean=0.0,
         )
-    total = 0.0
-    m_sums = np.zeros(5)
-    x_sums = np.zeros(5)
-    for two_r in range(n % 2, n + 1, 2):
-        weight = float(degeneracy(n, two_r))
-        x = two_r * (two_r + 2) / 4.0
-        for two_m in range(-two_r, two_r + 1, 2):
-            m = two_m / 2.0
-            boltzmann = weight * math.exp(-params.beta * ((two_m + n) // 2))
-            total += boltzmann
-            m_sums += boltzmann * m**powers
-            x_sums += boltzmann * x**powers
+    multiplets = range(n % 2, n + 1, 2)
+    sizes = [two_r + 1 for two_r in multiplets]
+    two_r = np.repeat(multiplets, sizes)
+    two_m = np.concatenate([np.arange(-t, t + 1, 2) for t in multiplets])
+    weight = np.repeat([float(degeneracy(n, t)) for t in multiplets], sizes)
+    boltzmann = weight * np.exp(-params.beta * ((two_m + n) // 2))
+    total = boltzmann.sum()
+    m = two_m / 2.0
+    x = two_r * (two_r + 2) / 4.0
+    m_moments = boltzmann @ np.vander(m, 5, increasing=True) / total
+    r2_moments = boltzmann @ np.vander(x, 5, increasing=True) / total
     try:
-        z = total * math.exp(params.beta * n / 2.0)
+        z = float(total) * math.exp(params.beta * n / 2.0)
     except OverflowError:  # beta N/2 > ln(DBL_MAX) = 709.78
         z = math.inf
     return ThermalEnumeration(
         n_molecules=n,
         beta=params.beta,
         z=z,
-        m_moments=m_sums / total,
-        r2_moments=x_sums / total,
+        m_moments=m_moments,
+        r2_moments=r2_moments,
+        m_variance=float(boltzmann @ np.square(m - m_moments[1]) / total),
+        r2_variance=float(boltzmann @ np.square(x - r2_moments[1]) / total),
+        sigma_r2_mean=float(boltzmann @ ((n - two_m) * (n + two_m)) / (4.0 * total)),
     )

@@ -1,6 +1,7 @@
 """Block construction, diagonalization and closed-form spectral statistics."""
 
 import math
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -318,6 +319,118 @@ def test_photon_moments_are_the_per_state_statistics_bit_for_bit(index):
             blocked = sp.photon_moments(solution)
         assert _bits(blocked[0]) == _bits(single[0]) == _bits(n0)
         assert _bits(blocked[1]) == _bits(single[1]) == _bits(sigma2)
+
+
+# Frozen reference: the signed dim x dim eigenvector matrix diagonalize built
+# before it kept one column per level pair, and the moments of its columns.
+
+_FullSolution = namedtuple("_FullSolution", "index basis eigenvalues amplitudes dim")
+
+
+def _full_matrix_diagonalize(block):
+    u, sigma, vt = sp._chiral_svd(block, compute_uv=True)
+    dim = block.basis.dim
+    m = sigma.size
+    vectors = np.empty((dim, dim), order="F")
+    even, odd = vectors[0::2], vectors[1::2]
+    u_half = u[:, :m] * np.sqrt(0.5)
+    v_half = vt.T * np.sqrt(0.5)
+    even[:, :m] = u_half
+    even[:, dim - m:] = u_half[:, ::-1]
+    odd[:, :m] = -v_half
+    odd[:, dim - m:] = v_half[:, ::-1]
+    if dim % 2:
+        even[:, m] = u[:, m]
+        odd[:, m] = 0.0
+    magnitude = np.abs(vectors)
+    lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(dim)] < 0.0, -1.0, 1.0)
+    levels = sp._symmetric_levels(block, sigma)
+    return _FullSolution(block.index, block.basis, levels, vectors, dim)
+
+
+def _full_matrix_moments(solution):
+    """Distributions, means and variances of every column, in one pass."""
+    n = solution.basis.n_values.astype(float)
+    p = np.square(solution.amplitudes.T, order="C")
+    p /= p.sum(axis=1, keepdims=True)
+    n0 = (p[:, None, :] @ n[:, None])[:, 0, 0]
+    deviation = np.square(n - n0[:, None])
+    sigma2 = (p[:, None, :] @ deviation[:, :, None])[:, 0, 0]
+    return p, n0, sigma2
+
+
+def _full_matrix_statistics(solution, k):
+    p, n0, sigma2 = _full_matrix_moments(solution)
+    return sp.PhotonStatistics(
+        solution.basis.n_values, p[k], float(n0[k]), float(sigma2[k]), solution.index.c - n0[k]
+    )
+
+
+@st.composite
+def _pair_blocks(draw):
+    """2r in 1..400, 2c from -2r to 2r + 400: truncated (c < r) and complete blocks."""
+    two_r = draw(st.integers(1, 400))
+    two_c = -two_r + 2 * draw(st.integers(0, two_r + 200))
+    return sp.BlockIndex(two_r, two_c, draw(st.floats(0.1, 2.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(index=_pair_blocks())
+@example(index=sp.BlockIndex(1, -1, 1.0))  # dim 1
+@example(index=sp.BlockIndex(5, -5, 0.3))  # dim 1, c < 0
+@example(index=sp.BlockIndex(1, 1, 1.0))  # dim 2, complete
+@example(index=sp.BlockIndex(7, -3, 1.7))  # dim 3, truncated, c < 0
+@example(index=sp.BlockIndex(400, 0, 1.0))  # dim 201, c = 0
+@example(index=sp.BlockIndex(400, -2, 0.5))  # dim 200, c < 0
+@example(index=sp.BlockIndex(399, 399, 1.0))  # dim 400, complete
+@example(index=sp.BlockIndex(400, 400, 1.0))  # dim 401, complete
+def test_pair_columns_reproduce_the_full_matrix_bit_for_bit(index):
+    block = sp.build_block(index)
+    solution = sp.diagonalize(block)
+    reference = _full_matrix_diagonalize(block)
+    assert solution.pairs.shape == (solution.dim, (solution.dim + 1) // 2)
+    assert solution.pairs.flags.f_contiguous
+    assert _bits(solution.eigenvalues) == _bits(reference.eigenvalues)
+    amplitudes = solution.amplitudes
+    assert amplitudes.flags.f_contiguous
+    assert amplitudes.tobytes() == reference.amplitudes.tobytes()
+    p, n0, sigma2 = _full_matrix_moments(reference)
+    moments = sp.photon_moments(solution)
+    assert _bits(moments[0]) == _bits(n0)
+    assert _bits(moments[1]) == _bits(sigma2)
+    for k in range(solution.dim):
+        stats = sp.photon_statistics(solution, k)
+        assert stats.distribution.tobytes() == p[k].tobytes()
+        assert _bits([stats.n0, stats.sigma2]) == _bits([n0[k], sigma2[k]])
+
+
+@pytest.mark.parametrize(
+    "r,c",
+    [(3, 3), (3.5, 3.5), (20, 8), (30.5, -10.5), (200, 200)],
+    ids=["dim7", "dim8", "truncated", "c-negative", "dim401"],
+)
+def test_cli_spectrum_never_builds_the_full_matrix(tmp_path, monkeypatch, r, c):
+    # the outputs of the full-matrix path, then the same bytes from the
+    # pair columns alone while the dim x dim builder refuses to run
+    from lasercond import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"spectrum.r = {r}\nspectrum.c = {c}\nspectrum.kappa = 0.8\n")
+    names = ("spectrum.csv", "ground_distribution.csv", "spectrum_summary.txt")
+    with monkeypatch.context() as patch:
+        patch.setattr(sp, "diagonalize", _full_matrix_diagonalize)
+        patch.setattr(sp, "photon_moments", lambda s: _full_matrix_moments(s)[1:])
+        patch.setattr(sp, "photon_statistics", _full_matrix_statistics)
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+
+    def refuse(pairs):
+        raise AssertionError(f"built the {pairs.shape[0]} x {pairs.shape[0]} amplitude matrix")
+
+    monkeypatch.setattr(sp, "_full_amplitudes", refuse)
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "pairs")]) == 0
+    for name in names:
+        assert (tmp_path / "pairs" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_ground_state_near_gaussian_r_equals_c_60():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,45 @@ def test_enumeration_reaches_the_frozen_limit_as_beta_grows(n):
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-2:] == [0.0, 0.0]  # e^(-beta) underflows: the frozen values exactly
     assert oracle.z == math.inf
+
+
+def _mpmath_centred_moments(n, beta):
+    """Var(m), Var(r(r+1)) and <N^2/4 - m^2> as 60-digit centred sums.
+
+    Term (r, m) weighs P(r) e^(-beta (m + N/2)) with beta the double itself.
+    """
+    with mpmath.workdps(60):
+        terms = []
+        for two_r in range(n % 2, n + 1, 2):
+            x = mpmath.mpf(two_r * (two_r + 2)) / 4
+            for two_m in range(-two_r, two_r + 1, 2):
+                weight = th.degeneracy(n, two_r) * mpmath.exp(-mpmath.mpf(beta) * ((two_m + n) // 2))
+                terms.append((weight, mpmath.mpf(two_m) / 2, x))
+        total = sum(w for w, _, _ in terms)
+        m_mean = sum(w * m for w, m, _ in terms) / total
+        x_mean = sum(w * x for w, _, x in terms) / total
+        return (
+            float(sum(w * (m - m_mean) ** 2 for w, m, _ in terms) / total),
+            float(sum(w * (x - x_mean) ** 2 for w, _, x in terms) / total),
+            float(sum(w * (mpmath.mpf(n * n) / 4 - m * m) for w, m, _ in terms) / total),
+        )
+
+
+@pytest.mark.parametrize(
+    ("n", "beta"),
+    [(13, 36.18)]
+    + [(n, beta) for n in (2, 5, 8, 11, 14) for beta in (0.0, 0.3, 2.0, 20.0, 60.0, 300.0)],
+)
+def test_enumeration_variances_match_mpmath_centred_sums(n, beta):
+    # <x^2> - <x>^2 cancels to noise once the spread is below eps <x>^2: at
+    # N = 13, beta = 36.18 it read Var(r(r+1)) 4.5e-13 for 3.93e-13 and
+    # Var(m) 7.1e-15 for 2.52e-15, and both read 0.0 at N = 14, beta = 50;
+    # the centred sums keep every digit
+    oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
+    exact = _mpmath_centred_moments(n, beta)
+    got = (oracle.m_variance, oracle.r2_variance, oracle.sigma_r2_mean)
+    assert all(value > 0.0 for value in exact)
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
 
 def test_enumeration_size_limit():
