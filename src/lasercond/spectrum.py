@@ -30,10 +30,9 @@ and numpy alone computes it.
 
 The two levels c -+ sigma_k differ only in the sign of their odd rows, so
 they share one photon distribution.  ``diagonalize`` therefore keeps the
-eigensystem in its chiral half: one amplitude column (u_k, v_k)/sqrt(2)
-per level pair, d x ceil(d/2) entries instead of d x d.  The full signed
-d x d matrix is built only when ``EigenSolution.amplitudes`` is read; no
-command reads it.
+eigensystem in its chiral half: one column (u_k, v_k)/sqrt(2) per level
+pair, d x ceil(d/2) entries, is the only eigenvector record.  Level k <
+d//2 is column k with its odd rows negated; no sign convention is applied.
 
 ``photon_moments`` gives every eigenstate's photon-number mean and
 variance in one array pass over the pair columns, each pair's values
@@ -145,16 +144,16 @@ class HamiltonianBlock(namedtuple("HamiltonianBlock", "index basis diagonal offd
 
 
 class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues pairs")):
-    """Ascending spectrum and photon-basis amplitudes of one block.
+    """Ascending spectrum and photon-basis eigenvectors of one block.
 
-    ``pairs`` holds one Fortran-ordered column per level pair, on
-    |n>|r, c-n>, n = n_min..n_max: column k < dim//2 is (u_k, v_k)/sqrt(2)
-    on the even and odd photon-number offsets, the amplitudes of level
-    dim-1-k (c + sigma_k) and, with the odd rows negated, of level k
-    (c - sigma_k).  For an odd dim, column dim//2 is the middle level
-    (u, 0).  Column min(k, dim-1-k) therefore gives level k's photon
-    distribution.  When the block is complete (dim == 2r+1) the levels
-    carry the conventional labels j = k - r.
+    ``pairs``, the only eigenvector record, holds one Fortran-ordered
+    column per level pair, on |n>|r, c-n>, n = n_min..n_max: column
+    k < dim//2 is (u_k, v_k)/sqrt(2) on the even and odd photon-number
+    offsets, the eigenvector of level dim-1-k (c + sigma_k) and, with the
+    odd rows negated, of level k (c - sigma_k).  For an odd dim, column
+    dim//2 is the middle level (u, 0).  No sign convention is applied.
+    When the block is complete (dim == 2r+1) the levels carry the
+    conventional labels j = k - r.
     """
 
     __slots__ = ()
@@ -162,14 +161,6 @@ class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues pairs")
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Full dim x dim eigenvector matrix, signs fixed, built on each call.
-
-        Column k holds the coefficients A_n of eigenstate k.
-        """
-        return _full_amplitudes(self.pairs)
 
     def j_labels(self):
         """j = k - r for complete blocks; None when dim < 2r+1."""
@@ -265,41 +256,13 @@ def _symmetric_levels(block: HamiltonianBlock, sigma: np.ndarray) -> np.ndarray:
     return np.concatenate((low, block.diagonal[: block.basis.dim % 2], high[::-1]))
 
 
-def _fix_signs(vectors) -> None:
-    """Make the first component above 1e-12 of each column's maximum positive.
-
-    Fixes the sign convention in place so repeated runs are bit-reproducible.
-    """
-    magnitude = np.abs(vectors)
-    lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
-
-
-def _full_amplitudes(pairs: np.ndarray) -> np.ndarray:
-    """The signed dim x dim eigenvectors of a ``pairs`` record, Fortran-ordered.
-
-    Level k < dim//2 is column k with its odd rows negated, level dim-1-k
-    is column k as it stands, and the middle level of an odd dim is the
-    middle column; then the signs are fixed.
-    """
-    dim = pairs.shape[0]
-    m = dim // 2
-    vectors = np.empty((dim, dim), order="F")
-    vectors[:, :m] = pairs[:, :m]
-    np.negative(pairs[1::2, :m], out=vectors[1::2, :m])
-    vectors[:, dim - m:] = pairs[:, :m][:, ::-1]
-    if dim % 2:
-        vectors[:, m] = pairs[:, m]
-    _fix_signs(vectors)
-    return vectors
-
-
 def diagonalize(block: HamiltonianBlock) -> EigenSolution:
     """Ascending eigensystem of a block, one amplitude column per level pair.
 
     Column k of the pair record is (u_k, v_k)/sqrt(2) on the even and odd
     rows, straight from the SVD factors of the chiral half; an odd dim adds
-    the null vector (u, 0) as the middle column.  No sign is fixed here.
+    the null vector (u, 0) as the middle column.  Level k < dim//2 is
+    column k with its odd rows negated; no sign convention is applied.
     """
     u, sigma, vt = _chiral_svd(block, compute_uv=True)
     dim = block.basis.dim
@@ -328,14 +291,14 @@ def block_eigenvalues(block: HamiltonianBlock) -> np.ndarray:
 _BLOCK = 2**15
 
 
-def _block_moments(amplitudes: np.ndarray, n: np.ndarray):
-    """Distributions, means and centred variances of the columns of ``amplitudes``.
+def _block_moments(columns: np.ndarray, n: np.ndarray):
+    """Distributions, means and centred variances of eigenvector ``columns``.
 
-    Rows of the squared, transposed amplitudes are normalized in place, and
+    Rows of the squared, transposed columns are normalized in place, and
     each moment is a stacked (1 x dim) @ (dim x 1) matmul, which reproduces
     the 1-d dot ``p @ n`` bit for bit (a (states x dim) @ (dim,) gemv does not).
     """
-    p = np.square(amplitudes.T, order="C")
+    p = np.square(columns.T, order="C")
     p /= p.sum(axis=1, keepdims=True)
     n0 = (p[:, None, :] @ n[:, None])[:, 0, 0]
     deviation = n - n0[:, None]

@@ -9,7 +9,10 @@ degeneracy at fixed m -- used to pin down which of the closed forms are
 exact and which are large-N approximations.
 
 beta = E/kT is dimensionless; ``math.inf`` is accepted as the frozen
-(zero-temperature) limit and handled symbolically, never through exp().
+(zero-temperature) limit.  The enumeration handles it symbolically; the
+closed forms reach it through e^(-inf/2) = 0.  The variances are written
+from sech^2(beta/2), not from 1 - tanh^2, so they keep every digit as
+tanh(beta/2) -> 1.
 """
 
 from __future__ import annotations
@@ -122,12 +125,21 @@ def thermal_m_mean(params: EnsembleParams) -> float:
     return -(params.n_molecules / 2.0) * math.tanh(params.beta / 2.0) + 0.0
 
 
+def _sech_half(beta: float) -> float:
+    """sech(beta/2) = 2h/(1 + h^2) with h = e^(-beta/2): 0 at beta = inf.
+
+    Its square is sech^2(beta/2) = 4e^(-beta)/(1 + e^(-beta))^2, but
+    e^(-beta) goes subnormal past beta = 708 while h stays normal to 1416,
+    so callers multiply their coefficient by this factor twice.
+    """
+    h = math.exp(-beta / 2.0)
+    return 2.0 * h / (1.0 + h * h)
+
+
 def thermal_m_variance(params: EnsembleParams) -> float:
-    """Var(m) = N/4 - <m>^2/N  (= (N/4) sech^2(beta/2); exact)."""
-    if params.frozen:
-        return 0.0
-    m = thermal_m_mean(params)
-    return params.n_molecules / 4.0 - m * m / params.n_molecules
+    """Var(m) = (N/4) sech^2(beta/2) (= N/4 - <m>^2/N); exact."""
+    sech = _sech_half(params.beta)
+    return params.n_molecules / 4.0 * sech * sech
 
 
 def r2_mean_given_m(n_molecules: int, two_m: int) -> float:
@@ -183,24 +195,22 @@ def thermal_r2_mean(params: EnsembleParams) -> float:
 def thermal_r2_variance(params: EnsembleParams) -> float:
     """Printed large-N form of the thermal variance of r(r+1).
 
-    N(N-1)/8 + ((N-1)(N-2)/N) <m>^2 - (2(2N-3)(N-1)/N^3) <m>^4.
+    N(N-1)/8 + ((N-1)(N-2)/N) <m>^2 - (2(2N-3)(N-1)/N^3) <m>^4, evaluated
+    factored as (N(N-1)/8) sech^2(beta/2) (1 + (2N-3) tanh^2(beta/2)).
     This tracks the variance of the conditional mean m^2 + N/2 only; the
     fixed-m spread it omits is O(N^2), so trust it when <m>^2 >> N.
     """
     n = params.n_molecules
-    m = thermal_m_mean(params)
-    return (
-        n * (n - 1) / 8.0
-        + ((n - 1) * (n - 2) / n) * m * m
-        - (2.0 * (2 * n - 3) * (n - 1) / n**3) * m**4
-    )
+    sech = _sech_half(params.beta)
+    t = math.tanh(params.beta / 2.0)
+    return n * (n - 1) / 8.0 * (1.0 + (2 * n - 3) * t * t) * sech * sech
 
 
 def thermal_sigma_r2(params: EnsembleParams) -> float:
-    """Thermal average of the fixed-m spread: (N(N-1)/4)(1 - 4<m>^2/N^2)."""
+    """Thermal average of the fixed-m spread: (N(N-1)/4) sech^2(beta/2)."""
     n = params.n_molecules
-    m = thermal_m_mean(params)
-    return (n * (n - 1) / 4.0) * (1.0 - 4.0 * m * m / n**2)
+    sech = _sech_half(params.beta)
+    return n * (n - 1) / 4.0 * sech * sech
 
 
 def thermal_moments(params: EnsembleParams) -> ThermalMoments:

@@ -1,12 +1,13 @@
 """Multiplet counting and thermal averages against exact enumeration."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lasercond import thermal as th
@@ -174,24 +175,28 @@ def _exact_r2_variance(n: int, beta: float) -> float:
 
     r(r+1) averages to m^2 + N/2 at fixed m with spread N^2/4 - m^2, so
     Var = E[N^2/4 - m^2] + Var(m^2); the m-moments follow from the
-    per-spin central moments of N independent +-1/2 spins.
+    per-spin central moments of N independent +-1/2 spins.  Every term
+    carries a factor sech^2(beta/2), taken as 4e^(-beta)/(1 + e^(-beta))^2
+    rather than 1 - tanh^2, so nothing cancels as tanh(beta/2) -> 1:
+    E[N^2/4 - m^2] = (N(N-1)/4) sech^2 and, with mean mu and central
+    moments c2, c3, c4 of m, Var(m^2) = 4 mu^2 c2 + 4 mu c3 + c4 - c2^2.
     """
     t = math.tanh(beta / 2.0)
-    mean = -n * t / 2.0
-    c2 = (1.0 - t * t) / 4.0
-    c3 = t * (1.0 - t * t) / 4.0
-    c4 = (1.0 - t * t) * (1.0 + 3.0 * t * t) / 16.0
-    m_c2 = n * c2
-    m_c3 = n * c3
-    m_c4 = n * c4 + 3.0 * n * (n - 1) * c2 * c2
-    m2 = m_c2 + mean * mean
-    m4 = m_c4 + 4.0 * m_c3 * mean + 6.0 * m_c2 * mean * mean + mean**4
-    return n * n / 4.0 - m2 + (m4 - m2 * m2)
+    q = math.exp(-beta)
+    sech2 = 4.0 * q / (1.0 + q) ** 2
+    mu = -n * t / 2.0
+    c2 = n * sech2 / 4.0
+    c3 = n * t * sech2 / 4.0
+    c4 = n * sech2 * (1.0 + 3.0 * t * t) / 16.0 + 3.0 * n * (n - 1) * (sech2 / 4.0) ** 2
+    spread = n * (n - 1) / 4.0 * sech2
+    return spread + 4.0 * mu * mu * c2 + 4.0 * mu * c3 + c4 - c2 * c2
 
 
 def test_exact_r2_variance_oracle_matches_enumeration():
+    # at beta = 30 and 50, 1 - tanh^2(beta/2) in doubles has lost about 13
+    # and all 16 digits
     for n in (3, 8, 13):
-        for beta in (0.0, 0.4, 1.1, 2.0):
+        for beta in (0.0, 0.4, 1.1, 2.0, 30.0, 50.0):
             oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
             assert _exact_r2_variance(n, beta) == pytest.approx(
                 oracle.r2_variance, rel=1e-10, abs=1e-10
@@ -220,6 +225,60 @@ def test_thermal_sigma_r2_limits_and_enumeration():
         params = th.EnsembleParams(n, 0.2)
         oracle = th.enumeration_moments(params)
         assert th.thermal_sigma_r2(params) == pytest.approx(oracle.sigma_r2_mean, rel=1e-12)
+
+
+def _mpmath_closed_forms(n, beta):
+    """Var(m), <N^2/4 - m^2> and the printed r(r+1) variance to 50 digits.
+
+    Each is evaluated as first written, from <m> = -(N/2) tanh(beta/2):
+    N/4 - <m>^2/N, (N(N-1)/4)(1 - 4<m>^2/N^2) and N(N-1)/8 + ((N-1)(N-2)/N)
+    <m>^2 - (2(2N-3)(N-1)/N^3) <m>^4.  Those forms lose about beta/ln 10
+    digits to cancellation, so the working precision grows by as many;
+    beta is the double itself.
+    """
+    with mpmath.workdps(50 + int(beta / math.log(10.0))):
+        n_mp = mpmath.mpf(n)
+        m = -n_mp / 2 * mpmath.tanh(mpmath.mpf(beta) / 2)
+        return (
+            n_mp / 4 - m**2 / n_mp,
+            n_mp * (n - 1) / 4 * (1 - 4 * m**2 / n_mp**2),
+            n_mp * (n - 1) / 8
+            + mpmath.mpf((n - 1) * (n - 2)) / n_mp * m**2
+            - mpmath.mpf(2 * (2 * n - 3) * (n - 1)) / n_mp**3 * m**4,
+        )
+
+
+def _closed_forms(n, beta):
+    params = th.EnsembleParams(n, beta)
+    return (
+        th.thermal_m_variance(params),
+        th.thermal_sigma_r2(params),
+        th.thermal_r2_variance(params),
+    )
+
+
+@pytest.mark.parametrize(("n", "beta"), [(10, 30.0), (10, 50.0), (400, 40.0)])
+def test_closed_form_variances_match_mpmath_at_large_beta(n, beta):
+    # tanh(beta/2) is within 2e-13 of 1 at these points, so a form built on
+    # 1 - tanh^2 in doubles keeps at most three of the digits compared here
+    exact = [float(value) for value in _mpmath_closed_forms(n, beta)]
+    assert all(value > 0.0 for value in exact)
+    np.testing.assert_allclose(_closed_forms(n, beta), exact, rtol=1e-14, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 400), beta=st.floats(0.0, 1e3))
+@example(n=400, beta=720.0)  # e^(-beta) is subnormal, every column still normal
+@example(n=2, beta=1e3)  # every column below the normal range
+def test_closed_form_variances_keep_their_digits(n, beta):
+    # relative error within 1e-13 wherever the exact value is a normal
+    # double; below that, the absolute error is what a double can carry
+    got = _closed_forms(n, beta)
+    for value, exact in zip(got, _mpmath_closed_forms(n, beta)):
+        if exact >= sys.float_info.min:
+            assert abs(value - exact) <= 1e-13 * exact
+        else:
+            assert abs(value - exact) <= 1e-300
 
 
 def test_monotonicity_in_beta():
