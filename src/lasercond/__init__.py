@@ -13,6 +13,11 @@ Three layers, mirroring the physics:
 
 :mod:`lasercond.cli` exposes the ``lasercond`` command with ``spectrum``,
 ``thermal``, ``steady-state``, ``sweep`` and ``threshold`` subcommands.
+``thermal`` runs on the standard library alone: numpy, ``spectrum`` and
+``condensation`` are loaded only by the commands that use them.
+
+:class:`ConvergenceError` is defined here, so the CLI can catch it without
+loading a numerical layer; ``spectrum`` and ``condensation`` re-export it.
 
 Every record type is a ``collections.namedtuple`` subclass: immutable and
 compared by value.  Those that validate their fields (``BlockIndex``,
@@ -23,3 +28,12 @@ this keeps ``dataclasses`` off the start-up path of every CLI run.
 """
 
 __version__ = "0.1.0"
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical solve failed: the block SVD did not converge, or no root was found.
+
+    Raised by the block eigensolve and by the steady-state solver, whose
+    message names the regime (a pole the gap variable cannot resolve, a
+    missing bracket, occupations that all underflow).
+    """

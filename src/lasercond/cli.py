@@ -6,8 +6,9 @@ Every run writes its data as CSV (floats at 17 significant digits, so
 a rerun of a config at the same BLAS thread count reproduces
 byte-identical payloads) plus a ``manifest.json`` echoing the config,
 carrying a sha256 checksum for each emitted file, taken from the bytes
-as they are written, and the versions of python and numpy, the only
-libraries a run executes.  A CSV row
+as they are written, and ``versions``: the libraries the command
+executes, python for ``thermal`` and python and numpy for the other four
+(decided by the command, not by what the process has imported).  A CSV row
 is formatted by one ``%`` operation, with a format built once for each
 row shape (the cell types) by the ``_fmt`` rule that also formats the
 ``*.txt`` reports.  ``spectrum`` takes every eigenstate's photon-number
@@ -24,6 +25,14 @@ are written from its columns; ``steady-state`` is its one-point call.
 ``--workers`` is still accepted and validated (>= 1) but changes nothing:
 a process pool measured slower than the in-process solve.  A config that
 sets ``workers`` is rejected as an unknown key.
+
+At import this module loads the standard library, ``config`` and
+``thermal`` only, so a ``thermal`` run never loads numpy.  Each numeric
+runner imports what it uses: ``spectrum`` imports numpy and
+``lasercond.spectrum``; ``steady-state``, ``sweep`` and ``threshold``
+import numpy and ``lasercond.condensation`` (which loads ``spectrum``).
+``ConvergenceError`` is defined in the package ``__init__``, so ``main``
+catches it without loading a numerical layer.
 """
 
 from __future__ import annotations
@@ -38,11 +47,13 @@ import math
 import platform
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, condensation, spectrum, thermal
+from . import ConvergenceError, __version__, thermal
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
+
+if TYPE_CHECKING:  # annotations only; the numeric runners import it themselves
+    from . import condensation
 
 SWEEP_HEADER = (
     "s,eta,A,mu,n_c,n_n,cond_frac,S_supply,S_balance,resid_max,omega_bar_fit,status"
@@ -55,7 +66,7 @@ EXIT_FLAGGED = 2
 
 def _fmt(value) -> str:
     """17-significant-digit float formatting (ints pass through)."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -68,7 +79,7 @@ def _row_format(types: tuple) -> str:
     path, so nan, inf and -0 read the same either way.
     """
     return ",".join(
-        "%s" if issubclass(t, str) else "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+        "%s" if issubclass(t, str) else "%d" if issubclass(t, int) else "%.17g"
         for t in types
     )
 
@@ -98,22 +109,24 @@ class Run:
         return path
 
     def finish(self) -> int:
-        # numpy's min/max propagate a NaN wherever it sits; strict JSON has
-        # no NaN or Infinity, so a non-finite summary value is written as null
-        residuals = np.array(self.residuals)
+        # a NaN anywhere makes both min and max NaN; strict JSON has no NaN
+        # or Infinity, so a non-finite summary value is written as null
         summary = None
-        if residuals.size:
-            summary = {"min": residuals.min(), "max": residuals.max()}
-            summary = {k: float(v) if np.isfinite(v) else None for k, v in summary.items()}
+        if self.residuals:
+            nan = any(map(math.isnan, self.residuals))
+            summary = {"min": min(self.residuals), "max": max(self.residuals)}
+            summary = {k: v if not nan and math.isfinite(v) else None for k, v in summary.items()}
+        versions = {"python": platform.python_version()}
+        if self.config.command != "thermal":  # thermal runs on the standard library
+            import numpy
+
+            versions["numpy"] = numpy.__version__
         manifest = {
             "artifact_version": __version__,
             "command": self.config.command,
             "config": self.config.echo(),
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "versions": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
+            "versions": versions,
             "files": self.files,
             "flags": self.flags,
             "residuals": summary,
@@ -134,6 +147,10 @@ class Run:
 
 
 def _run_spectrum(run: Run) -> None:
+    import numpy as np
+
+    from . import spectrum
+
     index = run.config.block_index
     solution = spectrum.diagonalize(spectrum.build_block(index))
     n0, sigma2 = spectrum.photon_moments(solution)
@@ -188,7 +205,8 @@ def _run_spectrum(run: Run) -> None:
 
 THERMAL_HEADER = (
     "N,beta,m_mean,m_var,r2_mean,r2_var,sigma_r2,"
-    "oracle_m_mean,oracle_m_var,oracle_r2_mean,oracle_r2_var,oracle_sigma_r2"
+    "oracle_m_mean,oracle_m_var,oracle_r2_mean,oracle_r2_var,oracle_sigma_r2,"
+    "r2_var_exact"
 )
 
 # moment attributes in THERMAL_HEADER order, for the closed forms and the oracle
@@ -206,6 +224,7 @@ def _run_thermal(run: Run) -> None:
             row += [getattr(oracle, name) for name in THERMAL_MOMENTS]
         else:
             row += [""] * len(THERMAL_MOMENTS)
+        row.append(moments.r2_variance_exact)
         rows.append(row)
     run.write_csv("thermal.csv", THERMAL_HEADER, rows)
 
@@ -216,6 +235,10 @@ def _run_thermal(run: Run) -> None:
 
 
 def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None:
+    import numpy as np
+
+    from . import condensation
+
     eta_t = condensation.eta_thermal(grid.ladder, grid.bath)
     columns = np.column_stack([
         grid.s, grid.eta, grid.amplification, grid.mu, grid.n_c, grid.n_n,
@@ -239,6 +262,10 @@ def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None
 
 
 def _run_steady_state(run: Run) -> None:
+    import numpy as np
+
+    from . import condensation
+
     config = run.config
     pump = config.pump
     grid = condensation.solve_supply_grid(config.ladder, config.bath, [pump.s], scale=[pump.p])
@@ -255,12 +282,18 @@ def _run_steady_state(run: Run) -> None:
 
 
 def _run_sweep(run: Run) -> None:
+    from . import condensation
+
     config = run.config
     grid = condensation.solve_supply_grid(config.ladder, config.bath, config.s_grid)
     _emit_sweep(run, "sweep.csv", grid)
 
 
 def _run_threshold(run: Run) -> None:
+    import numpy as np
+
+    from . import condensation
+
     ladder = run.config.ladder
     bath = run.config.bath
     eta_t = condensation.eta_thermal(ladder, bath)
@@ -292,6 +325,13 @@ def _run_threshold(run: Run) -> None:
         )
     except ValueError as exc:
         run.flags.append(f"threshold: knee detection failed: {exc}")
+    knee_over_s0 = knee / estimate.s0 if estimate.s0 > 0 else math.nan
+    # a NaN ratio is flagged above (no knee, or no positive s0)
+    if not math.isnan(knee_over_s0) and not 1.0 / 3.0 < knee_over_s0 < 3.0:
+        run.flags.append(
+            f"threshold: knee/s0 = {_fmt(knee_over_s0)} is outside (1/3, 3): the "
+            "sweep's condensation knee and the closed-form s0 disagree"
+        )
 
     lines = [
         f"s0 = {_fmt(estimate.s0)}",
@@ -299,7 +339,7 @@ def _run_threshold(run: Run) -> None:
         f"eta_T = {_fmt(eta_t)}",
         f"eta_T_effective = {_fmt(condensation.eta_thermal_effective(ladder.n_levels, float(np.mean(ladder.omegas)), bath.beta))}",
         f"knee = {_fmt(knee)}",
-        f"knee_over_s0 = {_fmt(knee / estimate.s0 if estimate.s0 > 0 else math.nan)}",
+        f"knee_over_s0 = {_fmt(knee_over_s0)}",
         f"immediate_condensation = {str(estimate.immediate).lower()}",
     ]
     run.write_text("threshold_report.txt", "\n".join(lines) + "\n")
@@ -359,7 +399,7 @@ def main(argv=None) -> int:
     run = Run(config, out_dir)
     try:
         _RUNNERS[config.command](run)
-    except (ValueError, condensation.ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return run.finish()

@@ -38,8 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .spectrum import ConvergenceError
-from . import spectrum
+from . import ConvergenceError, spectrum
 
 __all__ = [
     "LevelLadder",

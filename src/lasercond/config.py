@@ -36,15 +36,24 @@ config that sets ``output.dir`` is rejected as an unknown key.
 The run's ``manifest.json`` echoes the config as strict JSON (RFC 8259
 has no NaN or Infinity): ``thermal.beta = inf`` is echoed as ``"inf"``,
 and a non-finite residual summary is written as ``null``.
+
+Parsing a ``thermal`` config loads no numerical layer: each builder
+imports the module whose record it builds (``spectrum`` for the block
+index, ``condensation`` for the ladder, bath and pump, numpy for the
+supply grid), so only the commands that use numpy load it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import thermal
 
-from . import condensation, spectrum, thermal
+if TYPE_CHECKING:  # annotations only; the builders import these themselves
+    import numpy as np
+
+    from . import condensation, spectrum
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "COMMANDS"]
 
@@ -186,6 +195,8 @@ class RunConfig:
         echoed = {}
         for key, value in self.values.items():
             if keys[key] is _parse_half_integer:
+                from . import spectrum  # a thermal config has no half-integer key
+
                 value = spectrum.undouble(value)
             elif keys[key] is _parse_beta_list:
                 value = [beta if math.isfinite(beta) else str(beta) for beta in value]
@@ -261,6 +272,8 @@ def _build_typed(config: RunConfig, problems: list[str]) -> None:
 
 
 def _build_block_index(v: dict) -> spectrum.BlockIndex:
+    from . import spectrum
+
     return spectrum.BlockIndex(
         two_r=v["spectrum.r"], two_c=v["spectrum.c"], kappa=v["spectrum.kappa"]
     )
@@ -274,10 +287,14 @@ def _build_ensemble(v: dict) -> list[thermal.EnsembleParams]:
 
 
 def _build_bath(v: dict) -> condensation.BathParams:
+    from . import condensation
+
     return condensation.BathParams(beta=v["bath.beta"], phi=v["bath.phi"], chi=v["bath.chi"])
 
 
 def _build_ladder(v: dict) -> condensation.LevelLadder:
+    from . import condensation
+
     source = v.get("ladder.source", "analytic")
     if source == "analytic":
         if "ladder.c_ref" not in v:
@@ -301,6 +318,8 @@ def _build_ladder(v: dict) -> condensation.LevelLadder:
 
 
 def _build_pump(v: dict) -> condensation.PumpParams:
+    from . import condensation
+
     if "pump.s" in v:
         if "pump.p" in v or "pump.q" in v:
             raise ValueError("give either pump.s or pump.p/pump.q, not both")
@@ -314,6 +333,8 @@ def _build_pump(v: dict) -> condensation.PumpParams:
 
 
 def _build_grid(v: dict) -> np.ndarray | None:
+    import numpy as np
+
     given = [key in v for key in _GRID_REQUIRED]
     if not any(given):
         return None  # threshold derives its own grid from the estimate

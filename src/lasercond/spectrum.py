@@ -46,6 +46,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import ConvergenceError
+
 __all__ = [
     "undouble",
     "BlockIndex",
@@ -67,14 +69,6 @@ __all__ = [
     "dense_oracle",
     "ConvergenceError",
 ]
-
-class ConvergenceError(RuntimeError):
-    """A numerical solve failed: the block SVD did not converge, or no root was found.
-
-    Raised by the block eigensolve and by the steady-state solver, whose
-    message names the regime (a pole the gap variable cannot resolve, a
-    missing bracket, occupations that all underflow).
-    """
 
 
 def undouble(doubled: int):

@@ -12,15 +12,19 @@ beta = E/kT is dimensionless; ``math.inf`` is accepted as the frozen
 (zero-temperature) limit.  The enumeration handles it symbolically; the
 closed forms reach it through e^(-inf/2) = 0.  The variances are written
 from sech^2(beta/2), not from 1 - tanh^2, so they keep every digit as
-tanh(beta/2) -> 1.
+tanh(beta/2) -> 1.  Besides the printed large-N variance of r(r+1), the
+exact one (every N) is a closed form too: ``thermal_r2_variance_exact``.
+
+The module uses the standard library alone (``math``; the enumeration
+sums its at most 64 terms with ``math.fsum``), so the ``thermal`` command
+never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
-
-import numpy as np
 
 __all__ = [
     "EnsembleParams",
@@ -34,6 +38,7 @@ __all__ = [
     "fixed_m_enumeration",
     "thermal_r2_mean",
     "thermal_r2_variance",
+    "thermal_r2_variance_exact",
     "thermal_sigma_r2",
     "thermal_moments",
     "enumeration_moments",
@@ -60,10 +65,13 @@ class EnsembleParams(namedtuple("EnsembleParams", "n_molecules beta")):
 
 
 class ThermalMoments(
-    namedtuple("ThermalMoments", "m_mean m_variance r2_mean r2_variance sigma_r2_mean")
+    namedtuple(
+        "ThermalMoments",
+        "m_mean m_variance r2_mean r2_variance sigma_r2_mean r2_variance_exact",
+    )
 ):
-    """Closed-form thermal averages (the spread/variance of r(r+1) are
-    the printed large-N forms, not exact -- compare enumeration_moments)."""
+    """Closed-form thermal averages (r2_variance is the printed large-N
+    form; r2_variance_exact is the variance of r(r+1) at every N)."""
 
     __slots__ = ()
 
@@ -77,7 +85,7 @@ class ThermalEnumeration(
     """Exact (r, m)-ensemble sums for small N.
 
     z is the partition function; m_moments[k] = <m^k>, r2_moments[k] =
-    <[r(r+1)]^k> for k = 0..4 (arrays).  m_variance and r2_variance are
+    <[r(r+1)]^k> for k = 0..4 (5-tuples).  m_variance and r2_variance are
     centred sums <(x - <x>)^2>, and sigma_r2_mean is the thermal average
     of the fixed-m spread N^2/4 - m^2 summed term by term, so none of the
     three cancels to rounding noise when the spread is far below <x>^2.
@@ -206,6 +214,23 @@ def thermal_r2_variance(params: EnsembleParams) -> float:
     return n * (n - 1) / 8.0 * (1.0 + (2 * n - 3) * t * t) * sech * sech
 
 
+def thermal_r2_variance_exact(params: EnsembleParams) -> float:
+    """Exact thermal variance of r(r+1), every N: (N(N-1)/8) sech^2 (3 sech^2 + 2N tanh^2).
+
+    r(r+1) averages to m^2 + N/2 at fixed m with spread N^2/4 - m^2, so
+    Var = E[N^2/4 - m^2] + Var(m^2), and Var(m^2) = 4 mu^2 c2 + 4 mu c3 +
+    c4 - c2^2 from the mean mu and central moments c2, c3, c4 of m, a sum
+    of N independent +-1/2 spins.  Collected over sech^2 and tanh^2 (with
+    1 = sech^2 + tanh^2), every term is positive, so nothing cancels at
+    any beta, and N = 1 gives exactly 0.  It exceeds the printed
+    ``thermal_r2_variance`` by the mean fixed-m spread ``thermal_sigma_r2``.
+    """
+    n = params.n_molecules
+    sech = _sech_half(params.beta)
+    t = math.tanh(params.beta / 2.0)
+    return n * (n - 1) / 8.0 * (3.0 * sech * sech + 2 * n * t * t) * sech * sech
+
+
 def thermal_sigma_r2(params: EnsembleParams) -> float:
     """Thermal average of the fixed-m spread: (N(N-1)/4) sech^2(beta/2)."""
     n = params.n_molecules
@@ -221,6 +246,7 @@ def thermal_moments(params: EnsembleParams) -> ThermalMoments:
         r2_mean=thermal_r2_mean(params),
         r2_variance=thermal_r2_variance(params),
         sigma_r2_mean=thermal_sigma_r2(params),
+        r2_variance_exact=thermal_r2_variance_exact(params),
     )
 
 
@@ -228,12 +254,13 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     """Direct partition sum Z = sum_r P(r) sum_m e^(-beta m), N <= 14.
 
     Returns <m^k> and <[r(r+1)]^k> for k <= 4 and the centred variances,
-    from one array pass over the (r, m) terms.  Each term is weighted by
-    e^(-beta (m + N/2)) <= 1, relative to the lowest level m = -N/2, and the
-    sums are divided through by their own total, so no moment overflows at
-    any beta; Z itself is e^(beta N/2) times that total, inf once it passes
-    the double range.  The frozen beta=inf limit is evaluated symbolically:
-    only the unique maximal multiplet reaches m = -N/2.
+    each one ``math.fsum`` over the (at most 64) (r, m) terms.  Each term is
+    weighted by e^(-beta (m + N/2)) <= 1, relative to the lowest level
+    m = -N/2, and the sums are divided through by their own total, so no
+    moment overflows at any beta; Z itself is e^(beta N/2) times that
+    total, inf once it passes the double range.  The frozen beta=inf limit
+    is evaluated symbolically: only the unique maximal multiplet reaches
+    m = -N/2.
     """
     n = params.n_molecules
     if n > ENUMERATION_LIMIT:
@@ -245,25 +272,41 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
             n_molecules=n,
             beta=params.beta,
             z=math.inf,
-            m_moments=m_floor ** np.arange(5),
-            r2_moments=x_top ** np.arange(5),
+            m_moments=tuple(m_floor**k for k in range(5)),
+            r2_moments=tuple(x_top**k for k in range(5)),
             m_variance=0.0,
             r2_variance=0.0,
             sigma_r2_mean=0.0,
         )
-    multiplets = range(n % 2, n + 1, 2)
-    sizes = [two_r + 1 for two_r in multiplets]
-    two_r = np.repeat(multiplets, sizes)
-    two_m = np.concatenate([np.arange(-t, t + 1, 2) for t in multiplets])
-    weight = np.repeat([float(degeneracy(n, t)) for t in multiplets], sizes)
-    boltzmann = weight * np.exp(-params.beta * ((two_m + n) // 2))
-    total = boltzmann.sum()
-    m = two_m / 2.0
-    x = two_r * (two_r + 2) / 4.0
-    m_moments = boltzmann @ np.vander(m, 5, increasing=True) / total
-    r2_moments = boltzmann @ np.vander(x, 5, increasing=True) / total
+    # e^(-beta (m + N/2)) for m + N/2 = 0..N
+    factors = [math.exp(-params.beta * k) for k in range(n + 1)]
+    boltzmann, m, x, spread = [], [], [], []
+    for two_r in range(n % 2, n + 1, 2):
+        weight = float(degeneracy(n, two_r))
+        levels = range(-two_r, two_r + 1, 2)
+        boltzmann += [weight * factors[(two_m + n) // 2] for two_m in levels]
+        m += [two_m / 2.0 for two_m in levels]
+        x += [two_r * (two_r + 2) / 4.0] * len(levels)
+        spread += [(n - two_m) * (n + two_m) / 4.0 for two_m in levels]
+    total = math.fsum(boltzmann)
+
+    def average(terms) -> float:
+        return math.fsum(terms) / total
+
+    def moments(values) -> tuple:
+        """(<v^k> for k = 0..4, centred <(v - <v>)^2>), from running products w v^k."""
+        terms = boltzmann
+        raw = [average(terms)]
+        for _ in range(4):
+            terms = list(map(operator.mul, terms, values))
+            raw.append(average(terms))
+        centred = [v - raw[1] for v in values]
+        return tuple(raw), average(map(operator.mul, map(operator.mul, boltzmann, centred), centred))
+
+    m_moments, m_variance = moments(m)
+    r2_moments, r2_variance = moments(x)
     try:
-        z = float(total) * math.exp(params.beta * n / 2.0)
+        z = total * math.exp(params.beta * n / 2.0)
     except OverflowError:  # beta N/2 > ln(DBL_MAX) = 709.78
         z = math.inf
     return ThermalEnumeration(
@@ -272,7 +315,7 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
         z=z,
         m_moments=m_moments,
         r2_moments=r2_moments,
-        m_variance=float(boltzmann @ np.square(m - m_moments[1]) / total),
-        r2_variance=float(boltzmann @ np.square(x - r2_moments[1]) / total),
-        sigma_r2_mean=float(boltzmann @ ((n - two_m) * (n + two_m)) / (4.0 * total)),
+        m_variance=m_variance,
+        r2_variance=r2_variance,
+        sigma_r2_mean=average(map(operator.mul, boltzmann, spread)),
     )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -164,14 +165,19 @@ def test_cli_thermal_oracle_columns(tmp_path):
     assert cli.main(["thermal", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "thermal.csv").read_text().splitlines()
     assert rows[0].startswith("N,beta,m_mean,m_var,r2_mean,r2_var,sigma_r2,oracle_")
-    # N = 20 is beyond the enumeration limit: oracle columns stay empty
-    assert rows[1].endswith(",,,,")
+    header = rows[0].split(",")
+    oracle = [i for i, name in enumerate(header) if name.startswith("oracle_")]
+    assert len(oracle) == 5 and header[-1] == "r2_var_exact"
+    # N = 20 is beyond the enumeration limit: oracle columns stay empty, and
+    # the exact r(r+1) variance, a closed form, is written for every N
+    cells = rows[1].split(",")
+    assert [cells[i] for i in oracle] == [""] * 5 and cells[-1] != ""
 
     cfg_small = _write(tmp_path, "small.cfg", "thermal.n = 8\nthermal.beta = 0.5\n")
     out_small = tmp_path / "out_small"
     assert cli.main(["thermal", "--config", cfg_small, "--out", str(out_small)]) == 0
-    row = (out_small / "thermal.csv").read_text().splitlines()[1]
-    assert not row.endswith(",,,,")
+    cells = (out_small / "thermal.csv").read_text().splitlines()[1].split(",")
+    assert all(cells[i] != "" for i in oracle) and cells[-1] != ""
 
 
 STEADY_CFG = (
@@ -255,7 +261,10 @@ def test_cli_manifest_checksums(tmp_path):
     threshold = _write(tmp_path, "threshold.cfg", SWEEP_CFG)
     spectrum = _write(tmp_path, "spectrum.cfg", SPECTRUM_CFG)
     runs = [(out, "sweep"), (tmp_path / "t", "threshold"), (tmp_path / "s", "spectrum")]
-    assert cli.main(["threshold", "--config", threshold, "--out", str(runs[1][0])]) == 0
+    # this grid ends at s = 50, below s0 = 365.8, so its knee (knee/s0 = 0.069)
+    # is flagged: computed, exit 2
+    assert cli.main(["threshold", "--config", threshold, "--out", str(runs[1][0])]) == 2
+    assert _manifest(runs[1][0])["flags"][0].startswith("threshold: knee/s0 = 0.069")
     assert cli.main(["spectrum", "--config", spectrum, "--out", str(runs[2][0])]) == 0
     for out_dir, command in runs:
         entries = _manifest(out_dir)["files"]
@@ -332,7 +341,7 @@ def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
         at_50 = np.abs(grid.s - 50.0) < 1e-9
         return grid._replace(max_residual=np.where(at_50, math.nan, grid.max_residual))
 
-    monkeypatch.setattr(cli.condensation, "solve_supply_grid", nan_residual)
+    monkeypatch.setattr(condensation, "solve_supply_grid", nan_residual)
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -448,6 +457,27 @@ def test_cli_threshold_immediate_condensation(tmp_path):
     assert np.array_equal(_s_column(out), expected)
 
 
+def test_cli_threshold_flags_a_knee_far_from_s0(tmp_path):
+    # a wide ladder at high temperature with weak transfer (2r = 72, beta =
+    # 0.37, phi/chi = 1700): the default grid's knee sits at 0.312 s0, below
+    # the s0/3 that acceptance 8 allows, so the run is computed but flagged
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "ladder.r = 36\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
+        "bath.beta = 0.37\nbath.phi = 17\nbath.chi = 0.01\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["threshold", "--config", cfg, "--out", str(out)]) == 2
+    ratio = float(_report(out)["knee_over_s0"])
+    assert 0.3 < ratio < 1.0 / 3.0
+    assert _manifest(out)["flags"] == [
+        f"threshold: knee/s0 = {cli._fmt(ratio)} is outside (1/3, 3): the sweep's "
+        "condensation knee and the closed-form s0 disagree"
+    ]
+    assert all(row.endswith(",ok") for row in (out / "sweep.csv").read_text().splitlines()[1:])
+
+
 def test_cli_two_point_log_grid_from_zero_ends_at_s_max(tmp_path):
     text = _set(_set(SWEEP_CFG, "pump.s_max", "1000"), "pump.points", "2")
     cfg = _write(tmp_path, "run.cfg", text)
@@ -537,7 +567,7 @@ def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
         ]
         return grid._replace(errors=tuple(errors))
 
-    monkeypatch.setattr(cli.condensation, "solve_supply_grid", sabotage)
+    monkeypatch.setattr(condensation, "solve_supply_grid", sabotage)
     status = cli.main(["sweep", "--config", cfg, "--out", str(out), *workers])
     assert status == 2  # computed, but flagged
     rows = (out / "sweep.csv").read_text().splitlines()
@@ -783,16 +813,17 @@ _EVERY_COMMAND = {
 }
 
 
-def _every_command_in_one_interpreter(tmp_path, prelude, epilogue):
+def _every_command_in_one_interpreter(tmp_path, prelude, epilogue, names=tuple(_EVERY_COMMAND)):
     """Lines a fresh interpreter prints: it runs ``prelude``, imports
     lasercond.cli, prints the exit status of an in-process ``cli.main`` run
-    of each of _EVERY_COMMAND (output in ``tmp_path / name``), then runs
-    ``epilogue``."""
+    of each of _EVERY_COMMAND named in ``names`` (output in ``tmp_path /
+    name``), then runs ``epilogue``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = [
         f"{command} --config {_write(tmp_path, name + '.cfg', text)} --out {tmp_path / name}"
         for name, (command, text) in _EVERY_COMMAND.items()
+        if name in names
     ]
     code = (
         f"import sys\n{prelude}\n"
@@ -815,7 +846,7 @@ def test_cli_runs_every_command_without_scipy(tmp_path):
     # a fresh interpreter in which every import of scipy or of a scipy
     # module fails, as where only the runtime dependency numpy is installed:
     # the import and a run of each command succeed, and each manifest names
-    # the versions of python and numpy only
+    # the versions of python and numpy only (thermal's of python only)
     lines = _every_command_in_one_interpreter(
         tmp_path,
         "sys.modules['scipy'] = None",
@@ -823,7 +854,8 @@ def test_cli_runs_every_command_without_scipy(tmp_path):
     )
     assert lines == ["0"] * len(_EVERY_COMMAND) + ["scipy"]
     for name in _EVERY_COMMAND:
-        assert set(_manifest(tmp_path / name)["versions"]) == {"python", "numpy"}, name
+        expected = {"python"} if name == "thermal" else {"python", "numpy"}
+        assert set(_manifest(tmp_path / name)["versions"]) == expected, name
 
 
 def test_cli_runs_load_no_dataclasses_fractions_or_decimal(tmp_path):
@@ -834,3 +866,23 @@ def test_cli_runs_load_no_dataclasses_fractions_or_decimal(tmp_path):
         tmp_path, "", "print(*[m for m in ('dataclasses', 'fractions', 'decimal') if m in sys.modules])"
     )
     assert lines == ["0"] * len(_EVERY_COMMAND) + [""]
+
+
+def test_cli_thermal_runs_without_numpy(tmp_path):
+    # every import of numpy fails: the CLI imports and a thermal run exits 0,
+    # loading no numerical layer, and its manifest names python alone
+    lines = _every_command_in_one_interpreter(
+        tmp_path,
+        "sys.modules['numpy'] = None",
+        "print(*sorted(m for m in sys.modules if m.startswith('lasercond')))",
+        names=("thermal",),
+    )
+    assert lines == ["0", "lasercond lasercond.cli lasercond.config lasercond.thermal"]
+    assert _manifest(tmp_path / "thermal")["versions"] == {"python": platform.python_version()}
+
+
+def test_cli_spectrum_run_loads_no_condensation(tmp_path):
+    lines = _every_command_in_one_interpreter(
+        tmp_path, "", "print('lasercond.condensation' in sys.modules)", names=("spectrum",)
+    )
+    assert lines == ["0", "False"]

@@ -170,37 +170,19 @@ def test_thermal_r2_variance_single_molecule_vanishes():
         assert th.thermal_r2_variance(th.EnsembleParams(1, beta)) == 0.0
 
 
-def _exact_r2_variance(n: int, beta: float) -> float:
-    """Independent-spin closed form for Var(r(r+1)), all N.
-
-    r(r+1) averages to m^2 + N/2 at fixed m with spread N^2/4 - m^2, so
-    Var = E[N^2/4 - m^2] + Var(m^2); the m-moments follow from the
-    per-spin central moments of N independent +-1/2 spins.  Every term
-    carries a factor sech^2(beta/2), taken as 4e^(-beta)/(1 + e^(-beta))^2
-    rather than 1 - tanh^2, so nothing cancels as tanh(beta/2) -> 1:
-    E[N^2/4 - m^2] = (N(N-1)/4) sech^2 and, with mean mu and central
-    moments c2, c3, c4 of m, Var(m^2) = 4 mu^2 c2 + 4 mu c3 + c4 - c2^2.
-    """
-    t = math.tanh(beta / 2.0)
-    q = math.exp(-beta)
-    sech2 = 4.0 * q / (1.0 + q) ** 2
-    mu = -n * t / 2.0
-    c2 = n * sech2 / 4.0
-    c3 = n * t * sech2 / 4.0
-    c4 = n * sech2 * (1.0 + 3.0 * t * t) / 16.0 + 3.0 * n * (n - 1) * (sech2 / 4.0) ** 2
-    spread = n * (n - 1) / 4.0 * sech2
-    return spread + 4.0 * mu * mu * c2 + 4.0 * mu * c3 + c4 - c2 * c2
-
-
 def test_exact_r2_variance_oracle_matches_enumeration():
-    # at beta = 30 and 50, 1 - tanh^2(beta/2) in doubles has lost about 13
-    # and all 16 digits
-    for n in (3, 8, 13):
-        for beta in (0.0, 0.4, 1.1, 2.0, 30.0, 50.0):
-            oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
-            assert _exact_r2_variance(n, beta) == pytest.approx(
-                oracle.r2_variance, rel=1e-10, abs=1e-10
-            )
+    # every N the enumeration reaches; at beta = 30 and 50, 1 - tanh^2(beta/2)
+    # in doubles has lost about 13 and all 16 digits, and the enumeration's
+    # centred sums are within 1e-13 of 60-digit mpmath
+    for n in range(1, th.ENUMERATION_LIMIT + 1):
+        for beta in (0.0, 0.4, 1.1, 2.0, 30.0, 50.0, 300.0, math.inf):
+            params = th.EnsembleParams(n, beta)
+            exact = th.thermal_r2_variance_exact(params)
+            oracle = th.enumeration_moments(params).r2_variance
+            if n == 1:  # r = 1/2 only: the enumeration's mean rounds, so it reads ~1e-32
+                assert exact == 0.0 and oracle < 1e-30
+            else:
+                assert exact == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_thermal_r2_variance_is_asymptotic_only():
@@ -214,7 +196,7 @@ def test_thermal_r2_variance_is_asymptotic_only():
     # large N with <m>^2 >> N: the printed form converges to the exact one
     big = th.EnsembleParams(10**6, 0.5)
     assert th.thermal_r2_variance(big) == pytest.approx(
-        _exact_r2_variance(10**6, 0.5), rel=1e-3
+        th.thermal_r2_variance_exact(big), rel=1e-3
     )
 
 
@@ -279,6 +261,53 @@ def test_closed_form_variances_keep_their_digits(n, beta):
             assert abs(value - exact) <= 1e-13 * exact
         else:
             assert abs(value - exact) <= 1e-300
+
+
+def _mpmath_exact_r2_variance(n, beta):
+    """Var(r(r+1)) = E[N^2/4 - m^2] + Var(m^2) to 50 digits, as first written.
+
+    r(r+1) averages to m^2 + N/2 at fixed m with spread N^2/4 - m^2; with
+    mean mu and central moments c2, c3, c4 of m, a sum of N independent
+    +-1/2 spins, Var(m^2) = 4 mu^2 c2 + 4 mu c3 + c4 - c2^2.  sech^2 is
+    taken as 1 - tanh^2, which loses about beta/ln 10 digits, so the
+    working precision grows by as many; beta is the double itself.
+    """
+    with mpmath.workdps(50 + int(beta / math.log(10.0))):
+        t = mpmath.tanh(mpmath.mpf(beta) / 2)
+        sech2 = 1 - t**2
+        mu = -n * t / 2
+        c2 = n * sech2 / 4
+        c3 = n * t * sech2 / 4
+        c4 = n * sech2 * (1 + 3 * t**2) / 16 + 3 * n * (n - 1) * (sech2 / 4) ** 2
+        spread = mpmath.mpf(n * (n - 1)) / 4 * sech2
+        return spread + 4 * mu**2 * c2 + 4 * mu * c3 + c4 - c2**2
+
+
+@pytest.mark.parametrize(("n", "beta"), [(10, 30.0), (10, 50.0), (400, 40.0), (400, 720.0)])
+def test_exact_r2_variance_matches_mpmath_at_large_beta(n, beta):
+    # at beta = 720, e^(-beta) is subnormal but the variance, 1.3e-305, is not
+    exact = float(_mpmath_exact_r2_variance(n, beta))
+    assert exact > sys.float_info.min
+    got = th.thermal_r2_variance_exact(th.EnsembleParams(n, beta))
+    assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 400), beta=st.floats(0.0, 1e3))
+@example(n=400, beta=720.0)
+@example(n=2, beta=1e3)
+def test_exact_r2_variance_keeps_its_digits(n, beta):
+    # relative error within 1e-13 wherever the exact value is a normal
+    # double; below that, the absolute error is what a double can carry
+    got = th.thermal_r2_variance_exact(th.EnsembleParams(n, beta))
+    if n == 1:  # one molecule: r = 1/2 only, and the closed form has a factor N - 1
+        assert got == 0.0
+        return
+    exact = _mpmath_exact_r2_variance(n, beta)
+    if exact >= sys.float_info.min:
+        assert abs(got - exact) <= 1e-13 * exact
+    else:
+        assert abs(got - exact) <= 1e-300
 
 
 def test_monotonicity_in_beta():
@@ -381,8 +410,8 @@ def test_enumeration_reaches_the_frozen_limit_as_beta_grows(n):
     for beta in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 1e300):
         oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
         gaps.append(max(
-            np.max(np.abs(oracle.m_moments / frozen.m_moments - 1.0)),
-            np.max(np.abs(oracle.r2_moments / frozen.r2_moments - 1.0)),
+            np.max(np.abs(np.asarray(oracle.m_moments) / np.asarray(frozen.m_moments) - 1.0)),
+            np.max(np.abs(np.asarray(oracle.r2_moments) / np.asarray(frozen.r2_moments) - 1.0)),
         ))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-2:] == [0.0, 0.0]  # e^(-beta) underflows: the frozen values exactly
