@@ -16,8 +16,10 @@ Three layers, mirroring the physics:
 ``thermal`` runs on the standard library alone: numpy, ``spectrum`` and
 ``condensation`` are loaded only by the commands that use them.
 
-:class:`ConvergenceError` is defined here, so the CLI can catch it without
-loading a numerical layer; ``spectrum`` and ``condensation`` re-export it.
+:class:`ConvergenceError` and :func:`undouble` are defined here, so the CLI
+can catch the one and ``config`` and ``condensation`` can name half-integers
+with the other without loading ``spectrum``; ``spectrum`` re-exports both,
+and ``condensation`` re-exports ``ConvergenceError``.
 
 Every record type is a ``collections.namedtuple`` subclass: immutable and
 compared by value.  Those that validate their fields (``BlockIndex``,
@@ -37,3 +39,8 @@ class ConvergenceError(RuntimeError):
     message names the regime (a pole the gap variable cannot resolve, a
     missing bracket, occupations that all underflow).
     """
+
+
+def undouble(doubled: int):
+    """The half-integer a doubled integer stands for: 2.5 for 5, 100 (an int) for 200."""
+    return doubled // 2 if doubled % 2 == 0 else doubled / 2

@@ -8,10 +8,12 @@ byte-identical payloads) plus a ``manifest.json`` echoing the config,
 carrying a sha256 checksum for each emitted file, taken from the bytes
 as they are written, and ``versions``: the libraries the command
 executes, python for ``thermal`` and python and numpy for the other four
-(decided by the command, not by what the process has imported).  A CSV row
-is formatted by one ``%`` operation, with a format built once for each
-row shape (the cell types) by the ``_fmt`` rule that also formats the
-``*.txt`` reports.  ``spectrum`` takes every eigenstate's photon-number
+(decided by the command, not by what the process has imported).  Every
+CSV is written by ``Run.write_csv`` from equal-length columns, each of one
+cell type: the cells are interleaved into one flat list and the whole body
+is formatted in one pass, by one ``%`` with a line format built once from
+the cell types by the ``_fmt`` rule that also formats the ``*.txt``
+reports.  ``spectrum`` takes every eigenstate's photon-number
 mean and variance from one batched ``spectrum.photon_moments`` pass and
 the ground-state distribution from ``spectrum.photon_statistics``.  The
 argument parser is built once per process.
@@ -20,8 +22,10 @@ Exit status: 0 all solves converged and no flags,
 1 errors.
 
 All grid points of a sweep are solved together, in one batched array
-solve in this process, by ``condensation.solve_supply_grid``, and rows
-are written from its columns; ``steady-state`` is its one-point call.
+solve in this process, by ``condensation.solve_supply_grid``, and the
+CSV columns are taken from its arrays, with ``omega_bar_fit`` evaluated
+by ``fit_mean_frequency``'s expression per point; ``steady-state`` is
+its one-point call.
 ``--workers`` is still accepted and validated (>= 1) but changes nothing:
 a process pool measured slower than the in-process solve.  A config that
 sets ``workers`` is rejected as an unknown key.
@@ -30,7 +34,8 @@ At import this module loads the standard library, ``config`` and
 ``thermal`` only, so a ``thermal`` run never loads numpy.  Each numeric
 runner imports what it uses: ``spectrum`` imports numpy and
 ``lasercond.spectrum``; ``steady-state``, ``sweep`` and ``threshold``
-import numpy and ``lasercond.condensation`` (which loads ``spectrum``).
+import numpy and ``lasercond.condensation``, which loads ``spectrum``
+only for a spectral ladder.
 ``ConvergenceError`` is defined in the package ``__init__``, so ``main``
 catches it without loading a numerical layer.
 """
@@ -41,7 +46,6 @@ import argparse
 import datetime
 import functools
 import hashlib
-import itertools
 import json
 import math
 import platform
@@ -73,7 +77,7 @@ def _fmt(value) -> str:
 
 @functools.cache
 def _row_format(types: tuple) -> str:
-    """One ``%`` format for a CSV row of these cell types, by the ``_fmt`` rule.
+    """One ``%`` format for a CSV line of these cell types, by the ``_fmt`` rule.
 
     ``'%.17g' % x`` and ``format(x, '.17g')`` share one float-to-string
     path, so nan, inf and -0 read the same either way.
@@ -81,7 +85,7 @@ def _row_format(types: tuple) -> str:
     return ",".join(
         "%s" if issubclass(t, str) else "%d" if issubclass(t, int) else "%.17g"
         for t in types
-    )
+    ) + "\n"
 
 
 class Run:
@@ -94,12 +98,22 @@ class Run:
         self.flags: list[str] = []
         self.residuals: list[float] = []
 
-    def write_csv(self, name: str, header: str, rows) -> Path:
-        lines = [header]
-        for row in rows:
-            row = tuple(row)
-            lines.append(_row_format(tuple(map(type, row))) % row)
-        return self.write_text(name, "\n".join(lines) + "\n")
+    def write_csv(self, name: str, header: str, columns) -> Path:
+        """A CSV file from equal-length columns, each of one cell type.
+
+        A column is a sequence, or a numpy array (read through
+        ``tolist``).  The cells are interleaved row by row into one flat
+        list, and the whole body is formatted by one ``%`` with a line
+        format built once from the first row's cell types; zero rows
+        write the header alone.
+        """
+        columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+        width, rows = len(columns), len(columns[0])
+        flat = [None] * (rows * width)
+        for k, column in enumerate(columns):
+            flat[k::width] = column
+        line = _row_format(tuple(map(type, flat[:width])))
+        return self.write_text(name, header + "\n" + (line * rows) % tuple(flat))
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -155,21 +169,14 @@ def _run_spectrum(run: Run) -> None:
     solution = spectrum.diagonalize(spectrum.build_block(index))
     n0, sigma2 = spectrum.photon_moments(solution)
     block = ",".join(map(_fmt, (index.r, index.c, index.kappa)))  # same on every row
-    rows = zip(
-        itertools.repeat(block),
-        range(solution.dim),
-        solution.eigenvalues.tolist(),
-        n0.tolist(),
-        sigma2.tolist(),
+    run.write_csv(
+        "spectrum.csv",
+        "r,c,kappa,k,lambda,n0,sigma2",
+        [[block] * solution.dim, range(solution.dim), solution.eigenvalues, n0, sigma2],
     )
-    run.write_csv("spectrum.csv", "r,c,kappa,k,lambda,n0,sigma2", rows)
 
     ground = spectrum.photon_statistics(solution, 0)
-    run.write_csv(
-        "ground_distribution.csv",
-        "n,p_n",
-        zip(ground.n_values.tolist(), ground.distribution.tolist()),
-    )
+    run.write_csv("ground_distribution.csv", "n,p_n", [ground.n_values, ground.distribution])
 
     lines = [
         f"r = {_fmt(index.r)}",
@@ -214,19 +221,23 @@ THERMAL_MOMENTS = ("m_mean", "m_variance", "r2_mean", "r2_variance", "sigma_r2_m
 
 
 def _run_thermal(run: Run) -> None:
-    rows = []
-    for params in run.config.ensemble:
-        moments = thermal.thermal_moments(params)
-        row = [params.n_molecules, params.beta]
-        row += [getattr(moments, name) for name in THERMAL_MOMENTS]
-        if params.n_molecules <= thermal.ENUMERATION_LIMIT:
-            oracle = thermal.enumeration_moments(params)
-            row += [getattr(oracle, name) for name in THERMAL_MOMENTS]
-        else:
-            row += [""] * len(THERMAL_MOMENTS)
-        row.append(moments.r2_variance_exact)
-        rows.append(row)
-    run.write_csv("thermal.csv", THERMAL_HEADER, rows)
+    ensemble = run.config.ensemble
+    moments = [thermal.thermal_moments(params) for params in ensemble]
+    # the oracle's cells are empty above ENUMERATION_LIMIT, so its columns
+    # hold strings, each value rendered by _fmt
+    oracles = [
+        thermal.enumeration_moments(params)
+        if params.n_molecules <= thermal.ENUMERATION_LIMIT else None
+        for params in ensemble
+    ]
+    columns = [[params.n_molecules for params in ensemble], [params.beta for params in ensemble]]
+    columns += [[getattr(m, name) for m in moments] for name in THERMAL_MOMENTS]
+    columns += [
+        ["" if oracle is None else _fmt(getattr(oracle, name)) for oracle in oracles]
+        for name in THERMAL_MOMENTS
+    ]
+    columns.append([m.r2_variance_exact for m in moments])
+    run.write_csv("thermal.csv", THERMAL_HEADER, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +250,40 @@ def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None
 
     from . import condensation
 
-    eta_t = condensation.eta_thermal(grid.ladder, grid.bath)
-    columns = np.column_stack([
+    table = np.array([
         grid.s, grid.eta, grid.amplification, grid.mu, grid.n_c, grid.n_n,
         grid.condensate_fraction, grid.s_supply, grid.s_balance, grid.max_residual,
     ])
-    rows = []
-    for values, converged, error in zip(columns.tolist(), grid.converged().tolist(), grid.errors):
-        s, eta, residual = values[0], values[1], values[-1]
-        if error is not None:
-            run.flags.append(f"point s={_fmt(s)} failed: {error}")
-            rows.append((s, *[math.nan] * 10, "failed"))
-            continue
-        omega_bar = math.nan
-        if s > 0.0 and eta > eta_t:
-            omega_bar = condensation.fit_mean_frequency(s, eta, eta_t, grid.ladder, grid.bath)
-        if not converged:
-            run.flags.append(f"point s={_fmt(s)} did not converge")
-        run.residuals.append(residual)
-        rows.append((*values, omega_bar, "ok" if converged else "not-converged"))
-    run.write_csv(name, SWEEP_HEADER, rows)
+    residuals = table[-1]
+    converged = grid.converged()
+    failed = [i for i, error in enumerate(grid.errors) if error is not None]
+    if failed:  # a failed point has no residual, and NaN from eta on
+        residuals = np.delete(residuals, failed)
+        table[1:, failed] = math.nan
+        converged[failed] = False
+    columns = table.tolist()
+    s = columns[0]
+    # fit_mean_frequency's expression at every point it accepts (s > 0,
+    # eta > eta_T), NaN elsewhere; on Python floats it keeps that function's
+    # bits (np.log1p does not always) and warns of no overflow
+    eta_t = condensation.eta_thermal(grid.ladder, grid.bath)
+    n_levels, phi, beta = grid.ladder.n_levels, grid.bath.phi, grid.bath.beta
+    omega_bar = [
+        math.log1p(n_levels * x / (phi * (eta - eta_t))) / beta
+        if x > 0.0 and eta > eta_t else math.nan
+        for x, eta in zip(s, columns[1])
+    ]
+    ok = converged.tolist()
+    status = ["ok" if point_ok else "not-converged" for point_ok in ok]
+    for i in [i for i, point_ok in enumerate(ok) if not point_ok]:  # flags in point order
+        error = grid.errors[i]
+        if error is None:
+            run.flags.append(f"point s={_fmt(s[i])} did not converge")
+        else:
+            run.flags.append(f"point s={_fmt(s[i])} failed: {error}")
+            status[i] = "failed"
+    run.residuals += residuals.tolist()
+    run.write_csv(name, SWEEP_HEADER, [*columns, omega_bar, status])
 
 
 def _run_steady_state(run: Run) -> None:
@@ -277,7 +302,7 @@ def _run_steady_state(run: Run) -> None:
     run.write_csv(
         "occupations.csv",
         "j,omega,occupation",
-        list(zip(j_values, config.ladder.omegas, grid.occupations[0])),
+        [j_values, config.ladder.omegas, grid.occupations[0]],
     )
 
 

@@ -29,16 +29,24 @@ one ``SteadyStateGrid``.  A single solution is a row of that type:
 ``solve_steady_state`` is the kernel's one-point call.  A grid of one
 point goes the same way; only its Newton state, like that of a grid's
 last active point, is numpy scalars instead of 1-element arrays.
+
+Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
+imported there and not at module load: a run on an analytic ladder
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ConvergenceError, spectrum
+from . import ConvergenceError, undouble
+
+if TYPE_CHECKING:  # annotations only; the spectral-ladder builders import it themselves
+    from . import spectrum
 
 __all__ = [
     "LevelLadder",
@@ -215,7 +223,7 @@ class ThresholdEstimate(namedtuple("ThresholdEstimate", "s0 b_sum immediate")):
 def ladder_analytic(two_r: int, omega: float, kappa: float, c_ref: float) -> LevelLadder:
     """Evenly split ladder omega_j = omega (1 + j |kappa| / sqrt(c_ref))."""
     if two_r < 0:
-        raise ValueError(f"r must be >= 0, got r = {spectrum.undouble(two_r)}")
+        raise ValueError(f"r must be >= 0, got r = {undouble(two_r)}")
     if not omega > 0.0:
         raise ValueError("mode frequency must be positive")
     if kappa < 0.0:
@@ -253,8 +261,10 @@ def ladder_from_spectrum(
     if two_c < two_r:
         raise ValueError(
             f"spectral ladder needs a complete block (c >= r), got "
-            f"c = {spectrum.undouble(two_c)}, r = {spectrum.undouble(two_r)}"
+            f"c = {undouble(two_c)}, r = {undouble(two_r)}"
         )
+    from . import spectrum
+
     lower = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c, kappa))
     upper = _shifted_eigenvalues(spectrum.BlockIndex(two_r, two_c + 2, kappa))
     omegas = omega * (1.0 + (upper - lower))
@@ -265,6 +275,8 @@ def ladder_from_spectrum(
 
 def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
     """Ascending spectrum mu of H - c I on one block (the diagonal is exactly c)."""
+    from . import spectrum
+
     block = spectrum.build_block(index)
     return spectrum.block_eigenvalues(
         block._replace(diagonal=np.zeros(block.basis.dim))
@@ -675,7 +687,8 @@ def fit_mean_frequency(
     Inverts eta = eta_T + (2r+1) s / (phi (e^(omega_bar beta) - 1)) for
     omega_bar, given eta_T = eta_thermal(ladder, bath); a physically
     consistent fit lands inside [omega_{-r}, omega_r] (callers flag it
-    otherwise).
+    otherwise).  ``cli`` evaluates the same expression inline for every
+    point of a sweep; a test holds the two to the same bits.
     """
     if s_ref <= 0.0:
         raise ValueError("reference supply must be positive")

@@ -40,7 +40,9 @@ and a non-finite residual summary is written as ``null``.
 Parsing a ``thermal`` config loads no numerical layer: each builder
 imports the module whose record it builds (``spectrum`` for the block
 index, ``condensation`` for the ladder, bath and pump, numpy for the
-supply grid), so only the commands that use numpy load it.
+supply grid), so only the commands that use numpy load it.  ``echo``
+names half-integers with the package's ``undouble``, so only a
+``spectrum`` run or a spectral ladder loads ``spectrum``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from . import thermal
+from . import thermal, undouble
 
 if TYPE_CHECKING:  # annotations only; the builders import these themselves
     import numpy as np
@@ -195,9 +197,7 @@ class RunConfig:
         echoed = {}
         for key, value in self.values.items():
             if keys[key] is _parse_half_integer:
-                from . import spectrum  # a thermal config has no half-integer key
-
-                value = spectrum.undouble(value)
+                value = undouble(value)
             elif keys[key] is _parse_beta_list:
                 value = [beta if math.isfinite(beta) else str(beta) for beta in value]
             echoed[key] = value

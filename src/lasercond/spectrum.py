@@ -46,7 +46,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import ConvergenceError
+from . import ConvergenceError, undouble
 
 __all__ = [
     "undouble",
@@ -69,11 +69,6 @@ __all__ = [
     "dense_oracle",
     "ConvergenceError",
 ]
-
-
-def undouble(doubled: int):
-    """The half-integer a doubled integer stands for: 2.5 for 5, 100 (an int) for 200."""
-    return doubled // 2 if doubled % 2 == 0 else doubled / 2
 
 
 class BlockIndex(namedtuple("BlockIndex", "two_r two_c kappa")):

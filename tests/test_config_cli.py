@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lasercond import cli, condensation, spectrum
@@ -275,25 +275,44 @@ def test_cli_manifest_checksums(tmp_path):
             assert digest == entry["sha256"]
 
 
-# one CSV cell: the floats _fmt must render (nan, +-inf, -0, subnormals,
-# 1e+-300), Python and numpy ints, and strings down to the empty oracle cell
-_CELLS = st.one_of(
+# one cell strategy per CSV column: the floats _fmt must render (nan, +-inf,
+# -0, subnormals, 1e+-300), Python and numpy ints, bools, and strings down to
+# the empty oracle cell, with '%' and ',' among them
+_CELL_KINDS = (
     st.floats(),
     st.floats().map(np.float64),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310, 1e300, -1e-300]),
     st.integers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans(),
-    st.sampled_from(["", "ok", "not-converged", "failed"]),
+    st.sampled_from(["", "ok", "not-converged", "failed", "%", "%s,%d", "100%", ",", "a,b"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
 )
 
 
+@st.composite
+def _csv_columns(draw):
+    """Equal-length columns, each of one cell kind; float and int columns
+    are sometimes numpy arrays, which the writer reads through ``tolist``."""
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(_CELL_KINDS), min_size=1, max_size=12)):
+        column = draw(st.lists(kind, min_size=rows, max_size=rows))
+        if column and isinstance(column[0], (np.float64, np.int64)) and draw(st.booleans()):
+            column = np.array(column)
+        columns.append(column)
+    return columns
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=12), max_size=6))
-def test_write_csv_renders_every_cell_by_the_fmt_rule(tmp_path_factory, rows):
-    expected = [",".join(x if isinstance(x, str) else cli._fmt(x) for x in row) for row in rows]
-    path = cli.Run(None, tmp_path_factory.getbasetemp()).write_csv("rows.csv", "h", rows)
+@given(columns=_csv_columns())
+@example(columns=[[]])  # zero rows: the header alone
+@example(columns=[[], []])
+@example(columns=[[1.5], ["a%,b"], [7]])  # one row, a string holding % and ,
+def test_write_csv_renders_every_cell_by_the_fmt_rule(tmp_path_factory, columns):
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    expected = [",".join(x if isinstance(x, str) else cli._fmt(x) for x in row) for row in zip(*cells)]
+    path = cli.Run(None, tmp_path_factory.getbasetemp()).write_csv("rows.csv", "h", columns)
     assert path.read_bytes().decode("utf-8") == "\n".join(["h", *expected]) + "\n"
 
 
@@ -580,6 +599,67 @@ def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
     assert manifest["exit_status"] == 2
 
 
+def test_cli_sweep_columns_follow_the_point_rule(tmp_path, monkeypatch):
+    # one sweep with an s = 0 row, two not-converged rows and a failed one
+    # between them: omega_bar_fit is fit_mean_frequency's value to the bit
+    # wherever it accepts the point and nan elsewhere, and the status column,
+    # the flags (in point order) and the residual summary follow each point
+    original_solve = condensation.solve_supply_grid
+    original_converged = condensation.SteadyStateGrid.converged
+    solved = []
+
+    def sabotage(ladder, bath, supplies, **kwargs):
+        grid = original_solve(ladder, bath, supplies, **kwargs)
+        errors = list(grid.errors)
+        errors[5] = condensation.ConvergenceError("injected failure")
+        solved.append(grid._replace(errors=tuple(errors)))
+        return solved[-1]
+
+    def converged(self):
+        ok = original_converged(self)
+        ok[[2, 9]] = False
+        return ok
+
+    monkeypatch.setattr(condensation, "solve_supply_grid", sabotage)
+    monkeypatch.setattr(condensation.SteadyStateGrid, "converged", converged)
+    # phi and beta away from 1, so a reordered ratio shows in the last bits
+    text = _set(_set(SWEEP_CFG, "bath.phi", 0.7), "bath.beta", 1.3)
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    [grid] = solved
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    s = [cli._fmt(x) for x in grid.s]
+    assert len(rows) == 12 and s[0] == "0"
+
+    eta_t = condensation.eta_thermal(grid.ladder, grid.bath)
+    fitted = 0
+    for i, row in enumerate(rows):
+        point_s, eta = float(grid.s[i]), float(grid.eta[i])
+        if i != 5 and point_s > 0.0 and eta > eta_t:
+            expected = condensation.fit_mean_frequency(point_s, eta, eta_t, grid.ladder, grid.bath)
+            assert row["omega_bar_fit"] == cli._fmt(expected), i  # 17 digits: the same bits
+            fitted += 1
+        else:
+            assert row["omega_bar_fit"] == "nan", i
+    assert fitted == 10
+
+    status = ["ok"] * 12
+    status[2] = status[9] = "not-converged"
+    status[5] = "failed"
+    assert [row["status"] for row in rows] == status
+    assert lines[5] == f"{s[5]}," + "nan," * 10 + "failed"
+    manifest = _manifest(out)
+    assert manifest["flags"] == [
+        f"point s={s[2]} did not converge",
+        f"point s={s[5]} failed: injected failure",
+        f"point s={s[9]} did not converge",
+    ]
+    residuals = [float(r) for i, r in enumerate(grid.max_residual) if i != 5]
+    assert manifest["residuals"] == {"min": min(residuals), "max": max(residuals)}
+
+
 # ---------------------------------------------------------------------------
 # every setting is checked by the parser, before a run starts
 # ---------------------------------------------------------------------------
@@ -813,16 +893,18 @@ _EVERY_COMMAND = {
 }
 
 
-def _every_command_in_one_interpreter(tmp_path, prelude, epilogue, names=tuple(_EVERY_COMMAND)):
+def _every_command_in_one_interpreter(
+    tmp_path, prelude, epilogue, names=tuple(_EVERY_COMMAND), commands=_EVERY_COMMAND
+):
     """Lines a fresh interpreter prints: it runs ``prelude``, imports
     lasercond.cli, prints the exit status of an in-process ``cli.main`` run
-    of each of _EVERY_COMMAND named in ``names`` (output in ``tmp_path /
+    of each of ``commands`` named in ``names`` (output in ``tmp_path /
     name``), then runs ``epilogue``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = [
         f"{command} --config {_write(tmp_path, name + '.cfg', text)} --out {tmp_path / name}"
-        for name, (command, text) in _EVERY_COMMAND.items()
+        for name, (command, text) in commands.items()
         if name in names
     ]
     code = (
@@ -886,3 +968,20 @@ def test_cli_spectrum_run_loads_no_condensation(tmp_path):
         tmp_path, "", "print('lasercond.condensation' in sys.modules)", names=("spectrum",)
     )
     assert lines == ["0", "False"]
+
+
+def test_cli_analytic_runs_load_no_spectrum(tmp_path):
+    # an analytic ladder needs no block spectrum: steady-state, sweep and
+    # threshold at a half-integer r run, and echo r = 14.5, without loading it
+    half_r = {
+        name: (command, _set(text, "ladder.r", 14.5))
+        for name, (command, text) in _EVERY_COMMAND.items()
+        if name in ("steady", "sweep", "threshold")
+    }
+    lines = _every_command_in_one_interpreter(
+        tmp_path, "", "print('lasercond.spectrum' in sys.modules)",
+        names=tuple(half_r), commands=half_r,
+    )
+    assert lines == ["0", "0", "0", "False"]
+    for name in half_r:
+        assert _manifest(tmp_path / name)["config"]["ladder.r"] == 14.5
