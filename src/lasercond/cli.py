@@ -30,8 +30,18 @@ its one-point call.
 a process pool measured slower than the in-process solve.  A config that
 sets ``workers`` is rejected as an unknown key.
 
+A process ends through ``entry()``, which the ``lasercond`` console script
+and ``python -m lasercond.cli`` both call: it runs ``main()``, flushes
+stdout and stderr, and leaves by ``os._exit`` with ``main()``'s status,
+skipping the interpreter's teardown (mostly its final garbage-collection
+pass, 11-40 ms of a child); the cyclic collector is off while ``main()``
+runs.  Every output file is written and closed inside ``main()``, which
+tests and in-process callers call directly.
+
 At import this module loads the standard library, ``config`` and
-``thermal`` only, so a ``thermal`` run never loads numpy.  Each numeric
+``thermal`` only, so a ``thermal`` run never loads numpy; it loads no
+``platform`` or ``datetime``, since the manifest takes the python version
+from ``sys.version`` and its UTC timestamp from ``time``.  Each numeric
 runner imports what it uses: ``spectrum`` imports numpy and
 ``lasercond.spectrum``; ``steady-state``, ``sweep`` and ``threshold``
 import numpy and ``lasercond.condensation``, which loads ``spectrum``
@@ -43,13 +53,14 @@ catches it without loading a numerical layer.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
+import gc
 import hashlib
 import json
 import math
-import platform
+import os
 import sys
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -86,6 +97,12 @@ def _row_format(types: tuple) -> str:
         "%s" if issubclass(t, str) else "%d" if issubclass(t, int) else "%.17g"
         for t in types
     ) + "\n"
+
+
+def _utc_timestamp() -> str:
+    """The current UTC time in ISO 8601, to the microsecond, ending ``+00:00``."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
 
 
 class Run:
@@ -130,7 +147,8 @@ class Run:
             nan = any(map(math.isnan, self.residuals))
             summary = {"min": min(self.residuals), "max": max(self.residuals)}
             summary = {k: v if not nan and math.isfinite(v) else None for k, v in summary.items()}
-        versions = {"python": platform.python_version()}
+        # sys.version's first word is the string platform.python_version() parses
+        versions = {"python": sys.version.split(maxsplit=1)[0]}
         if self.config.command != "thermal":  # thermal runs on the standard library
             import numpy
 
@@ -139,7 +157,7 @@ class Run:
             "artifact_version": __version__,
             "command": self.config.command,
             "config": self.config.echo(),
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "timestamp": _utc_timestamp(),
             "versions": versions,
             "files": self.files,
             "flags": self.flags,
@@ -430,5 +448,27 @@ def main(argv=None) -> int:
     return run.finish()
 
 
+def entry() -> None:
+    """The process entry point: ``main()``, then an exit without interpreter teardown.
+
+    Every output file is written and closed inside ``main()``, and neither
+    lasercond nor numpy registers an ``atexit`` callback, so after the two
+    standard streams are flushed nothing is left for the teardown (mostly
+    its final garbage-collection pass) to do but take time.  ``SystemExit``
+    from argparse (``--help``, a bad argument) and any uncaught exception
+    propagate and end the process the ordinary way.
+
+    The process runs one command and makes few reference cycles, so the
+    cyclic collector is off for it: that saved about 1 ms of a thermal
+    child and 7-10 ms of one that imports numpy, and added at most 0.2 MB
+    to its peak RSS.
+    """
+    gc.disable()
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -407,14 +407,18 @@ def solve_supply_grid(
 def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     """One pass of ``solve_supply_grid``: refuse, close or root-find each point."""
     omegas = ladder.omegas
-    transfer = excitation_transfer_supply(s, ladder, bath)
+    # S overflows only at a supply near the double range; such a point is
+    # refused by name (_refusals), so its inf reaches no row
+    with np.errstate(over="ignore"):
+        transfer = excitation_transfer_supply(s, ladder, bath)
     gap_top = omegas[0] * bath.beta
     closed = (s == 0.0) | (bath.chi == 0.0)
     with np.errstate(over="ignore"):
         occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
     errors, refused = _refusals(s, transfer, closed, occupations[:, 0], ladder, bath)
     gap = np.full_like(s, gap_top)
-    eta_root = occupations.sum(axis=-1)  # eta of the scalar reduction
+    eta_root = np.full_like(s, math.nan)  # eta of the scalar reduction
+    eta_root[closed] = occupations[closed].sum(axis=-1)
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
         # a slice selects every point without copying it
@@ -468,6 +472,10 @@ def _refusals(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathPara
     the first that holds words the point's error.
     """
     gap_top = ladder.omegas[0] * bath.beta
+    # the closure recovers phi + chi eta by subtracting phi, which then
+    # cancels to exactly 0 for every gap (chi = 0 closes every point, so 0
+    # times an overflowed S is not formed)
+    near_pole = ~closed & (bath.chi > 0.0 and bath.chi * transfer < bath.phi**2 * _EPS)
     rules = (
         (s < 0.0, lambda i: ValueError(
             f"net supply s = p - Q must be >= 0, got {float(s[i])}"
@@ -476,20 +484,22 @@ def _refusals(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathPara
             "degenerate ladder with chi > 0: level exchange has no energy "
             "scale and the excited-level bound diverges"
         )),
+        (~np.isfinite(transfer), lambda i: ConvergenceError(
+            f"the supply-side transfer S = s sum_j e^(-omega_j beta) overflows "
+            f"at s = {float(s[i])}: the supply is beyond the double range"
+        )),
         (closed & (n_bottom == 0.0), lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
             "e^(omega beta) overflows and every occupation underflows to 0"
         )),
-        # the closure recovers phi + chi eta by subtracting phi, which
-        # then cancels to exactly 0 for every gap
-        (~closed & (bath.chi * transfer < bath.phi**2 * _EPS), lambda i: ConvergenceError(
+        (near_pole, lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
             f"{bath.chi * float(transfer[i]) / bath.phi**2:.3g} is below machine "
             "epsilon: the root lies closer to the pole than the gap "
             "variable can resolve"
         )),
     )
-    refused = rules[0][0] | rules[1][0] | rules[2][0] | rules[3][0]
+    refused = np.logical_or.reduce([mask for mask, _ in rules])
     errors = [None] * s.size
     for i in refused.nonzero()[0].tolist():
         errors[i] = next(error(i) for mask, error in rules if mask[i])

@@ -197,6 +197,18 @@ def test_excitation_transfer_forms():
     assert abs(solution.s_supply - solution.s_balance) < 1e-8 * solution.s_supply
 
 
+@pytest.mark.parametrize("chi", [0.0, 1e-3])
+def test_overflowing_transfer_is_refused_by_name(chi):
+    # S = s sum_j e^(-omega_j beta) overflows at s = 1.7e308: the point is
+    # refused by name and numpy warns of nothing (pytest makes a warning an
+    # error), at chi = 0, where the point is closed-form, as at chi > 0
+    bath = cd.BathParams(beta=1.0, phi=1e-3, chi=chi)
+    grid = cd.solve_supply_grid(cd.ladder_analytic(6, 1.0, 0.1, 100.0), bath, [1.7e308])
+    (error,) = grid.errors
+    assert isinstance(error, cd.ConvergenceError)
+    assert "transfer S" in str(error) and "overflows at s = 1.7e+308" in str(error)
+
+
 # ---------------------------------------------------------------------------
 # steady-state solver
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, CLI runs, manifests, exit codes and point isolation."""
 
+import datetime
 import hashlib
 import json
 import math
@@ -476,16 +477,18 @@ def test_cli_threshold_immediate_condensation(tmp_path):
     assert np.array_equal(_s_column(out), expected)
 
 
+# a wide ladder at high temperature with weak transfer (2r = 72, beta = 0.37,
+# phi/chi = 1700): the default grid's knee sits at 0.312 s0
+KNEE_CFG = (
+    "ladder.r = 36\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
+    "bath.beta = 0.37\nbath.phi = 17\nbath.chi = 0.01\n"
+)
+
+
 def test_cli_threshold_flags_a_knee_far_from_s0(tmp_path):
-    # a wide ladder at high temperature with weak transfer (2r = 72, beta =
-    # 0.37, phi/chi = 1700): the default grid's knee sits at 0.312 s0, below
-    # the s0/3 that acceptance 8 allows, so the run is computed but flagged
-    cfg = _write(
-        tmp_path,
-        "run.cfg",
-        "ladder.r = 36\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
-        "bath.beta = 0.37\nbath.phi = 17\nbath.chi = 0.01\n",
-    )
+    # the knee lies below the s0/3 that acceptance 8 allows, so the run is
+    # computed but flagged
+    cfg = _write(tmp_path, "run.cfg", KNEE_CFG)
     out = tmp_path / "out"
     assert cli.main(["threshold", "--config", cfg, "--out", str(out)]) == 2
     ratio = float(_report(out)["knee_over_s0"])
@@ -570,6 +573,27 @@ def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 5 and rows[0].startswith("0,") and rows[0].endswith(",failed")
     assert "every occupation underflows" in _manifest(out)["flags"][0]
+
+
+def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
+    # s up to 1.7e308 at phi = chi = 1e-3: every point fails, and at the top
+    # one S = s sum_j e^(-omega_j beta) overflows and is refused by name; no
+    # numpy warning is printed (pytest turns a RuntimeWarning into an error)
+    text = (
+        "ladder.r = 3\nladder.omega = 1\nladder.kappa = 0.1\nladder.c_ref = 100\n"
+        "bath.beta = 1\nbath.phi = 1e-3\nbath.chi = 1e-3\n"
+        "pump.s_min = 1e300\npump.s_max = 1.7e308\npump.points = 6\npump.grid = log\n"
+    )
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",failed") for row in rows)
+    flags = _manifest(out)["flags"]
+    assert len(flags) == 6
+    assert flags[-1].startswith("point s=1.6999999999999999e+308 failed: the supply-side")
+    assert "transfer S" in flags[-1] and "overflows at s = 1.7e+308" in flags[-1]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])
@@ -695,19 +719,29 @@ THRESHOLD_CFG = "".join(
 )
 
 
-def _threshold_in_a_fresh_interpreter(tmp_path, beta):
-    """``lasercond threshold`` on the acceptance ladder at ``bath.beta = beta``,
-    run as ``python -m lasercond.cli`` so stderr shows what a user sees."""
-    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's lasercond."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _cli_in_a_fresh_interpreter(*argv):
+    """``python -m lasercond.cli *argv``, so exit status and stderr are what a user sees."""
     return subprocess.run(
-        [sys.executable, "-m", "lasercond.cli", "threshold", "--config", cfg,
-         "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "lasercond.cli", *argv],
+        env=_fresh_env(),
         capture_output=True,
         text=True,
     )
+
+
+def _threshold_in_a_fresh_interpreter(tmp_path, beta):
+    """``lasercond threshold`` on the acceptance ladder at ``bath.beta = beta``."""
+    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
+    return _cli_in_a_fresh_interpreter("threshold", "--config", cfg, "--out", str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
@@ -900,8 +934,6 @@ def _every_command_in_one_interpreter(
     lasercond.cli, prints the exit status of an in-process ``cli.main`` run
     of each of ``commands`` named in ``names`` (output in ``tmp_path /
     name``), then runs ``epilogue``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = [
         f"{command} --config {_write(tmp_path, name + '.cfg', text)} --out {tmp_path / name}"
         for name, (command, text) in commands.items()
@@ -916,7 +948,7 @@ def _every_command_in_one_interpreter(
     )
     result = subprocess.run(
         [sys.executable, "-c", code, *argvs],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -985,3 +1017,58 @@ def test_cli_analytic_runs_load_no_spectrum(tmp_path):
     assert lines == ["0", "0", "0", "False"]
     for name in half_r:
         assert _manifest(tmp_path / name)["config"]["ladder.r"] == 14.5
+
+
+def test_cli_import_loads_no_platform_or_datetime():
+    # the manifest takes the python version from sys.version and the
+    # timestamp from time, so importing the CLI loads neither module
+    code = "import sys, lasercond.cli; print([m for m in ('platform', 'datetime') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
+def test_cli_manifest_names_the_python_version_and_a_utc_timestamp(tmp_path):
+    for name, (command, text) in _EVERY_COMMAND.items():
+        out = tmp_path / name
+        before = datetime.datetime.now(datetime.timezone.utc)
+        assert cli.main([command, "--config", _write(tmp_path, name + ".cfg", text),
+                         "--out", str(out)]) == 0, name
+        after = datetime.datetime.now(datetime.timezone.utc)
+        manifest = _manifest(out)
+        assert manifest["versions"]["python"] == platform.python_version(), name
+        stamp = datetime.datetime.fromisoformat(manifest["timestamp"])
+        assert stamp.utcoffset() == datetime.timedelta(0), name
+        assert before - datetime.timedelta(microseconds=1) <= stamp <= after, name
+
+
+@pytest.mark.parametrize(
+    ("command", "text", "status"),
+    [(*_EVERY_COMMAND["thermal"], 0), ("threshold", KNEE_CFG, 2)],
+    ids=["thermal", "flagged-threshold"],
+)
+def test_cli_process_ends_after_its_outputs_are_written(tmp_path, command, text, status):
+    # a process ends through cli.entry, which skips the interpreter's teardown:
+    # it exits with main()'s status, and every file its manifest lists is on
+    # disk with the listed checksum
+    out = tmp_path / "out"
+    result = _cli_in_a_fresh_interpreter(
+        command, "--config", _write(tmp_path, "run.cfg", text), "--out", str(out)
+    )
+    assert result.returncode == status
+    assert result.stdout == "" and result.stderr == ""
+    manifest = _manifest(out)
+    assert manifest["exit_status"] == status
+    assert manifest["files"]
+    for entry in manifest["files"]:
+        assert hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest() == entry["sha256"]
+
+
+def test_console_script_goes_through_entry():
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^lasercond = "lasercond\.cli:entry"$', text, re.MULTILINE)
