@@ -27,8 +27,8 @@ steps on the same equation in a cancellation-free form, log(T / S) = 0,
 for all points still active at once, and returns them as the rows of
 one ``SteadyStateGrid``.  A single solution is a row of that type:
 ``solve_steady_state`` is the kernel's one-point call.  A grid of one
-point goes the same way; only its Newton state, like that of a grid's
-last active point, is numpy scalars instead of 1-element arrays.
+point goes the same way; only its Newton state is numpy scalars instead
+of 1-element arrays.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -382,10 +382,9 @@ def solve_supply_grid(
     pump rate p of each point's residual gate (default s, a pure supply).
     A point that is refused or fails keeps its exception in ``errors``.
 
-    A grid of one point takes the same path; while a single point is
-    still active, its Newton steps run on numpy scalars, with the same
-    bits.  A long grid goes in blocks of at most _BLOCK (points x levels)
-    entries, with the same bits.
+    A grid of one point takes the same path; its Newton steps run on
+    numpy scalars, with the same bits.  A long grid goes in blocks of at
+    most _BLOCK (points x levels) entries, with the same bits.
     """
     s = np.array(supplies, dtype=float).reshape(-1)
     scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
@@ -413,27 +412,28 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
         transfer = excitation_transfer_supply(s, ladder, bath)
     gap_top = omegas[0] * bath.beta
     closed = (s == 0.0) | (bath.chi == 0.0)
-    with np.errstate(over="ignore"):
-        occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
-    errors, refused = _refusals(s, transfer, closed, occupations[:, 0], ladder, bath)
-    gap = np.full_like(s, gap_top)
     eta_root = np.full_like(s, math.nan)  # eta of the scalar reduction
-    eta_root[closed] = occupations[closed].sum(axis=-1)
+    # the closed form overflows (or reads inf / inf) only at a supply near
+    # the double range; such a point is refused by name too
+    with np.errstate(over="ignore", invalid="ignore"):
+        occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
+        eta_root[closed] = occupations[closed].sum(axis=-1)
+    errors, refused = _refusals(s, transfer, closed, eta_root, ladder, bath)
+    gap = np.full_like(s, gap_top)
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
-        # a slice selects every point without copying it
-        at = slice(None) if solve.size == s.size else solve
         level_gaps = (omegas - omegas[0]) * bath.beta
-        gap[at], failures = _find_gaps(s[at], transfer[at], level_gaps, gap_top, bath)
-        eta_root[at], occupations[at] = _gap_state(
-            gap[at], s[at], transfer[at], level_gaps, gap_top, bath
+        gap[solve], failures = _find_gaps(
+            s[solve], transfer[solve], level_gaps, gap_top, bath
+        )
+        eta_root[solve], occupations[solve] = _gap_state(
+            gap[solve], s[solve], transfer[solve], level_gaps, gap_top, bath
         )
         for j, error in failures.items():
             errors[solve[j]] = error
     failed = [i for i, error in enumerate(errors) if error is not None]
-    if failed:
-        occupations[failed] = np.nan
-        gap[failed] = np.nan
+    occupations[failed] = np.nan
+    gap[failed] = np.nan
     return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
 
 
@@ -464,12 +464,12 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
     )
 
 
-def _refusals(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathParams):
+def _refusals(s, transfer, closed, eta, ladder: LevelLadder, bath: BathParams):
     """The error each point is refused with before any root find, or None.
 
-    Returns the errors and the refused mask.  ``n_bottom`` is the bottom
-    level's closed-form occupation.  The rules are checked in order, and
-    the first that holds words the point's error.
+    Returns the errors and the refused mask.  ``eta`` is the closed-form
+    total occupation of each ``closed`` point.  The rules are checked in
+    order, and the first that holds words the point's error.
     """
     gap_top = ladder.omegas[0] * bath.beta
     # the closure recovers phi + chi eta by subtracting phi, which then
@@ -488,9 +488,13 @@ def _refusals(s, transfer, closed, n_bottom, ladder: LevelLadder, bath: BathPara
             f"the supply-side transfer S = s sum_j e^(-omega_j beta) overflows "
             f"at s = {float(s[i])}: the supply is beyond the double range"
         )),
-        (closed & (n_bottom == 0.0), lambda i: ConvergenceError(
+        (closed & (eta == 0.0), lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
             "e^(omega beta) overflows and every occupation underflows to 0"
+        )),
+        (closed & ~np.isfinite(eta), lambda i: ConvergenceError(
+            f"the closed-form occupations (1 + s/phi) / (e^(omega beta) - 1) "
+            f"overflow at s = {float(s[i])}: the supply is beyond the double range"
         )),
         (near_pole, lambda i: ConvergenceError(
             f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
@@ -575,11 +579,11 @@ def _pick(condition, if_true, if_false):
 def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
     """Root gap of each point's closure, NaN where it fails, and {point: error}.
 
-    Only points still active are evaluated.  While a single point is (a
-    one-point grid from the start, a grid's last straggler at the end),
-    its Newton state is numpy scalars and ``_pick`` stands in for
-    np.where: the same steps and bits at a fraction of the cost of
-    1-element arrays.
+    Only points still active are evaluated.  When a single point enters
+    the Newton loop, its state is numpy scalars and ``_pick`` stands in
+    for np.where: the same steps and bits at a fraction of the cost of
+    1-element arrays.  A grid's last active point keeps stepping as a
+    1-element array.
     """
     failures: dict[int, ConvergenceError] = {}
 
@@ -635,8 +639,6 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         if not lone and done.any():
             roots[j[done]] = root[done]
             j, *state = (v[~done] for v in (j, *state))
-            if j.size == 1:  # the last straggler steps alone
-                lone, state = True, tuple(v[0] for v in state)
     g_lo, g_hi = (np.reshape(gap_top / (1.0 + np.exp(-end)), -1) for end in state[1:3])
     for k, i in enumerate(j.tolist()):
         failures[i] = ConvergenceError(

@@ -9,11 +9,13 @@ degeneracy at fixed m -- used to pin down which of the closed forms are
 exact and which are large-N approximations.
 
 beta = E/kT is dimensionless; ``math.inf`` is accepted as the frozen
-(zero-temperature) limit.  The enumeration handles it symbolically; the
-closed forms reach it through e^(-inf/2) = 0.  The variances are written
-from sech^2(beta/2), not from 1 - tanh^2, so they keep every digit as
-tanh(beta/2) -> 1.  Besides the printed large-N variance of r(r+1), the
-exact one (every N) is a closed form too: ``thermal_r2_variance_exact``.
+(zero-temperature) limit, which every formula reaches on its general
+path: the closed forms through tanh(inf) = 1 and e^(-inf/2) = 0, the
+enumeration through a weight e^(-inf) = 0 on every level above the
+lowest.  The variances are written from sech^2(beta/2), not from
+1 - tanh^2, so they keep every digit as tanh(beta/2) -> 1.  Besides the
+printed large-N variance of r(r+1), the exact one (every N) is a closed
+form too: ``thermal_r2_variance_exact``.
 
 The module uses the standard library alone (``math``; the enumeration
 sums its at most 64 terms with ``math.fsum``), so the ``thermal`` command
@@ -58,10 +60,6 @@ class EnsembleParams(namedtuple("EnsembleParams", "n_molecules beta")):
         if math.isnan(beta) or beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         return super().__new__(cls, n_molecules, beta)
-
-    @property
-    def frozen(self) -> bool:
-        return math.isinf(self.beta)
 
 
 class ThermalMoments(
@@ -127,8 +125,6 @@ def degeneracy(n_molecules: int, two_r: int) -> int:
 
 def thermal_m_mean(params: EnsembleParams) -> float:
     """<m> = -(N/2) tanh(beta/2); exact for independent molecules."""
-    if params.frozen:
-        return -params.n_molecules / 2.0
     # + 0.0 keeps beta = 0 from returning a negative zero
     return -(params.n_molecules / 2.0) * math.tanh(params.beta / 2.0) + 0.0
 
@@ -258,28 +254,16 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     weighted by e^(-beta (m + N/2)) <= 1, relative to the lowest level
     m = -N/2, and the sums are divided through by their own total, so no
     moment overflows at any beta; Z itself is e^(beta N/2) times that
-    total, inf once it passes the double range.  The frozen beta=inf limit
-    is evaluated symbolically: only the unique maximal multiplet reaches
-    m = -N/2.
+    total, inf once it passes the double range.  At beta = inf only the
+    unique maximal multiplet's m = -N/2 state keeps a nonzero weight, so
+    the moments are its own and the variances 0.
     """
     n = params.n_molecules
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration oracle limited to N <= {ENUMERATION_LIMIT}")
-    if params.frozen:
-        m_floor = -n / 2.0
-        x_top = (n / 2.0) * (n / 2.0 + 1.0)
-        return ThermalEnumeration(
-            n_molecules=n,
-            beta=params.beta,
-            z=math.inf,
-            m_moments=tuple(m_floor**k for k in range(5)),
-            r2_moments=tuple(x_top**k for k in range(5)),
-            m_variance=0.0,
-            r2_variance=0.0,
-            sigma_r2_mean=0.0,
-        )
-    # e^(-beta (m + N/2)) for m + N/2 = 0..N
-    factors = [math.exp(-params.beta * k) for k in range(n + 1)]
+    # e^(-beta (m + N/2)) for m + N/2 = 0..N; the lowest level's weight is
+    # the literal 1, since at beta = inf e^(-beta 0) would be e^NaN
+    factors = [1.0] + [math.exp(-params.beta * k) for k in range(1, n + 1)]
     boltzmann, m, x, spread = [], [], [], []
     for two_r in range(n % 2, n + 1, 2):
         weight = float(degeneracy(n, two_r))

@@ -10,7 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lasercond import condensation as cd
@@ -207,6 +207,28 @@ def test_overflowing_transfer_is_refused_by_name(chi):
     (error,) = grid.errors
     assert isinstance(error, cd.ConvergenceError)
     assert "transfer S" in str(error) and "overflows at s = 1.7e+308" in str(error)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    two_r=st.integers(0, 78),
+    beta=st.floats(0.1, 2000.0),
+    phi=st.floats(1e-3, 1e3),
+    s=st.floats(0.0, 1.7e308),
+)
+@example(two_r=6, beta=1.0, phi=1e-3, s=8.6749973905573388e304)
+def test_chi_zero_point_is_refused_by_name_or_finite(two_r, beta, phi, s):
+    # at chi = 0 the closed form (1 + s/phi) / (e^(omega beta) - 1) overflows
+    # before S does at a small phi; such a point is refused by name, and
+    # numpy warns of nothing (pytest makes a warning an error)
+    bath = cd.BathParams(beta=beta, phi=phi, chi=0.0)
+    grid = cd.solve_supply_grid(cd.ladder_analytic(two_r, 1.0, 0.1, 100.0), bath, [s])
+    (error,) = grid.errors
+    if error is None:
+        assert np.isfinite(grid.eta[0]) and np.all(np.isfinite(grid.occupations))
+    else:
+        assert isinstance(error, cd.ConvergenceError)
+        assert "beyond the double range" in str(error) or "underflows to 0" in str(error)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +519,9 @@ def test_root_find_names_exhausted_iterations():
         assert re.search(r"in 2 iterations: gap bracket \[", str(error))
     assert np.all(np.isnan(grid.occupations))
     # s = 1e-3 converges in its 4th step and s = 5 in its 6th: allowed 5,
-    # s = 5 takes its 5th step alone, on numpy scalars, and runs out there
+    # s = 5 takes its 5th step alone, still as a 1-element array (only a
+    # grid that enters the loop with one point steps on numpy scalars), and
+    # runs out there
     lone = []
     step = cd._newton_step
 
@@ -507,7 +531,7 @@ def test_root_find_names_exhausted_iterations():
 
     with mock.patch.object(cd, "_MAX_ITERATIONS", 5), mock.patch.object(cd, "_newton_step", spy):
         straggler = cd.solve_supply_grid(LADDER, BATH, [1e-3, 5.0])
-    assert lone == [False] * 4 + [True]
+    assert lone == [False] * 5
     assert straggler.errors[0] is None and np.all(np.isfinite(straggler.occupations[0]))
     named = re.fullmatch(
         r"Newton iteration did not converge in 5 iterations: gap bracket \[(.+), (.+)\]",

@@ -596,6 +596,32 @@ def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_sweep_refuses_a_chi_zero_supply_whose_occupations_overflow(tmp_path, capsys):
+    # at chi = 0 and phi = 1e-3 the closed-form occupations (1 + s/phi) /
+    # (e^(omega beta) - 1) overflow from s = 8.67e304 on, below the s where S
+    # does: those points are refused by name, with no numpy warning, and the
+    # three below them keep their closed-form rows
+    text = (
+        "ladder.r = 3\nladder.omega = 1\nladder.kappa = 0.1\nladder.c_ref = 100\n"
+        "bath.beta = 1\nbath.phi = 1e-3\nbath.chi = 0\n"
+        "pump.s_min = 1e300\npump.s_max = 1.7e308\npump.points = 6\n"
+    )
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["not-converged"] * 3 + ["failed"] * 3
+    assert rows[0].startswith("1.0000000000000001e+300,4.0766281226208102e+303,1,0,")
+    flags = _manifest(out)["flags"][3:]
+    assert flags[0] == (
+        "point s=8.6749973905573388e+304 failed: the closed-form occupations (1 + s/phi) "
+        "/ (e^(omega beta) - 1) overflow at s = 8.674997390557339e+304: the supply is "
+        "beyond the double range"
+    )
+    assert "occupations" in flags[1] and "transfer S" in flags[2]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])
 def test_cli_failed_point_isolated(tmp_path, monkeypatch, workers):
     cfg = _write(tmp_path, "run.cfg", SWEEP_CFG)

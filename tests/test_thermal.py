@@ -353,6 +353,20 @@ def test_enumeration_frozen_limit():
     assert oracle.r2_mean == 12.0  # unique maximal multiplet value
 
 
+@pytest.mark.parametrize("n", [*range(1, th.ENUMERATION_LIMIT + 1), 15, 64, 137, 400])
+def test_frozen_limit_is_the_general_path_at_large_beta(n):
+    # at beta = 1500, e^(-beta/2) and e^(-beta) underflow to 0 and tanh(beta/2)
+    # rounds to 1, so beta = inf must give the same bits down the same formulas
+    def records(beta):
+        params = th.EnsembleParams(n, beta)
+        found = [th.thermal_moments(params)]
+        if n <= th.ENUMERATION_LIMIT:
+            found.append(th.enumeration_moments(params)._replace(beta=None))
+        return repr(found)
+
+    assert records(math.inf) == records(1500.0)
+
+
 def _fraction_enumeration(n, beta):
     """<m^k> and <[r(r+1)]^k>, k <= 4, as exact Fraction sums.
 
