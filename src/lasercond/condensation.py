@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-class LevelLadder(namedtuple("LevelLadder", "omegas source")):
+class LevelLadder(namedtuple("LevelLadder", "omegas")):
     """Ascending level energies omega_j, j = -r..r (2r+1 of them).
 
     A degenerate (flat) ladder is a legal zero-coupling limit; operations
@@ -85,7 +85,7 @@ class LevelLadder(namedtuple("LevelLadder", "omegas source")):
 
     __slots__ = ()
 
-    def __new__(cls, omegas, source: str = "analytic"):
+    def __new__(cls, omegas):
         om = np.asarray(omegas, dtype=float)
         if om.ndim != 1 or om.size < 1:
             raise ValueError(f"need a 1-d non-empty level array, got shape {om.shape}")
@@ -93,7 +93,7 @@ class LevelLadder(namedtuple("LevelLadder", "omegas source")):
             raise ValueError("all level energies must be positive")
         if np.any(np.diff(om) < 0.0):
             raise ValueError("level energies must be ascending")
-        return super().__new__(cls, om, source)
+        return super().__new__(cls, om)
 
     @property
     def is_degenerate(self) -> bool:
@@ -237,7 +237,7 @@ def ladder_analytic(two_r: int, omega: float, kappa: float, c_ref: float) -> Lev
             f"bottom level is non-positive: r |kappa| / sqrt(c_ref) = "
             f"{two_r / 2 * kappa / math.sqrt(c_ref):.3g} >= 1"
         )
-    return LevelLadder(omegas=omegas, source="analytic")
+    return LevelLadder(omegas)
 
 
 def ladder_from_spectrum(
@@ -270,7 +270,7 @@ def ladder_from_spectrum(
     omegas = omega * (1.0 + (upper - lower))
     if np.any(omegas <= 0.0):
         raise ValueError("spectral ladder produced a non-positive level energy")
-    return LevelLadder(omegas=np.sort(omegas), source="spectral")
+    return LevelLadder(np.sort(omegas))
 
 
 def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
@@ -284,20 +284,21 @@ def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
 
 
 def planck_occupation(omega, beta: float):
-    """Equilibrium occupation 1 / (e^(omega beta) - 1)."""
+    """Equilibrium occupation 1 / (e^(omega beta) - 1), shaped like omega."""
     x = np.asarray(omega, dtype=float) * beta
     if np.any(x <= 0.0):
         raise ValueError("omega * beta must be positive")
     with np.errstate(over="ignore"):  # e^x overflows only where 0 is right
-        out = 1.0 / np.expm1(x)
-    return float(out) if np.isscalar(omega) else out
+        return 1.0 / np.expm1(x)
 
 
 def first_order_loss(occupation, omega, bath: BathParams):
-    """Net one-quantum loss to the bath: phi (n e^(omega beta) - (1 + n))."""
+    """Net one-quantum loss to the bath: phi (n e^(omega beta) - (1 + n)).
+
+    Shaped like the broadcast of occupation and omega.
+    """
     n = np.asarray(occupation, dtype=float)
-    rate = bath.phi * (n * np.exp(np.asarray(omega) * bath.beta) - (1.0 + n))
-    return float(rate) if rate.ndim == 0 else rate
+    return bath.phi * (n * np.exp(np.asarray(omega) * bath.beta) - (1.0 + n))
 
 
 def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.ndarray:
@@ -305,11 +306,15 @@ def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.
 
     chi sum_j [ n_l (1+n_j) e^((omega_l - omega_j) beta) - n_j (1+n_l) ];
     the exponential factorizes, so the pair sum collapses to two totals
-    along the last (level) axis.
+    along the last (level) axis.  At chi = 0 every term vanishes, and the
+    zeros are returned exactly: chi times a product that overflows at
+    occupations past about 1e154 would read 0 * inf = NaN.
     """
     n = np.asarray(occupations, dtype=float)
     if n.ndim not in (1, 2) or n.shape[-1] != ladder.n_levels:
         raise ValueError("occupations must match the ladder size")
+    if bath.chi == 0.0:
+        return np.zeros_like(n)
     up = np.exp(ladder.omegas * bath.beta)
     down = np.exp(-ladder.omegas * bath.beta)
     # sum_j (1+n_j) e^(-omega_j beta), one dot per row, each as 1-d @ takes it
@@ -318,34 +323,28 @@ def second_order_loss(occupations, ladder: LevelLadder, bath: BathParams) -> np.
     return bath.chi * (n * up * absorb - (1.0 + n) * total)
 
 
-def amplification_factor(
-    occupations, ladder: LevelLadder, bath: BathParams, eta: float | None = None
-) -> float:
+def amplification_factor(occupations, ladder: LevelLadder, bath: BathParams) -> float:
     """A = (phi + chi sum_j (1+n_j) e^(-omega_j beta)) / (phi + chi eta)."""
     n = np.asarray(occupations, dtype=float)
-    if eta is None:
-        eta = float(n.sum())
     absorb = float((1.0 + n) @ np.exp(-ladder.omegas * bath.beta))
-    return (bath.phi + bath.chi * absorb) / (bath.phi + bath.chi * eta)
+    return (bath.phi + bath.chi * absorb) / (bath.phi + bath.chi * float(n.sum()))
 
 
-def excitation_transfer_supply(s: float, ladder: LevelLadder, bath: BathParams) -> float:
-    """Supply-side transfer quantity S = s sum_j e^(-omega_j beta)."""
-    return s * float(np.exp(-ladder.omegas * bath.beta).sum())
+def excitation_transfer_supply(s, ladder: LevelLadder, bath: BathParams):
+    """Supply-side transfer quantity S = s sum_j e^(-omega_j beta), shaped like s."""
+    return s * np.exp(-ladder.omegas * bath.beta).sum()
 
 
-def excitation_transfer_balance(
-    occupations, ladder: LevelLadder, bath: BathParams
-) -> float:
+def excitation_transfer_balance(occupations, ladder: LevelLadder, bath: BathParams):
     """Balance-side transfer S = phi sum_j [n_j - (1+n_j) e^(-omega_j beta)].
 
+    One value per row of occupations (the last axis is the level axis).
     Independent of chi; agrees with the supply form at any stationary
     point, which is a sharp convergence check.
     """
     n = np.asarray(occupations, dtype=float)
     down = np.exp(-ladder.omegas * bath.beta)
-    balance = bath.phi * (n - (1.0 + n) * down).sum(axis=-1)
-    return float(balance) if balance.ndim == 0 else balance
+    return bath.phi * (n - (1.0 + n) * down).sum(axis=-1)
 
 
 def solve_steady_state(
@@ -523,15 +522,6 @@ def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
     return eta, k[..., None] / np.expm1(np.add.outer(g, level_gaps))
 
 
-def _newton_start(lo, hi, s, transfer, gap_top, bath: BathParams):
-    """Starting t, bracket on t and the constants of ``_log_ratio``."""
-    t_lo = np.log(lo / (gap_top - lo))
-    t_hi = math.log(hi / (gap_top - hi))
-    k_slope = s * bath.phi / (bath.chi * transfer)  # k = 1 + k_slope x
-    t_scale = bath.phi / transfer  # T / S = x w t_scale
-    return 0.5 * (t_lo + t_hi), t_lo, t_hi, k_slope, t_scale
-
-
 def _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath: BathParams):
     """log(T / S) and its derivative in g at gap g of each point.
 
@@ -619,9 +609,12 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         j = np.flatnonzero([i not in failures for i in j.tolist()])
     lone = j.size == 1
     at = j[0] if lone else j
-    t, t_lo, t_hi, k_slope, t_scale = _newton_start(
-        lo[at], hi, s[at], transfer[at], gap_top, bath
-    )
+    # Newton runs in t = log(g / (gap_top - g)), inside the bracket [t_lo, t_hi]
+    t_lo = np.log(lo[at] / (gap_top - lo[at]))
+    t_hi = math.log(hi / (gap_top - hi))
+    t = 0.5 * (t_lo + t_hi)
+    k_slope = s[at] * bath.phi / (bath.chi * transfer[at])  # k = 1 + k_slope x
+    t_scale = bath.phi / transfer[at]  # T / S = x w t_scale
     state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), k_slope, t_scale)
     for _ in range(_MAX_ITERATIONS):
         if not j.size:

@@ -158,13 +158,8 @@ class EigenSolution(namedtuple("EigenSolution", "index basis eigenvalues pairs")
         return (np.arange(-self.index.two_r, self.index.two_r + 1, 2)) / 2.0
 
 
-class PhotonStatistics(
-    namedtuple("PhotonStatistics", "n_values distribution n0 sigma2 m_mean")
-):
-    """Photon-number distribution p_n over n_values, its mean n0 and variance sigma2.
-
-    ``m_mean`` is the molecular energy <m> = c - n0, the conserved partner of n0.
-    """
+class PhotonStatistics(namedtuple("PhotonStatistics", "n_values distribution n0 sigma2")):
+    """Photon-number distribution p_n over n_values, its mean n0 and variance sigma2."""
 
     __slots__ = ()
 
@@ -331,13 +326,11 @@ def photon_statistics(solution: EigenSolution, k: int) -> PhotonStatistics:
     p, n0, sigma2 = _block_moments(
         solution.pairs[:, column:column + 1], solution.basis.n_values.astype(float)
     )
-    n0 = float(n0[0])
     return PhotonStatistics(
         n_values=solution.basis.n_values,
         distribution=p[0],
-        n0=n0,
+        n0=float(n0[0]),
         sigma2=float(sigma2[0]),
-        m_mean=solution.index.c - n0,
     )
 
 
@@ -421,7 +414,7 @@ def _collective_spin(n_molecules: int):
 
 
 def dense_sector_spectra(
-    n_molecules: int, cutoff: int, kappa: float = 1.0
+    n_molecules: int, cutoff: int, kappa: float
 ) -> dict[tuple[int, int], np.ndarray]:
     """Brute-force spectra of H on (2-level)^N x Fock(<= cutoff), by sector.
 

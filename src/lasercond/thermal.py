@@ -77,10 +77,10 @@ class ThermalMoments(
 class ThermalEnumeration(
     namedtuple(
         "ThermalEnumeration",
-        "n_molecules beta z m_moments r2_moments m_variance r2_variance sigma_r2_mean",
+        "z m_moments r2_moments m_variance r2_variance sigma_r2_mean",
     )
 ):
-    """Exact (r, m)-ensemble sums for small N.
+    """Exact (r, m)-ensemble sums for small N (N and beta are the caller's).
 
     z is the partition function; m_moments[k] = <m^k>, r2_moments[k] =
     <[r(r+1)]^k> for k = 0..4 (5-tuples).  m_variance and r2_variance are
@@ -294,8 +294,6 @@ def enumeration_moments(params: EnsembleParams) -> ThermalEnumeration:
     except OverflowError:  # beta N/2 > ln(DBL_MAX) = 709.78
         z = math.inf
     return ThermalEnumeration(
-        n_molecules=n,
-        beta=params.beta,
         z=z,
         m_moments=m_moments,
         r2_moments=r2_moments,

@@ -71,7 +71,6 @@ def test_ladder_from_spectrum_matches_analytic_spacing():
     ratio = np.diff(spectral.omegas).mean() / np.diff(analytic.omegas).mean()
     assert abs(ratio - 1.0) < 0.03
     assert np.all(np.diff(spectral.omegas) > 0.0)
-    assert spectral.source == "spectral"
 
 
 def test_ladder_from_spectrum_flat_at_zero_coupling():
@@ -163,6 +162,17 @@ def test_second_order_loss_vanishes_without_chi():
     ladder = cd.ladder_analytic(4, 1.0, 0.1, 100.0)
     rates = cd.second_order_loss(np.array([3.0, 0.1, 2.0, 0.0, 1.0]), ladder, cd.BathParams(1.0, 1.0, 0.0))
     assert np.all(rates == 0.0)
+
+
+@pytest.mark.parametrize("n", [1e154, 1e200, 1e300])
+def test_second_order_loss_is_exactly_zero_without_chi_at_huge_occupations(n):
+    # n_l e^(omega_l beta) sum_j (1+n_j) e^(-omega_j beta) overflows past about
+    # 1e154; chi = 0 times it would read 0 * inf = NaN (or warn)
+    ladder = cd.ladder_analytic(6, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(1.0, 1e-3, 0.0)
+    for occupations in (np.full(7, n), np.full((3, 7), n)):
+        rates = cd.second_order_loss(occupations, ladder, bath)
+        assert rates.shape == occupations.shape and np.all(rates == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +269,16 @@ def test_chi_zero_closed_form():
         assert np.max(np.abs(solution.occupations - expected) / expected) < 1e-10
         assert solution.amplification == 1.0
         assert solution.converged()
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
+def test_chi_zero_closed_form_converges_at_huge_supplies(s):
+    # the closed form is exact at chi = 0, so its residual gate passes even
+    # where the occupations (up to 4e303) square past the double range
+    bath = cd.BathParams(beta=1.0, phi=1e-3, chi=0.0)
+    grid = cd.solve_supply_grid(cd.ladder_analytic(6, 1.0, 0.1, 100.0), bath, [s])
+    assert grid.errors == (None,)
+    assert np.isfinite(grid.max_residual[0]) and grid.converged()[0]
 
 
 def test_solver_occupations_follow_displaced_planck_form():
@@ -689,6 +709,18 @@ def test_noncondensate_bound_caps_solver():
         solution = solve(s)
         bound = cd.noncondensate_bound(s, LADDER, BATH)
         assert solution.n_n <= bound.bound * (1.0 + 1e-12)
+
+
+def test_noncondensate_bound_without_chi_caps_the_closed_form():
+    # at chi = 0 the bound is B (1 + s/phi), with no sqrt asymptote
+    bath = cd.BathParams(beta=BATH.beta, phi=BATH.phi, chi=0.0)
+    supplies = [0.0, *np.geomspace(1e-3, 1e5, 17)]
+    grid = cd.solve_supply_grid(LADDER, bath, supplies)
+    for s, n_n in zip(supplies, grid.n_n):
+        bound = cd.noncondensate_bound(s, LADDER, bath)
+        assert bound.bound == bound.b_sum * (1.0 + s / bath.phi)
+        assert bound.asymptote == math.inf
+        assert n_n < bound.bound
 
 
 def test_noncondensate_bound_rejects_bad_arguments():

@@ -600,7 +600,7 @@ def test_cli_sweep_refuses_a_chi_zero_supply_whose_occupations_overflow(tmp_path
     # at chi = 0 and phi = 1e-3 the closed-form occupations (1 + s/phi) /
     # (e^(omega beta) - 1) overflow from s = 8.67e304 on, below the s where S
     # does: those points are refused by name, with no numpy warning, and the
-    # three below them keep their closed-form rows
+    # three below them keep their closed-form rows, which pass the gate
     text = (
         "ladder.r = 3\nladder.omega = 1\nladder.kappa = 0.1\nladder.c_ref = 100\n"
         "bath.beta = 1\nbath.phi = 1e-3\nbath.chi = 0\n"
@@ -610,9 +610,9 @@ def test_cli_sweep_refuses_a_chi_zero_supply_whose_occupations_overflow(tmp_path
     cfg = _write(tmp_path, "run.cfg", text)
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
-    assert [row.rsplit(",", 1)[1] for row in rows] == ["not-converged"] * 3 + ["failed"] * 3
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 3 + ["failed"] * 3
     assert rows[0].startswith("1.0000000000000001e+300,4.0766281226208102e+303,1,0,")
-    flags = _manifest(out)["flags"][3:]
+    flags = _manifest(out)["flags"]
     assert flags[0] == (
         "point s=8.6749973905573388e+304 failed: the closed-form occupations (1 + s/phi) "
         "/ (e^(omega beta) - 1) overflow at s = 8.674997390557339e+304: the supply is "
@@ -790,6 +790,17 @@ def test_cli_threshold_names_an_underflowing_equilibrium_occupancy(tmp_path):
     assert line.startswith("error: ") and "eta_T underflows to 0" in line
     assert "bath.beta = 760" in line and "709.78" in line
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+def test_cli_threshold_refuses_a_default_grid_past_the_double_range(tmp_path, capsys):
+    # phi = 1e102, chi = 1e-102 on the acceptance ladder: s0 = 2.77e307 is
+    # finite, but the default grid's top end 1e2 s0 is not
+    text = _set(_set(THRESHOLD_CFG, "bath.phi", "1e102"), "bath.chi", "1e-102")
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert cli.main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: threshold: the default grid's top end 1e2 s0 overflows")
+    assert "s0 = 2.7696068585310083e+307" in line
 
 
 @pytest.mark.parametrize("beta", ["1e-200", "1e-300"])
