@@ -117,7 +117,7 @@ class BathParams(namedtuple("BathParams", "beta phi chi")):
 
     __slots__ = ()
 
-    def __new__(cls, beta: float, phi: float, chi: float = 0.0):
+    def __new__(cls, beta: float, phi: float, chi: float):
         if not beta > 0.0:
             raise ValueError(f"bath beta must be positive, got {beta}")
         if not phi > 0.0:
@@ -132,7 +132,7 @@ class PumpParams(namedtuple("PumpParams", "p q")):
 
     __slots__ = ()
 
-    def __new__(cls, p: float, q: float = 0.0):
+    def __new__(cls, p: float, q: float):
         if p < 0.0 or q < 0.0:
             raise ValueError("pump and loss rates must be >= 0")
         return super().__new__(cls, p, q)

@@ -179,9 +179,9 @@ _REQUIRED = {
 class RunConfig:
     """Validated parameters of one CLI run."""
 
-    def __init__(self, command: str, values: dict | None = None):
+    def __init__(self, command: str, values: dict):
         self.command = command
-        self.values = {} if values is None else values
+        self.values = values
         # typed objects built at validation time (present per command)
         self.block_index: spectrum.BlockIndex | None = None
         self.ensemble: list[thermal.EnsembleParams] | None = None

@@ -80,7 +80,7 @@ class BlockIndex(namedtuple("BlockIndex", "two_r two_c kappa")):
 
     __slots__ = ()
 
-    def __new__(cls, two_r: int, two_c: int, kappa: float = 1.0):
+    def __new__(cls, two_r: int, two_c: int, kappa: float):
         if two_r < 1:
             raise ValueError(
                 f"r must be a positive integer or half-integer, got r = {undouble(two_r)}"

@@ -129,17 +129,17 @@ def test_planck_values():
 
 
 def test_first_order_loss_zero_at_planck():
-    bath = cd.BathParams(beta=0.7, phi=1.3)
+    bath = cd.BathParams(beta=0.7, phi=1.3, chi=0.0)
     n = cd.planck_occupation(1.3, 0.7)
     assert abs(cd.first_order_loss(n, 1.3, bath)) < 1e-14
 
 
 def test_first_order_loss_empty_level_gains():
-    assert cd.first_order_loss(0.0, 1.0, cd.BathParams(1.0, 1.0)) == pytest.approx(-1.0)
+    assert cd.first_order_loss(0.0, 1.0, cd.BathParams(1.0, 1.0, 0.0)) == pytest.approx(-1.0)
 
 
 def test_first_order_loss_linear_in_occupation():
-    bath = cd.BathParams(beta=1.0, phi=2.0)
+    bath = cd.BathParams(beta=1.0, phi=2.0, chi=0.0)
     slope = cd.first_order_loss(3.0, 1.5, bath) - cd.first_order_loss(2.0, 1.5, bath)
     assert slope == pytest.approx(bath.phi * (math.exp(1.5) - 1.0))
     assert slope > 0.0
@@ -316,7 +316,7 @@ def test_solver_monotone_in_supply():
 
 def test_solver_rejects_negative_supply():
     with pytest.raises(ValueError, match=">= 0"):
-        cd.PumpParams(p=-1.0)
+        cd.PumpParams(p=-1.0, q=0.0)
     with pytest.raises(ValueError, match="s = p - Q"):
         cd.solve_steady_state(LADDER, BATH, cd.PumpParams(p=1.0, q=1.5))
 

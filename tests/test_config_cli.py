@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import lasercond
 import mpmath
 import numpy as np
 import pytest
@@ -133,10 +134,11 @@ def test_cli_spectrum_outputs(tmp_path):
     assert names == {"spectrum.csv", "ground_distribution.csv", "spectrum_summary.txt"}
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize(
     "r,c,kappa",
-    [(3, 7, 0.7), (10, 2, 1.3), (0.5, -0.5, 1.0)],
-    ids=["complete", "truncated", "dim1"],
+    [(3, 7, 0.7), (10, 2, 1.3), (0.5, -0.5, 1.0), (3.5, 5.5, 1.0)],
+    ids=["complete", "truncated", "dim1", "even"],
 )
 def test_cli_spectrum_rows_are_the_per_state_statistics(tmp_path, r, c, kappa):
     cfg = _write(tmp_path, "run.cfg", f"spectrum.r = {r}\nspectrum.c = {c}\nspectrum.kappa = {kappa}\n")
@@ -146,6 +148,7 @@ def test_cli_spectrum_rows_are_the_per_state_statistics(tmp_path, r, c, kappa):
     index = spectrum.BlockIndex(round(2 * r), round(2 * c), kappa)
     solution = spectrum.diagonalize(spectrum.build_block(index))
     stats = [spectrum.photon_statistics(solution, k) for k in range(solution.dim)]
+    assert solution.dim == len(stats[0].n_values) == min(round(2 * r), round(r + c)) + 1
     rows = ["r,c,kappa,k,lambda,n0,sigma2"] + [
         ",".join(
             map(cli._fmt, (index.r, index.c, kappa, k, solution.eigenvalues[k], one.n0, one.sigma2))
@@ -160,6 +163,7 @@ def test_cli_spectrum_rows_are_the_per_state_statistics(tmp_path, r, c, kappa):
     assert (out / "ground_distribution.csv").read_text() == "\n".join(ground) + "\n"
 
 
+@pytest.mark.installed
 def test_cli_thermal_oracle_columns(tmp_path):
     cfg = _write(tmp_path, "run.cfg", "thermal.n = 20\nthermal.beta = 0.5, 1.0\n")
     out = tmp_path / "out"
@@ -180,6 +184,20 @@ def test_cli_thermal_oracle_columns(tmp_path):
     cells = (out_small / "thermal.csv").read_text().splitlines()[1].split(",")
     assert all(cells[i] != "" for i in oracle) and cells[-1] != ""
 
+    # Var(m) = (N/4) sech^2(beta/2) is 1.93e-21 at N = 10, beta = 50, not 0;
+    # at beta = inf m_mean and its oracle read -N/2 = -3 at N = 6
+    last = {}
+    for name, text in [("cold", "thermal.n = 10\nthermal.beta = 50\n"),
+                       ("frozen", "thermal.n = 6\nthermal.beta = 0.5, inf\n")]:
+        assert cli.main(["thermal", "--config", _write(tmp_path, name + ".cfg", text),
+                         "--out", str(tmp_path / name)]) == 0
+        cells = (tmp_path / name / "thermal.csv").read_text().splitlines()[-1].split(",")
+        last[name] = dict(zip(header, cells))
+    assert [header[i] for i in (1, 2, 7)] == ["beta", "m_mean", "oracle_m_mean"]
+    assert last["cold"]["m_var"] != "0"
+    frozen = last["frozen"]
+    assert (frozen["beta"], frozen["m_mean"], frozen["oracle_m_mean"]) == ("inf", "-3", "-3")
+
 
 STEADY_CFG = (
     "ladder.r = 3\nladder.omega = 1.0\nladder.kappa = 0.1\nladder.c_ref = 100\n"
@@ -187,16 +205,20 @@ STEADY_CFG = (
 )
 
 
+@pytest.mark.installed
 def test_cli_steady_state_outputs(tmp_path):
-    cfg = _write(tmp_path, "run.cfg", STEADY_CFG)
-    out = tmp_path / "out"
-    assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
-    rows = (out / "steady_state.csv").read_text().splitlines()
-    assert rows[0] == cli.SWEEP_HEADER
-    assert rows[1].endswith(",ok")
-    occupations = (out / "occupations.csv").read_text().splitlines()
-    assert occupations[0] == "j,omega,occupation"
-    assert len(occupations) == 1 + 7
+    # the point given by its supply s, and by a pump p and a loss q
+    rates = STEADY_CFG.replace("pump.s = 2.0\n", "pump.p = 3.5\npump.q = 1.25\n")
+    for name, text in [("supply", STEADY_CFG), ("rates", rates)]:
+        cfg = _write(tmp_path, name + ".cfg", text)
+        out = tmp_path / name
+        assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "steady_state.csv").read_text().splitlines()
+        assert rows[0] == cli.SWEEP_HEADER
+        assert len(rows) == 1 + 1 and rows[1].endswith(",ok"), name
+        occupations = (out / "occupations.csv").read_text().splitlines()
+        assert occupations[0] == "j,omega,occupation"
+        assert len(occupations) == 1 + 7
 
 
 def test_cli_not_converged_points_are_flagged(tmp_path, monkeypatch):
@@ -219,6 +241,7 @@ def test_cli_not_converged_points_are_flagged(tmp_path, monkeypatch):
     assert len(flags) == 12 and all("did not converge" in flag for flag in flags)
 
 
+@pytest.mark.installed
 def test_readme_example_sweep_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
@@ -409,6 +432,7 @@ def test_cli_threshold_report(tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+@pytest.mark.installed
 def test_cli_threshold_default_grid(tmp_path):
     # without pump keys the command sweeps two decades around its own s0
     cfg = _write(
@@ -540,11 +564,12 @@ bath.chi = 0.1
 """
 
 
+@pytest.mark.installed
 def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
     cfg = _write(tmp_path, "point.cfg", POLE_CFG + "pump.s = 1\n")
     assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "below machine epsilon" in err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "below machine epsilon" in line
 
     cfg = _write(
         tmp_path, "sweep.cfg", POLE_CFG + "pump.s_min = 1\npump.s_max = 10\npump.points = 3\n"
@@ -596,6 +621,7 @@ def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.installed
 def test_cli_sweep_refuses_a_chi_zero_supply_whose_occupations_overflow(tmp_path, capsys):
     # at chi = 0 and phi = 1e-3 the closed-form occupations (1 + s/phi) /
     # (e^(omega beta) - 1) overflow from s = 8.67e304 on, below the s where S
@@ -749,9 +775,23 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _fresh_env():
-    """The environment of a fresh interpreter that imports this checkout's lasercond."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    """The environment of a fresh interpreter that imports the lasercond this
+    process imported: ``src/`` in a checkout, site-packages when installed."""
+    root = str(Path(lasercond.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.installed
+def test_fresh_interpreters_import_the_lasercond_under_test():
+    result = subprocess.run(
+        [sys.executable, "-c", "import lasercond; print(lasercond.__file__)"],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == lasercond.__file__ + "\n"
 
 
 def _cli_in_a_fresh_interpreter(*argv):
@@ -915,6 +955,7 @@ SPECTRAL_SWEEP_CFG = (
 )
 
 
+@pytest.mark.installed
 def test_cli_sweep_on_a_spectral_ladder(tmp_path):
     cfg = _write(tmp_path, "run.cfg", SPECTRAL_SWEEP_CFG)
     out = tmp_path / "out"
@@ -993,6 +1034,7 @@ def _every_command_in_one_interpreter(
     return result.stdout.splitlines()
 
 
+@pytest.mark.installed
 def test_cli_runs_every_command_without_scipy(tmp_path):
     # a fresh interpreter in which every import of scipy or of a scipy
     # module fails, as where only the runtime dependency numpy is installed:
@@ -1009,6 +1051,7 @@ def test_cli_runs_every_command_without_scipy(tmp_path):
         assert set(_manifest(tmp_path / name)["versions"]) == expected, name
 
 
+@pytest.mark.installed
 def test_cli_runs_load_no_dataclasses_fractions_or_decimal(tmp_path):
     # the CLI's start-up cost stays off: records are named tuples and only the
     # test reference fixed_m_enumeration needs fractions (and its decimal);
@@ -1019,6 +1062,7 @@ def test_cli_runs_load_no_dataclasses_fractions_or_decimal(tmp_path):
     assert lines == ["0"] * len(_EVERY_COMMAND) + [""]
 
 
+@pytest.mark.installed
 def test_cli_thermal_runs_without_numpy(tmp_path):
     # every import of numpy fails: the CLI imports and a thermal run exits 0,
     # loading no numerical layer, and its manifest names python alone
@@ -1032,6 +1076,7 @@ def test_cli_thermal_runs_without_numpy(tmp_path):
     assert _manifest(tmp_path / "thermal")["versions"] == {"python": platform.python_version()}
 
 
+@pytest.mark.installed
 def test_cli_spectrum_run_loads_no_condensation(tmp_path):
     lines = _every_command_in_one_interpreter(
         tmp_path, "", "print('lasercond.condensation' in sys.modules)", names=("spectrum",)
@@ -1039,6 +1084,7 @@ def test_cli_spectrum_run_loads_no_condensation(tmp_path):
     assert lines == ["0", "False"]
 
 
+@pytest.mark.installed
 def test_cli_analytic_runs_load_no_spectrum(tmp_path):
     # an analytic ladder needs no block spectrum: steady-state, sweep and
     # threshold at a half-integer r run, and echo r = 14.5, without loading it
@@ -1056,6 +1102,7 @@ def test_cli_analytic_runs_load_no_spectrum(tmp_path):
         assert _manifest(tmp_path / name)["config"]["ladder.r"] == 14.5
 
 
+@pytest.mark.installed
 def test_cli_import_loads_no_platform_or_datetime():
     # the manifest takes the python version from sys.version and the
     # timestamp from time, so importing the CLI loads neither module
@@ -1084,6 +1131,7 @@ def test_cli_manifest_names_the_python_version_and_a_utc_timestamp(tmp_path):
         assert before - datetime.timedelta(microseconds=1) <= stamp <= after, name
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize(
     ("command", "text", "status"),
     [(*_EVERY_COMMAND["thermal"], 0), ("threshold", KNEE_CFG, 2)],

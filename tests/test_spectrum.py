@@ -29,18 +29,18 @@ SQRT6 = math.sqrt(6.0)
     ],
 )
 def test_block_basis_ranges(two_r, two_c, n_min, n_max, dim):
-    basis = sp.block_basis(sp.BlockIndex(two_r, two_c))
+    basis = sp.block_basis(sp.BlockIndex(two_r, two_c, 1.0))
     assert (basis.n_min, basis.n_max, basis.dim) == (n_min, n_max, dim)
 
 
 def test_block_basis_rejects_empty_block():
     with pytest.raises(ValueError, match="empty block"):
-        sp.BlockIndex(two_r=1, two_c=-9)
+        sp.BlockIndex(two_r=1, two_c=-9, kappa=1.0)
 
 
 def test_block_basis_rejects_parity_mismatch():
     with pytest.raises(ValueError, match="parity"):
-        sp.BlockIndex(two_r=2, two_c=1)
+        sp.BlockIndex(two_r=2, two_c=1, kappa=1.0)
 
 
 def test_block_index_rejects_bad_kappa():
@@ -448,12 +448,12 @@ def test_predicted_ground_mean_tracks_diagonalization():
 
 def test_predicted_ground_variance_special_points():
     c = 60.0
-    sigma2 = sp.predicted_ground_variance(sp.BlockIndex(120, 120), 4.0 * c / 3.0)
+    sigma2 = sp.predicted_ground_variance(sp.BlockIndex(120, 120, 1.0), 4.0 * c / 3.0)
     assert sigma2 == pytest.approx((4.0 * c / 3.0) / math.sqrt(12.0))
     # r >> c limit: sigma^2 -> n0 / sqrt(6) with n0 = r / sqrt(3)
     r = 5000.0
     n0 = r / math.sqrt(3.0)
-    sigma2 = sp.predicted_ground_variance(sp.BlockIndex(10000, 2), n0)
+    sigma2 = sp.predicted_ground_variance(sp.BlockIndex(10000, 2, 1.0), n0)
     assert sigma2 == pytest.approx(n0 / math.sqrt(6.0), rel=1e-3)
 
 
@@ -466,9 +466,9 @@ def test_predicted_ground_variance_matches_diagonalization():
 
 def test_predicted_ground_variance_domain_errors():
     with pytest.raises(ValueError, match="3\\*n0 > 2\\*c"):
-        sp.predicted_ground_variance(sp.BlockIndex(4, 20), 1.0)
+        sp.predicted_ground_variance(sp.BlockIndex(4, 20, 1.0), 1.0)
     with pytest.raises(ValueError, match="radicand"):
-        sp.predicted_ground_variance(sp.BlockIndex(4, 20), 50.0)
+        sp.predicted_ground_variance(sp.BlockIndex(4, 20, 1.0), 50.0)
 
 
 def test_effective_ground_eigenvalue():
