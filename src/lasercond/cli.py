@@ -23,9 +23,11 @@ Exit status: 0 all solves converged and no flags,
 
 All grid points of a sweep are solved together, in one batched array
 solve in this process, by ``condensation.solve_supply_grid``, and the
-CSV columns are taken from its arrays, with ``omega_bar_fit`` evaluated
-by ``fit_mean_frequency``'s expression per point; ``steady-state`` is
-its one-point call.
+CSV columns are its arrays as returned, with ``omega_bar_fit`` evaluated
+by ``fit_mean_frequency``'s expression per point: a failed point's row
+is NaN from ``eta`` to ``resid_max``, as the solver blanks it.  A point's
+status is ``failed`` (its solve raised), else ``not-converged`` (it
+fails ``converged()``), else ``ok``; ``steady-state`` is its one-point call.
 ``--workers`` is still accepted and validated (>= 1) but changes nothing:
 a process pool measured slower than the in-process solve.  A config that
 sets ``workers`` is rejected as an unknown key.
@@ -264,23 +266,9 @@ def _run_thermal(run: Run) -> None:
 
 
 def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None:
-    import numpy as np
-
     from . import condensation
 
-    table = np.array([
-        grid.s, grid.eta, grid.amplification, grid.mu, grid.n_c, grid.n_n,
-        grid.condensate_fraction, grid.s_supply, grid.s_balance, grid.max_residual,
-    ])
-    residuals = table[-1]
-    converged = grid.converged()
-    failed = [i for i, error in enumerate(grid.errors) if error is not None]
-    if failed:  # a failed point has no residual, and NaN from eta on
-        residuals = np.delete(residuals, failed)
-        table[1:, failed] = math.nan
-        converged[failed] = False
-    columns = table.tolist()
-    s = columns[0]
+    s, etas = grid.s.tolist(), grid.eta.tolist()
     # fit_mean_frequency's expression at every point it accepts (s > 0,
     # eta > eta_T), NaN elsewhere; on Python floats it keeps that function's
     # bits (np.log1p does not always) and warns of no overflow
@@ -289,19 +277,24 @@ def _emit_sweep(run: Run, name: str, grid: condensation.SteadyStateGrid) -> None
     omega_bar = [
         math.log1p(n_levels * x / (phi * (eta - eta_t))) / beta
         if x > 0.0 and eta > eta_t else math.nan
-        for x, eta in zip(s, columns[1])
+        for x, eta in zip(s, etas)
     ]
-    ok = converged.tolist()
-    status = ["ok" if point_ok else "not-converged" for point_ok in ok]
-    for i in [i for i, point_ok in enumerate(ok) if not point_ok]:  # flags in point order
-        error = grid.errors[i]
-        if error is None:
-            run.flags.append(f"point s={_fmt(s[i])} did not converge")
+    status = []
+    for x, error, point_ok in zip(s, grid.errors, grid.converged().tolist()):
+        if error is not None:
+            run.flags.append(f"point s={_fmt(x)} failed: {error}")
+            status.append("failed")
+        elif not point_ok:
+            run.flags.append(f"point s={_fmt(x)} did not converge")
+            status.append("not-converged")
         else:
-            run.flags.append(f"point s={_fmt(s[i])} failed: {error}")
-            status[i] = "failed"
-    run.residuals += residuals.tolist()
-    run.write_csv(name, SWEEP_HEADER, [*columns, omega_bar, status])
+            status.append("ok")
+    residuals = grid.max_residual.tolist()  # a failed point has none
+    run.residuals += [r for r, error in zip(residuals, grid.errors) if error is None]
+    run.write_csv(name, SWEEP_HEADER, [
+        s, etas, grid.amplification, grid.mu, grid.n_c, grid.n_n, grid.condensate_fraction,
+        grid.s_supply, grid.s_balance, residuals, omega_bar, status,
+    ])
 
 
 def _run_steady_state(run: Run) -> None:
@@ -378,7 +371,7 @@ def _run_threshold(run: Run) -> None:
 
     lines = [
         f"s0 = {_fmt(estimate.s0)}",
-        f"B = {_fmt(estimate.b_sum)}",
+        f"B = {_fmt(bound.b_sum)}",
         f"eta_T = {_fmt(eta_t)}",
         f"eta_T_effective = {_fmt(condensation.eta_thermal_effective(ladder.n_levels, float(np.mean(ladder.omegas)), bath.beta))}",
         f"knee = {_fmt(knee)}",

@@ -157,8 +157,8 @@ class SteadyStateGrid(namedtuple("SteadyStateGrid", ("ladder", "bath", *_COLUMNS
     """Stationary states at every supply of a grid, one row per supply.
 
     Row i belongs to ``s[i]``.  A point whose solve was refused or failed
-    keeps its exception in ``errors[i]`` and NaN in every column the
-    solve fills.  ``solution(i)`` is row i as a grid of its own: each
+    keeps its exception in ``errors[i]`` and NaN in every column but ``s``
+    and ``scale``.  ``solution(i)`` is row i as a grid of its own: each
     field in _COLUMNS holds entry i (a scalar, and one level vector of
     occupations), ``errors`` is None, and the derived quantities and the
     converged gate read the same on a row as on the grid.
@@ -210,11 +210,11 @@ class NoncondensateBound(namedtuple("NoncondensateBound", "bound b_sum asymptote
     __slots__ = ()
 
 
-class ThresholdEstimate(namedtuple("ThresholdEstimate", "s0 b_sum immediate")):
+class ThresholdEstimate(namedtuple("ThresholdEstimate", "s0 immediate")):
     """Closed-form threshold supply s0; flagged when the bracket is negative.
 
-    ``b_sum`` is B; ``immediate`` means 2B <= eta_T: no sub-threshold
-    window, the formula goes <= 0.
+    ``immediate`` means 2B <= eta_T: no sub-threshold window, the formula
+    goes <= 0.
     """
 
     __slots__ = ()
@@ -433,6 +433,7 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     failed = [i for i, error in enumerate(errors) if error is not None]
     occupations[failed] = np.nan
     gap[failed] = np.nan
+    transfer[failed] = np.nan
     return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
 
 
@@ -734,10 +735,10 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
     A non-positive bracket (2B <= eta_T) means the excited levels cannot
     even hold the equilibrium population: condensation is immediate and
     the estimate is flagged, never clamped.  Where eta_T^2 overflows (a
-    tiny beta), s0 is the same form divided through by eta_T,
-    (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T).  An s0 outside the
-    double range (eta_T^2 underflows, or the product overflows) is refused,
-    and so is an eta_T of 0, where every level's e^(omega beta) overflows.
+    tiny beta) or underflows to 0 (a large one), s0 is the same form divided
+    through by eta_T, (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T).  An s0
+    that overflows is refused, and so is an eta_T of 0, where every level's
+    e^(omega beta) overflows.
     """
     if eta_t == 0.0:  # every planck_occupation term's expm1 overflowed
         raise ValueError(
@@ -749,13 +750,13 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
         raise ValueError(f"equilibrium occupancy must be positive, got eta_T = {eta_t}")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
-    s0 = math.inf
-    if math.isinf(eta_t * eta_t):  # eta_t**2 raises OverflowError above 1.3e154
-        s0 = (bath.phi / eta_t) * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (
+    # eta_t**2 raises OverflowError above 1.3e154 and is 0 below about 1.6e-162
+    if 0.0 < eta_t * eta_t < math.inf:
+        s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
             2.0 * b_sum - eta_t
         )
-    elif eta_t**2 > 0.0:  # eta_t**2 underflows to 0 below about 1.6e-162
-        s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
+    else:
+        s0 = (bath.phi / eta_t) * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (
             2.0 * b_sum - eta_t
         )
     if not math.isfinite(s0):
@@ -765,7 +766,7 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
             f"overflows the double range: eta_T = {eta_t:.6g} (omega_-r beta > "
             f"-ln eta_T = {-math.log(eta_t):.6g}), phi/chi = {bath.phi / bath.chi:.6g}"
         )
-    return ThresholdEstimate(s0=s0, b_sum=b_sum, immediate=not s0 > 0.0)
+    return ThresholdEstimate(s0=s0, immediate=not s0 > 0.0)
 
 
 def detect_condensation_knee(s_values, condensate_fractions) -> float:

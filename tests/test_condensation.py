@@ -63,6 +63,17 @@ def test_ladder_validation():
         cd.LevelLadder(np.array([1.0, 0.9, 1.1]))
     with pytest.raises(ValueError, match="positive"):
         cd.LevelLadder(np.array([-0.1, 0.5, 1.0]))
+    with pytest.raises(ValueError, match=r"1-d non-empty level array, got shape \(2, 2\)"):
+        cd.LevelLadder(np.ones((2, 2)))
+
+
+def test_bath_validation():
+    with pytest.raises(ValueError, match="bath beta must be positive, got 0.0"):
+        cd.BathParams(beta=0.0, phi=1.0, chi=0.1)
+    with pytest.raises(ValueError, match="phi must be positive, got -1.0"):
+        cd.BathParams(beta=1.0, phi=-1.0, chi=0.1)
+    with pytest.raises(ValueError, match="chi must be >= 0, got -0.1"):
+        cd.BathParams(beta=1.0, phi=1.0, chi=-0.1)
 
 
 def test_ladder_from_spectrum_matches_analytic_spacing():
@@ -156,6 +167,9 @@ def test_second_order_loss_degenerate_example():
     flat = cd.LevelLadder(np.array([1.0, 1.0]))
     rates = cd.second_order_loss(np.array([2.0, 0.0]), flat, cd.BathParams(1.0, 1.0, 1.0))
     assert np.allclose(rates, [2.0, -2.0])
+    for wrong in (np.zeros(3), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="occupations must match the ladder size"):
+            cd.second_order_loss(wrong, flat, cd.BathParams(1.0, 1.0, 1.0))
 
 
 def test_second_order_loss_vanishes_without_chi():
@@ -423,6 +437,11 @@ SOLUTION_FIELDS = (
     points=st.integers(2, 12),
     from_zero=st.booleans(),
 )
+# its s = 1e-14 point is refused: chi S / phi^2 = 1.8e-16 is below eps
+@example(
+    two_r=4, omega=1.0, c_ref=100.0, share=0.1, beta=1.0, chi=0.01,
+    s_min=1e-14, decades=1.0, points=2, from_zero=True,
+)
 def test_solve_supply_grid_is_the_one_point_solve_at_every_grid_point(
     two_r, omega, c_ref, share, beta, chi, s_min, decades, points, from_zero
 ):
@@ -439,6 +458,10 @@ def test_solve_supply_grid_is_the_one_point_solve_at_every_grid_point(
             with pytest.raises(type(solved.errors[i])) as raised:
                 cd.solve_steady_state(ladder, bath, pump)
             assert str(raised.value) == str(solved.errors[i])
+            # a failed point is NaN in every column but s and scale
+            for name in cd._COLUMNS:
+                if name not in ("s", "scale"):
+                    assert np.all(np.isnan(getattr(solved, name)[i])), name
             continue
         solution = solved.solution(i)
         alone = cd.solve_steady_state(ladder, bath, pump)

@@ -106,6 +106,13 @@ def test_parse_rejects_non_half_integer_r():
         parse_config_text("spectrum.r=1.3\nspectrum.c=1\nspectrum.kappa=1", "spectrum")
 
 
+def test_parse_rejects_an_unknown_command():
+    # the CLI's argument parser admits only COMMANDS; an in-process caller may not
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(SPECTRUM_CFG, "spectra")
+    assert info.value.problems == ["unknown command 'spectra'"]
+
+
 # ---------------------------------------------------------------------------
 # CLI runs
 # ---------------------------------------------------------------------------
@@ -132,6 +139,25 @@ def test_cli_spectrum_outputs(tmp_path):
     manifest = _manifest(out)
     names = {entry["name"] for entry in manifest["files"]}
     assert names == {"spectrum.csv", "ground_distribution.csv", "spectrum_summary.txt"}
+
+
+def test_cli_spectrum_flags_a_variance_formula_out_of_regime(tmp_path, monkeypatch):
+    # no block scanned (r <= 20, c from -r to 3r + 1, kappa 1e-3..10) leaves
+    # the formula's regime, so its ValueError is injected
+    def out_of_regime(index, n0):
+        raise ValueError("injected: outside the regime")
+
+    monkeypatch.setattr(spectrum, "predicted_ground_variance", out_of_regime)
+    cfg = _write(tmp_path, "run.cfg", SPECTRUM_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    summary = (out / "spectrum_summary.txt").read_text().splitlines()
+    assert "predicted_sigma2 = unavailable (injected: outside the regime)" in summary
+    manifest = _manifest(out)
+    assert manifest["flags"] == [
+        "spectrum: variance formula out of regime: injected: outside the regime"
+    ]
+    assert manifest["exit_status"] == 2
 
 
 @pytest.mark.installed
@@ -688,7 +714,13 @@ def test_cli_sweep_columns_follow_the_point_rule(tmp_path, monkeypatch):
         grid = original_solve(ladder, bath, supplies, **kwargs)
         errors = list(grid.errors)
         errors[5] = condensation.ConvergenceError("injected failure")
-        solved.append(grid._replace(errors=tuple(errors)))
+        # the row blanked as the solver blanks a failed point
+        blank = {}
+        for name in condensation._COLUMNS:
+            if name not in ("s", "scale"):
+                blank[name] = getattr(grid, name).copy()
+                blank[name][5] = math.nan
+        solved.append(grid._replace(errors=tuple(errors), **blank))
         return solved[-1]
 
     def converged(self):
@@ -804,16 +836,21 @@ def _cli_in_a_fresh_interpreter(*argv):
     )
 
 
-def _threshold_in_a_fresh_interpreter(tmp_path, beta):
-    """``lasercond threshold`` on the acceptance ladder at ``bath.beta = beta``."""
-    cfg = _write(tmp_path, "run.cfg", _set(THRESHOLD_CFG, "bath.beta", beta))
+def _threshold_config(beta, phi="1.0"):
+    """The acceptance ladder's threshold config at ``bath.beta = beta``, ``bath.phi = phi``."""
+    return _set(_set(THRESHOLD_CFG, "bath.beta", beta), "bath.phi", phi)
+
+
+def _threshold_in_a_fresh_interpreter(tmp_path, beta, phi="1.0"):
+    """``lasercond threshold`` on ``_threshold_config(beta, phi)``."""
+    cfg = _write(tmp_path, "run.cfg", _threshold_config(beta, phi))
     return _cli_in_a_fresh_interpreter("threshold", "--config", cfg, "--out", str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
 def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
     # the acceptance ladder, omega_-r beta = 0.95 beta: the default grid's top end
-    # 1e2 s0 overflows (371.5), s0 overflows (380) or eta_T^2 underflows (400, 746)
+    # 1e2 s0 overflows (371.5), or s0 itself does (380, 400, 746)
     result = _threshold_in_a_fresh_interpreter(tmp_path, beta)
     assert result.returncode == 1
     (line,) = result.stderr.splitlines()
@@ -843,14 +880,19 @@ def test_cli_threshold_refuses_a_default_grid_past_the_double_range(tmp_path, ca
     assert "s0 = 2.7696068585310083e+307" in line
 
 
-@pytest.mark.parametrize("beta", ["1e-200", "1e-300"])
-def test_cli_threshold_at_a_tiny_beta(tmp_path, beta):
-    # eta_T ~ (2r+1)/(omega beta) squares past the double range, but s0 is
-    # finite: the run reports it and flags the grid points it cannot solve
-    result = _threshold_in_a_fresh_interpreter(tmp_path, beta)
+@pytest.mark.parametrize(
+    ("beta", "phi"),
+    [("1e-200", "1.0"), ("1e-300", "1.0"), ("412", "1e-200")],
+    ids=["1e-200", "1e-300", "412-phi-1e-200"],
+)
+def test_cli_threshold_at_a_tiny_beta(tmp_path, beta, phi):
+    # eta_T ~ (2r+1)/(omega beta) squares past the double range (a tiny beta),
+    # or eta_T = 1.06e-170 squares to 0 (beta = 412), but s0 is finite: the
+    # run reports it and flags the grid points it cannot solve
+    result = _threshold_in_a_fresh_interpreter(tmp_path, beta, phi)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    config = parse_config_text(_set(THRESHOLD_CFG, "bath.beta", beta), "threshold")
+    config = parse_config_text(_threshold_config(beta, phi), "threshold")
     bath = config.bath
     with mpmath.workdps(40):
         omegas = [mpmath.mpf(float(w)) for w in config.ladder.omegas]
@@ -873,8 +915,13 @@ def test_cli_threshold_at_a_tiny_beta(tmp_path, beta):
         ("threshold", _set(THRESHOLD_CFG, "bath.chi", "0"), "threshold: bath.chi must be > 0"),
         ("sweep", SWEEP_CFG + "output.dir = x\n", "unknown key 'output.dir'"),
         ("threshold", _set(THRESHOLD_CFG, "ladder.r", "0"), "threshold: ladder.r must be >= 1/2"),
+        ("sweep", SWEEP_CFG + "pump.s_max 60\n", "expected key = value, got 'pump.s_max 60'"),
+        ("thermal", "thermal.n = 8\nthermal.beta = ,\n", "line 2: thermal.beta: empty list"),
     ],
-    ids=["partial-grid", "threshold-chi-zero", "output-dir", "threshold-one-level"],
+    ids=[
+        "partial-grid", "threshold-chi-zero", "output-dir", "threshold-one-level",
+        "no-equals-sign", "thermal-beta-empty",
+    ],
 )
 def test_cli_rejected_settings_leave_no_output(tmp_path, capsys, command, text, message):
     cfg = _write(tmp_path, "run.cfg", text)
