@@ -13,20 +13,21 @@ Three layers, mirroring the physics:
 
 :mod:`lasercond.cli` exposes the ``lasercond`` command with ``spectrum``,
 ``thermal``, ``steady-state``, ``sweep`` and ``threshold`` subcommands.
-``thermal`` runs on the standard library alone: numpy, ``spectrum`` and
-``condensation`` are loaded only by the commands that use them.
+Numpy and each numerical layer are loaded only by the commands that use
+them, so ``thermal`` runs on the standard library alone.
 
 :class:`ConvergenceError` and :func:`undouble` are defined here, so the CLI
 can catch the one and ``config`` and ``condensation`` can name half-integers
 with the other without loading ``spectrum``; ``spectrum`` re-exports both,
 and ``condensation`` re-exports ``ConvergenceError``.
 
-Every record type is a ``collections.namedtuple`` subclass: immutable and
-compared by value.  Those that validate their fields (``BlockIndex``,
-``LevelLadder``, ``BathParams``, ``PumpParams``, ``EnsembleParams``) do it
-in ``__new__``; ``_replace`` copies a record without re-validating it.  A
-named tuple takes a fraction of a frozen dataclass's time to define, and
-this keeps ``dataclasses`` off the start-up path of every CLI run.
+Every record type, ``config.RunConfig`` too, is a ``collections.namedtuple``
+subclass: immutable and compared by value.  Those that validate their
+fields (``BlockIndex``, ``LevelLadder``, ``BathParams``, ``PumpParams``,
+``EnsembleParams``) do it in ``__new__``; ``_replace`` copies a record
+without re-validating it.  A named tuple takes a fraction of a frozen
+dataclass's time to define, and this keeps ``dataclasses`` off the
+start-up path of every CLI run.
 """
 
 __version__ = "0.1.0"

@@ -40,11 +40,11 @@ pass, 11-40 ms of a child); the cyclic collector is off while ``main()``
 runs.  Every output file is written and closed inside ``main()``, which
 tests and in-process callers call directly.
 
-At import this module loads the standard library, ``config`` and
-``thermal`` only, so a ``thermal`` run never loads numpy; it loads no
-``platform`` or ``datetime``, since the manifest takes the python version
-from ``sys.version`` and its UTC timestamp from ``time``.  Each numeric
-runner imports what it uses: ``spectrum`` imports numpy and
+At import this module loads the standard library and ``config`` only; it
+loads no ``platform`` or ``datetime``, since the manifest takes the python
+version from ``sys.version`` and its UTC timestamp from ``time``.  Each
+runner imports what it uses: ``thermal`` imports ``lasercond.thermal``
+alone, so it never loads numpy; ``spectrum`` imports numpy and
 ``lasercond.spectrum``; ``steady-state``, ``sweep`` and ``threshold``
 import numpy and ``lasercond.condensation``, which loads ``spectrum``
 only for a spectral ladder.
@@ -66,7 +66,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import ConvergenceError, __version__, thermal
+from . import ConvergenceError, __version__
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
 
 if TYPE_CHECKING:  # annotations only; the numeric runners import it themselves
@@ -241,6 +241,8 @@ THERMAL_MOMENTS = ("m_mean", "m_variance", "r2_mean", "r2_variance", "sigma_r2_m
 
 
 def _run_thermal(run: Run) -> None:
+    from . import thermal
+
     ensemble = run.config.ensemble
     moments = [thermal.thermal_moments(params) for params in ensemble]
     # the oracle's cells are empty above ENUMERATION_LIMIT, so its columns

@@ -31,16 +31,18 @@ top four decades, ending at ``pump.s_max`` (two points give
 ``[0, s_max]``).  Where e^(omega beta) overflows a double (omega beta >
 709.78), the threshold report's B and eta_T_effective read 0.  The output
 directory is not a config key; it comes from ``--out`` alone, and a
-config that sets ``output.dir`` is rejected as an unknown key.
+config that sets ``output.dir`` is rejected as an unknown key.  A key the
+run would ignore is an error too: ``ladder.c`` on an analytic ladder,
+``ladder.c_ref`` on a spectral one, ``pump.grid`` with no grid.
 
 The run's ``manifest.json`` echoes the config as strict JSON (RFC 8259
 has no NaN or Infinity): ``thermal.beta = inf`` is echoed as ``"inf"``,
 and a non-finite residual summary is written as ``null``.
 
-Parsing a ``thermal`` config loads no numerical layer: each builder
-imports the module whose record it builds (``spectrum`` for the block
-index, ``condensation`` for the ladder, bath and pump, numpy for the
-supply grid), so only the commands that use numpy load it.  ``echo``
+Each builder imports the module whose record it builds (``thermal`` for
+the ensemble, ``spectrum`` for the block index, ``condensation`` for the
+ladder, bath and pump, numpy for the supply grid), so a command loads only
+the layer it runs, and only the commands that use numpy load it.  ``echo``
 names half-integers with the package's ``undouble``, so only a
 ``spectrum`` run or a spectral ladder loads ``spectrum``.
 """
@@ -48,14 +50,15 @@ names half-integers with the package's ``undouble``, so only a
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from . import thermal, undouble
+from . import undouble
 
 if TYPE_CHECKING:  # annotations only; the builders import these themselves
     import numpy as np
 
-    from . import condensation, spectrum
+    from . import condensation, spectrum, thermal
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "COMMANDS"]
 
@@ -176,19 +179,12 @@ _REQUIRED = {
 }
 
 
-class RunConfig:
-    """Validated parameters of one CLI run."""
+class RunConfig(namedtuple(
+    "RunConfig", "command values block_index ensemble ladder bath pump s_grid", defaults=(None,) * 6
+)):
+    """Validated parameters of one CLI run; a record its command builds none of is None."""
 
-    def __init__(self, command: str, values: dict):
-        self.command = command
-        self.values = values
-        # typed objects built at validation time (present per command)
-        self.block_index: spectrum.BlockIndex | None = None
-        self.ensemble: list[thermal.EnsembleParams] | None = None
-        self.ladder: condensation.LevelLadder | None = None
-        self.bath: condensation.BathParams | None = None
-        self.pump: condensation.PumpParams | None = None
-        self.s_grid: np.ndarray | None = None
+    __slots__ = ()
 
     def echo(self) -> dict:
         """``values`` in the config file's units: half-integer keys undoubled,
@@ -243,32 +239,31 @@ def parse_config_text(text: str, command: str) -> RunConfig:
         if key not in seen:
             problems.append(f"missing required key {key!r}")
 
-    config = RunConfig(command=command, values=values)
-    if not problems:
-        _build_typed(config, problems)
+    typed = {} if problems else _build_typed(command, values, problems)
     if problems:
         raise ConfigError(problems)
-    return config
+    return RunConfig(command, values, **typed)
 
 
-def _build_typed(config: RunConfig, problems: list[str]) -> None:
-    """Re-validate through the module constructors and keep the objects."""
-    v = config.values
-    for attribute, section, build in _BUILDERS[config.command]:
+def _build_typed(command: str, v: dict, problems: list[str]) -> dict:
+    """Re-validate through the module constructors; the records by field name."""
+    typed = {}
+    for field, section, build in _BUILDERS[command]:
         try:
-            setattr(config, attribute, build(v))
+            typed[field] = build(v)
         except ValueError as exc:
             problems.append(f"{section}: {exc}")
 
-    if config.command == "threshold" and not v["bath.chi"] > 0.0:
+    if command == "threshold" and not v["bath.chi"] > 0.0:
         problems.append("threshold: bath.chi must be > 0 for a condensation threshold")
-    if config.command == "threshold" and v["ladder.r"] < 1:
+    if command == "threshold" and v["ladder.r"] < 1:
         problems.append(
             "threshold: ladder.r must be >= 1/2, the bound needs an excited level"
         )
-    ladder, bath = config.ladder, config.bath
+    ladder, bath = typed.get("ladder"), typed.get("bath")
     if ladder is not None and bath is not None and ladder.is_degenerate and bath.chi > 0.0:
         problems.append("ladder: degenerate levels are incompatible with bath.chi > 0")
+    return typed
 
 
 def _build_block_index(v: dict) -> spectrum.BlockIndex:
@@ -280,6 +275,8 @@ def _build_block_index(v: dict) -> spectrum.BlockIndex:
 
 
 def _build_ensemble(v: dict) -> list[thermal.EnsembleParams]:
+    from . import thermal
+
     return [
         thermal.EnsembleParams(n_molecules=v["thermal.n"], beta=beta)
         for beta in v["thermal.beta"]
@@ -299,6 +296,8 @@ def _build_ladder(v: dict) -> condensation.LevelLadder:
     if source == "analytic":
         if "ladder.c_ref" not in v:
             raise ValueError("analytic ladder needs ladder.c_ref")
+        if "ladder.c" in v:
+            raise ValueError("ladder.c applies to a spectral ladder only")
         return condensation.ladder_analytic(
             two_r=v["ladder.r"],
             omega=v["ladder.omega"],
@@ -307,6 +306,8 @@ def _build_ladder(v: dict) -> condensation.LevelLadder:
         )
     if "ladder.c" not in v:
         raise ValueError("spectral ladder needs ladder.c")
+    if "ladder.c_ref" in v:
+        raise ValueError("ladder.c_ref applies to an analytic ladder only")
     if "ladder.kappa" not in v or not v["ladder.kappa"] > 0.0:
         raise ValueError("spectral ladder needs ladder.kappa > 0")
     return condensation.ladder_from_spectrum(
@@ -337,6 +338,8 @@ def _build_grid(v: dict) -> np.ndarray | None:
 
     given = [key in v for key in _GRID_REQUIRED]
     if not any(given):
+        if "pump.grid" in v:
+            raise ValueError("pump.grid applies only with pump.s_min, pump.s_max and pump.points")
         return None  # threshold derives its own grid from the estimate
     if not all(given):
         raise ValueError("pump.s_min, pump.s_max and pump.points go together")
@@ -360,7 +363,7 @@ def _build_grid(v: dict) -> np.ndarray | None:
     return grid
 
 
-# command -> (RunConfig attribute, section named in problems, builder)
+# command -> (RunConfig field, section named in problems, builder)
 _POINT_BUILDERS = (("ladder", "ladder", _build_ladder), ("bath", "bath", _build_bath))
 _BUILDERS = {
     "spectrum": (("block_index", "spectrum", _build_block_index),),

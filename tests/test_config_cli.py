@@ -917,10 +917,18 @@ def test_cli_threshold_at_a_tiny_beta(tmp_path, beta, phi):
         ("threshold", _set(THRESHOLD_CFG, "ladder.r", "0"), "threshold: ladder.r must be >= 1/2"),
         ("sweep", SWEEP_CFG + "pump.s_max 60\n", "expected key = value, got 'pump.s_max 60'"),
         ("thermal", "thermal.n = 8\nthermal.beta = ,\n", "line 2: thermal.beta: empty list"),
+        # a key the run would ignore
+        ("sweep", SWEEP_CFG + "ladder.c = 10\n",
+         "ladder: ladder.c applies to a spectral ladder only"),
+        ("sweep", _set(_set(SWEEP_CFG, "ladder.source", "spectral"), "ladder.c", "5"),
+         "ladder: ladder.c_ref applies to an analytic ladder only"),
+        ("threshold", THRESHOLD_CFG + "pump.grid = linear\n",
+         "pump: pump.grid applies only with pump.s_min, pump.s_max and pump.points"),
     ],
     ids=[
         "partial-grid", "threshold-chi-zero", "output-dir", "threshold-one-level",
-        "no-equals-sign", "thermal-beta-empty",
+        "no-equals-sign", "thermal-beta-empty", "analytic-ladder-c", "spectral-ladder-c-ref",
+        "threshold-grid-mode-alone",
     ],
 )
 def test_cli_rejected_settings_leave_no_output(tmp_path, capsys, command, text, message):
@@ -993,6 +1001,10 @@ def test_parser_returns_a_config_or_a_config_error(case):
     except ConfigError:
         return
     assert isinstance(config, RunConfig) and config.command == command
+    # a read-only record
+    assert isinstance(config, tuple)
+    with pytest.raises(AttributeError):
+        config.ladder = None
 
 
 SPECTRAL_SWEEP_CFG = (
@@ -1121,6 +1133,16 @@ def test_cli_thermal_runs_without_numpy(tmp_path):
     )
     assert lines == ["0", "lasercond lasercond.cli lasercond.config lasercond.thermal"]
     assert _manifest(tmp_path / "thermal")["versions"] == {"python": platform.python_version()}
+
+
+@pytest.mark.installed
+def test_cli_numeric_runs_load_no_thermal(tmp_path):
+    # only the thermal command imports the thermal layer
+    lines = _every_command_in_one_interpreter(
+        tmp_path, "", "print('lasercond.thermal' in sys.modules)",
+        names=("spectrum", "steady", "sweep", "spectral", "threshold"),
+    )
+    assert lines == ["0"] * 5 + ["False"]
 
 
 @pytest.mark.installed
