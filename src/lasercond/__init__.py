@@ -22,12 +22,12 @@ with the other without loading ``spectrum``; ``spectrum`` re-exports both,
 and ``condensation`` re-exports ``ConvergenceError``.
 
 Every record type, ``config.RunConfig`` too, is a ``collections.namedtuple``
-subclass: immutable and compared by value.  Those that validate their
-fields (``BlockIndex``, ``LevelLadder``, ``BathParams``, ``PumpParams``,
-``EnsembleParams``) do it in ``__new__``; ``_replace`` copies a record
-without re-validating it.  A named tuple takes a fraction of a frozen
-dataclass's time to define, and this keeps ``dataclasses`` off the
-start-up path of every CLI run.
+subclass: immutable, and compared by value unless it holds an array (there
+``==`` raises numpy's ambiguous-truth-value error).  Those that validate
+their fields (``BlockIndex``, ``LevelLadder``, ``BathParams``,
+``PumpParams``, ``EnsembleParams``) do it in ``__new__``; ``_replace``
+copies a record without re-validating it.  A named tuple takes a fraction
+of a frozen dataclass's time to define and keeps ``dataclasses`` off CLI start-up.
 """
 
 __version__ = "0.1.0"
@@ -37,8 +37,8 @@ class ConvergenceError(RuntimeError):
     """A numerical solve failed: the block SVD did not converge, or no root was found.
 
     Raised by the block eigensolve and by the steady-state solver, whose
-    message names the regime (a pole the gap variable cannot resolve, a
-    missing bracket, occupations that all underflow).
+    message names the regime (a missing bracket, occupations that all
+    underflow, a supply beyond the double range).
     """
 
 

@@ -15,20 +15,19 @@ levels.  Increasing s drives the effective chemical potential mu up
 toward the bottom level omega_{-r}; past a threshold supply the excess
 quanta pile into that level -- photon condensation, alias lasing.
 
-The self-consistency collapses to one scalar equation.  It is solved
-here in the gap variable g = (omega_{-r} - mu) beta rather than in eta:
-the map g -> eta is monotone, the admissible bracket is simply
-0 < g < omega_{-r} beta, and occupations evaluated through expm1 of
-(omega_l - omega_{-r}) beta + g stay accurate arbitrarily close to the
-condensation pole, where an eta-space iteration loses digits.
+The self-consistency collapses to one scalar equation.  Where
+A = 1 - chi S / (phi (phi + chi eta)) rounds to 1 (chi S < phi^2 eps,
+s = 0 and chi = 0 among them), it is a quadratic in eta with a closed
+root.  Elsewhere it is solved in the gap variable g = (omega_{-r} - mu)
+beta rather than in eta: the map g -> eta is monotone, the admissible
+bracket is simply 0 < g < omega_{-r} beta, and occupations evaluated
+through expm1 of (omega_l - omega_{-r}) beta + g stay accurate close to
+the condensation pole, where an eta-space iteration loses digits.
 ``solve_supply_grid`` solves every supply of a grid in one array kernel:
 it checks the closure at the bracket ends, then takes safeguarded Newton
 steps on the same equation in a cancellation-free form, log(T / S) = 0,
 for all points still active at once, and returns them as the rows of
-one ``SteadyStateGrid``.  A single solution is a row of that type:
-``solve_steady_state`` is the kernel's one-point call.  A grid of one
-point goes the same way; only its Newton state is numpy scalars instead
-of 1-element arrays.
+one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -80,19 +79,21 @@ class LevelLadder(namedtuple("LevelLadder", "omegas")):
     """Ascending level energies omega_j, j = -r..r (2r+1 of them).
 
     A degenerate (flat) ladder is a legal zero-coupling limit; operations
-    that would divide by the level splitting reject it explicitly.
+    that would divide by the level splitting reject it explicitly.  The
+    ladder keeps a read-only copy of the levels, so they stay as checked.
     """
 
     __slots__ = ()
 
     def __new__(cls, omegas):
-        om = np.asarray(omegas, dtype=float)
+        om = np.array(omegas, dtype=float)
         if om.ndim != 1 or om.size < 1:
             raise ValueError(f"need a 1-d non-empty level array, got shape {om.shape}")
         if np.any(om <= 0.0):
             raise ValueError("all level energies must be positive")
         if np.any(np.diff(om) < 0.0):
             raise ValueError("level energies must be ascending")
+        om.setflags(write=False)
         return super().__new__(cls, om)
 
     @property
@@ -373,17 +374,16 @@ def solve_supply_grid(
 
     The closed-form identity A = 1 - chi S / (phi (phi + chi eta)) with
     the supply-side S reduces the level system to one scalar closure per
-    point, sum(occupations) - eta, in the gap g = (omega_{-r} - mu) beta
-    (see module docstring); s = 0 or chi = 0 short-circuits to the exact
-    displaced-Planck closed form with A = 1.  The closure is checked at
-    the ends of _GAP_BRACKET, then its root is found for every point at
+    point, sum(occupations) - eta (see module docstring).  Every point with
+    chi S < phi^2 eps has a closed root, as A rounds to 1 (``_closed_state``).
+    Elsewhere the closure in the gap g = (omega_{-r} - mu) beta is checked
+    at the ends of _GAP_BRACKET, then its root is found for all points at
     once by safeguarded Newton steps (``_newton_step``).  ``scale`` is the
     pump rate p of each point's residual gate (default s, a pure supply).
     A point that is refused or fails keeps its exception in ``errors``.
 
-    A grid of one point takes the same path; its Newton steps run on
-    numpy scalars, with the same bits.  A long grid goes in blocks of at
-    most _BLOCK (points x levels) entries, with the same bits.
+    A grid of one point takes the same path, and a long grid goes in blocks
+    of at most _BLOCK (points x levels) entries, with the same bits.
     """
     s = np.array(supplies, dtype=float).reshape(-1)
     scale = s if scale is None else np.array(scale, dtype=float).reshape(-1)
@@ -405,26 +405,20 @@ def solve_supply_grid(
 def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     """One pass of ``solve_supply_grid``: refuse, close or root-find each point."""
     omegas = ladder.omegas
-    # S overflows only at a supply near the double range; such a point is
-    # refused by name (_refusals), so its inf reaches no row
-    with np.errstate(over="ignore"):
-        transfer = excitation_transfer_supply(s, ladder, bath)
-    gap_top = omegas[0] * bath.beta
-    closed = (s == 0.0) | (bath.chi == 0.0)
     eta_root = np.full_like(s, math.nan)  # eta of the scalar reduction
-    # the closed form overflows (or reads inf / inf) only at a supply near
-    # the double range; such a point is refused by name too
+    occupations = np.full((s.size, omegas.size), math.nan)
+    # S and the closed form overflow only near the double range; _refusals names such a point
     with np.errstate(over="ignore", invalid="ignore"):
-        occupations = (1.0 + s[:, None] / bath.phi) / np.expm1(omegas * bath.beta)
-        eta_root[closed] = occupations[closed].sum(axis=-1)
-    errors, refused = _refusals(s, transfer, closed, eta_root, ladder, bath)
+        transfer = excitation_transfer_supply(s, ladder, bath)
+        closed = bath.chi * transfer <= bath.phi**2 * _EPS  # 1 - A < eps; False at 0 * inf
+        eta_root[closed], occupations[closed] = _closed_state(s[closed], omegas, bath)
+    errors, refused = _refusals(s, transfer, closed, occupations.sum(axis=-1), ladder, bath)
+    gap_top = omegas[0] * bath.beta
     gap = np.full_like(s, gap_top)
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
         level_gaps = (omegas - omegas[0]) * bath.beta
-        gap[solve], failures = _find_gaps(
-            s[solve], transfer[solve], level_gaps, gap_top, bath
-        )
+        gap[solve], failures = _find_gaps(s[solve], transfer[solve], level_gaps, gap_top, bath)
         eta_root[solve], occupations[solve] = _gap_state(
             gap[solve], s[solve], transfer[solve], level_gaps, gap_top, bath
         )
@@ -437,15 +431,46 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
 
 
+def _closed_state(s, omegas, bath: BathParams):
+    """eta and occupations k / expm1(omega_l beta), k = 1 + s/(phi + chi eta), at A = 1.
+
+    eta is the positive root of chi eta^2 + (phi - chi P) eta - (phi + s) P, with
+    P = sum_l 1/expm1(omega_l beta), in a form that cancels for neither sign
+    of b = phi - chi P and squares nothing that can overflow.
+    """
+    expm1 = np.expm1(omegas * bath.beta)
+    p_sum = float((1.0 / expm1).sum())
+    b = bath.phi - bath.chi * p_sum
+    h = np.hypot(b, 2.0 * math.sqrt(bath.chi * p_sum) * np.sqrt(bath.phi + s))
+    # at chi = 0 (b = phi), eta = (phi + s) P / phi and k = 1 + s/phi exactly
+    eta = (bath.phi + s) / (b + h) * (2.0 * p_sum) if b >= 0.0 else (h - b) / (2.0 * bath.chi)
+    return eta, (1.0 + s / (bath.phi + bath.chi * eta))[:, None] / expm1
+
+
 def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
     """The grid's columns from each point's occupations and gap."""
+    omegas = ladder.omegas
     eta = occupations.sum(axis=-1)
-    # past omega beta = 709.78 the losses take 0 * inf: a NaN residual
-    # that fails the gate, left to the flag rather than a warning
+    log_a = gap - omegas[0] * bath.beta
+    amplification = np.exp(log_a)
+    # past omega beta = 709.78 the losses take 0 * inf at an occupation that
+    # underflowed: a NaN residual, and no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        l1 = first_order_loss(occupations, ladder.omegas, bath)
+        l1 = first_order_loss(occupations, omegas, bath)
         l2 = second_order_loss(occupations, ladder, bath)
-    log_a = gap - ladder.omegas[0] * bath.beta
+        residual = np.abs(s[:, None] - l1 - l2).max(axis=-1)
+        redo = (np.isnan(residual) & ~np.isnan(gap)).nonzero()[0]
+        if redo.size:
+            # there n_l e^(omega_l beta) = k / (A (1 - e^(-x_l))) is finite,
+            # with x_l = (omega_l - omega_-r) beta + g
+            n = occupations[redo]
+            k = 1.0 + s[redo] / (bath.phi + bath.chi * eta_root[redo])
+            x = np.add.outer(gap[redo], (omegas - omegas[0]) * bath.beta)
+            n_up = k[:, None] / (amplification[redo, None] * -np.expm1(-x))
+            absorb = (1.0 + n) @ np.exp(-omegas * bath.beta)
+            l1 = bath.phi * (n_up - (1.0 + n))
+            l2 = bath.chi * (n_up * absorb[:, None] - (1.0 + n) * eta[redo, None])
+            residual[redo] = np.abs(s[redo, None] - l1 - l2).max(axis=-1)
     return SteadyStateGrid(
         ladder=ladder,
         bath=bath,
@@ -453,12 +478,12 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
         scale=scale,
         occupations=occupations,
         gap=gap,
-        amplification=np.exp(log_a),
+        amplification=amplification,
         mu=0.0 - log_a / bath.beta,
         eta=eta,
         s_supply=transfer,
         s_balance=excitation_transfer_balance(occupations, ladder, bath),
-        max_residual=np.abs(s[:, None] - l1 - l2).max(axis=-1),
+        max_residual=residual,
         eta_closure=np.abs(eta_root - eta),
         errors=tuple(errors),
     )
@@ -467,15 +492,10 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
 def _refusals(s, transfer, closed, eta, ladder: LevelLadder, bath: BathParams):
     """The error each point is refused with before any root find, or None.
 
-    Returns the errors and the refused mask.  ``eta`` is the closed-form
-    total occupation of each ``closed`` point.  The rules are checked in
-    order, and the first that holds words the point's error.
+    Returns the errors and the refused mask.  ``eta`` is the sum of the
+    closed-form occupations of each ``closed`` point.  The rules are checked
+    in order, and the first that holds words the point's error.
     """
-    gap_top = ladder.omegas[0] * bath.beta
-    # the closure recovers phi + chi eta by subtracting phi, which then
-    # cancels to exactly 0 for every gap (chi = 0 closes every point, so 0
-    # times an overflowed S is not formed)
-    near_pole = ~closed & (bath.chi > 0.0 and bath.chi * transfer < bath.phi**2 * _EPS)
     rules = (
         (s < 0.0, lambda i: ValueError(
             f"net supply s = p - Q must be >= 0, got {float(s[i])}"
@@ -489,18 +509,12 @@ def _refusals(s, transfer, closed, eta, ladder: LevelLadder, bath: BathParams):
             f"at s = {float(s[i])}: the supply is beyond the double range"
         )),
         (closed & (eta == 0.0), lambda i: ConvergenceError(
-            f"omega_-r beta = {gap_top:.6g} exceeds ln(DBL_MAX): "
+            f"omega_-r beta = {ladder.omegas[0] * bath.beta:.6g} exceeds ln(DBL_MAX): "
             "e^(omega beta) overflows and every occupation underflows to 0"
         )),
         (closed & ~np.isfinite(eta), lambda i: ConvergenceError(
             f"the closed-form occupations (1 + s/phi) / (e^(omega beta) - 1) "
             f"overflow at s = {float(s[i])}: the supply is beyond the double range"
-        )),
-        (near_pole, lambda i: ConvergenceError(
-            f"omega_-r beta = {gap_top:.6g}, chi S / phi^2 = "
-            f"{bath.chi * float(transfer[i]) / bath.phi**2:.3g} is below machine "
-            "epsilon: the root lies closer to the pole than the gap "
-            "variable can resolve"
         )),
     )
     refused = np.logical_or.reduce([mask for mask, _ in rules])

@@ -1,16 +1,21 @@
 """Ladders, bath losses, steady-state solver, bounds and threshold."""
 
 import functools
+import importlib.util
+import json
 import math
 import random
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lasercond import condensation as cd
@@ -19,6 +24,7 @@ from lasercond import condensation as cd
 # omega = 1, moderately coupled bath
 LADDER = cd.ladder_analytic(10, 1.0, 0.1, 100.0)
 BATH = cd.BathParams(beta=1.0, phi=1.0, chi=0.1)
+EPS = float(np.finfo(float).eps)
 
 
 def solve(s, ladder=LADDER, bath=BATH):
@@ -65,6 +71,15 @@ def test_ladder_validation():
         cd.LevelLadder(np.array([-0.1, 0.5, 1.0]))
     with pytest.raises(ValueError, match=r"1-d non-empty level array, got shape \(2, 2\)"):
         cd.LevelLadder(np.ones((2, 2)))
+
+
+def test_ladder_cannot_be_edited_after_its_checks():
+    omegas = np.array([1.0, 2.0])
+    ladder = cd.LevelLadder(omegas)
+    omegas[0] = -5.0
+    assert ladder.omegas.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        ladder.omegas[0] = -5.0
 
 
 def test_bath_validation():
@@ -341,14 +356,29 @@ def test_solver_rejects_degenerate_ladder_with_chi():
         cd.solve_steady_state(flat, BATH, cd.PumpParams.from_supply(1.0))
 
 
-@pytest.mark.parametrize("beta", [36.5, 50.0, 100.0, 400.0, 1000.0])
-def test_solver_names_unresolvable_pole(beta):
-    # chi S / phi^2 < eps here (S underflows to 0 past omega_-r beta ~ 745):
-    # phi + chi eta cancels to 0, which used to raise ZeroDivisionError
+@pytest.mark.parametrize("beta", [36.5, 50.0, 100.0, 400.0])
+def test_solver_answers_where_a_rounds_to_one(beta):
+    # chi S / phi^2 < eps here, so A = 1 - chi S / (phi (phi + chi eta)) is 1
+    # to double precision and the displaced-Planck form k / expm1(omega beta)
+    # is the answer
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=beta, phi=1.0, chi=0.1)
-    with pytest.raises(cd.ConvergenceError, match="below machine epsilon"):
-        cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
+    solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
+    assert solution.converged() and solution.amplification == 1.0
+    k = 1.0 + 1.0 / (bath.phi + bath.chi * solution.eta)
+    planck = k / np.expm1(ladder.omegas * beta)
+    assert np.max(np.abs(solution.occupations - planck) / planck) < 1e-14
+
+
+@pytest.mark.parametrize(
+    ("beta", "phi", "chi"), [(1e-3, 1e-3, 100.0), (1.0, 1e3, 1e-4)], ids=["b<0", "b>0"]
+)
+def test_closed_root_keeps_its_digits_for_either_sign_of_b(beta, phi, chi):
+    # at s = 0 the positive root of chi eta^2 + b eta - phi P, b = phi - chi P,
+    # is P; chi P / phi is 1.1e6 or 6.4e-7, where one of the two root forms
+    # would cancel
+    solution = solve(0.0, bath=cd.BathParams(beta=beta, phi=phi, chi=chi))
+    assert solution.eta_closure <= 4 * EPS * solution.eta
 
 
 @pytest.mark.parametrize("beta", [720.0, 1000.0, 2000.0])
@@ -362,32 +392,44 @@ def test_solver_names_underflowing_occupations(beta):
             cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
 
 
+@pytest.mark.parametrize("beta", [1000.0])
+def test_solver_names_unresolvable_pole(beta):
+    # chi S / phi^2 < eps at chi, s > 0 (S underflows to 0 past omega_-r beta
+    # ~ 745): the point takes the closed form, whose occupations all underflow
+    # past 709.78, so it is still refused by name
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=beta, phi=1.0, chi=0.1)
+    with pytest.raises(cd.ConvergenceError, match="every occupation underflows"):
+        cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
+
+
 def test_solve_supply_grid_keeps_failures_in_place():
-    # beta = 100: s = 0 has a closed form, s > 0 hits the unresolvable pole
+    # beta = 100: s = 0 and s > 0 have the closed form, s < 0 is refused
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=100.0, phi=1.0, chi=0.1)
-    grid = cd.solve_supply_grid(ladder, bath, [0.0, 1.0, 10.0])
-    assert len(grid.errors) == 3
-    assert isinstance(grid.solution(0), cd.SteadyStateGrid)
-    at_zero = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(0.0))
-    assert grid.solution(0).occupations.tobytes() == at_zero.occupations.tobytes()
-    for failure in grid.errors[1:]:
-        assert isinstance(failure, cd.ConvergenceError)
-        assert "below machine epsilon" in str(failure)
+    supplies = [0.0, 1.0, -1.0, 10.0]
+    grid = cd.solve_supply_grid(ladder, bath, supplies)
+    assert len(grid.errors) == 4
+    for i in (0, 1, 3):
+        assert isinstance(grid.solution(i), cd.SteadyStateGrid)
+        point = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(supplies[i]))
+        assert grid.solution(i).occupations.tobytes() == point.occupations.tobytes()
+    assert isinstance(grid.errors[2], ValueError) and "must be >= 0" in str(grid.errors[2])
+    assert np.all(np.isnan(grid.occupations[2])) and np.isnan(grid.eta[2])
 
 
 def test_grid_refusals_match_the_one_point_refusals():
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     flat = cd.ladder_analytic(2, 1.0, 0.0, 100.0)
     cases = [
-        # beta past 709.78: s = 0 underflows, s > 0 meets the pole
+        # beta past 709.78: every occupation underflows, at s = 0 as at s > 0
         (ladder, cd.BathParams(beta=800.0, phi=1.0, chi=0.1), [0.0, 2.5, -1.0]),
-        # chi S / phi^2 < eps at s = 1e-3; s = 0, 1 and 10 solve
+        # chi S / phi^2 < eps at s = 1e-3 (closed form); s = 0, 1 and 10 solve
         (ladder, cd.BathParams(beta=25.0, phi=1.0, chi=1e-3), [1e-3, 1.0, 0.0, -0.5, 10.0]),
         # degenerate ladder with chi > 0: s > 0 refused, s = 0 closed form
         (flat, cd.BathParams(beta=1.0, phi=1.0, chi=0.1), [0.0, 1.0, -2.0, 3.0]),
     ]
-    refusals = ("must be >= 0", "degenerate", "underflows", "below machine epsilon")
+    refusals = ("must be >= 0", "degenerate", "underflows")
     seen = set()
     for ladder_i, bath, supplies in cases:
         grid = cd.solve_supply_grid(ladder_i, bath, supplies)
@@ -404,12 +446,124 @@ def test_grid_refusals_match_the_one_point_refusals():
 
 
 # ---------------------------------------------------------------------------
-# batched root find: one kernel for a grid and for one point
+# the closed form wherever A rounds to 1
 # ---------------------------------------------------------------------------
 
 def _log_floats(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
+
+def _load_census():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "solver_census.py"
+    spec = importlib.util.spec_from_file_location("solver_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CENSUS = _load_census()
+
+
+def _a_rounds_to_one(ladder, bath, s):
+    """chi S < phi^2 eps: x = 1 - A is below the double resolution of 1."""
+    return bath.chi * cd.excitation_transfer_supply(s, ladder, bath) < bath.phi**2 * EPS
+
+
+def test_solver_census_prints_the_same_bytes_on_every_run():
+    argv = [
+        sys.executable, CENSUS.__file__, "--src", str(Path(cd.__file__).parents[1]),
+        "--seed", "0", "--draws", "20",
+    ]
+    first, second = (subprocess.run(argv, check=True, capture_output=True).stdout for _ in "ab")
+    assert first == second
+    counts = json.loads(first)
+    refused = sum(counts["refused"].values())
+    assert counts["converged"] + sum(counts["flagged"].values()) + refused == 20
+
+
+@pytest.mark.parametrize(("chi", "s"), [(0.1, 0.0), (0.0, 1.0), (0.0, 0.0)])
+def test_residual_is_finite_where_upper_levels_underflow(chi, s):
+    # omega beta runs 704.9, 712, 719.1: the two upper occupations underflow
+    # to 0, and the residual must not take 0 * e^(omega beta) = 0 * inf there
+    ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=712.0, phi=1.0, chi=chi)
+    solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+    assert solution.occupations[1:].tolist() == [0.0, 0.0]
+    assert np.isfinite(solution.max_residual) and solution.converged()
+
+
+def _full_closure_occupations(ladder, bath, s, eta_near):
+    """50-digit occupations at the root of the full closure, with A = 1 - x kept.
+
+    The unknown is eta / eta_near, so the secant steps see numbers near 1
+    whatever the size of eta.
+    """
+    with mpmath.workdps(50):
+        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
+        ups = [mpmath.exp(mpmath.mpf(float(w)) * mpmath.mpf(bath.beta)) for w in ladder.omegas]
+        transfer = s * mpmath.fsum(1 / up for up in ups)
+        scale = mpmath.mpf(eta_near)
+
+        def occupations(u):
+            eta = u * scale
+            a = 1 - chi * transfer / (phi * (phi + chi * eta))
+            k = 1 + s / (phi + chi * eta)
+            return [k / (a * up - 1) for up in ups]
+
+        root = mpmath.findroot(lambda u: mpmath.fsum(occupations(u)) / scale - u, 1)
+        return occupations(root)
+
+
+def test_closed_form_matches_the_full_closure_root():
+    # the seed-0 census draws with chi S < phi^2 eps: each is the 50-digit
+    # root of the full closure, or every occupation underflows past
+    # omega_-r beta = 709.78
+    answered = 0
+    for two_r, beta, phi, chi, s in CENSUS.draws(0, 120):
+        ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+        bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+        if not _a_rounds_to_one(ladder, bath, s):
+            continue
+        pump = cd.PumpParams.from_supply(s)
+        if ladder.bottom * beta > 709.78:
+            with pytest.raises(cd.ConvergenceError, match="every occupation underflows"):
+                cd.solve_steady_state(ladder, bath, pump)
+            continue
+        solution = cd.solve_steady_state(ladder, bath, pump)
+        assert solution.converged()
+        exact = _full_closure_occupations(ladder, bath, s, solution.eta)
+        for n, oracle in zip(solution.occupations.tolist(), exact):
+            if oracle > 1e-290:
+                assert abs(n - oracle) < 1e-12 * oracle
+        answered += 1
+    assert answered >= 20
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    two_r=st.integers(0, 78),
+    beta=_log_floats(0.1, 2000.0),
+    phi=_log_floats(1e-3, 1e3),
+    chi=_log_floats(1e-4, 1e2),
+    s=_log_floats(1e-3, 1e5),
+)
+def test_closed_form_draws_converge_or_name_the_underflow(two_r, beta, phi, chi, s):
+    # ROADMAP item 1's domain where A rounds to 1; pytest makes a numpy
+    # warning an error, so each draw also warns of nothing
+    ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+    assume(_a_rounds_to_one(ladder, bath, s))
+    try:
+        solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+    except cd.ConvergenceError as error:
+        assert "every occupation underflows" in str(error)
+    else:
+        assert solution.converged()
+
+
+# ---------------------------------------------------------------------------
+# batched root find: one kernel for a grid and for one point
+# ---------------------------------------------------------------------------
 
 def _domain_ladder(two_r, omega, c_ref, share):
     """A ladder of the sweep_analytic domain: bottom level kept positive."""

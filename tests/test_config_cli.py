@@ -42,6 +42,13 @@ pump.points = 12
 pump.grid = log
 """
 
+SPECTRAL_SWEEP_CFG = (
+    "ladder.source = spectral\nladder.r = 5\nladder.c = 10\nladder.omega = 1\n"
+    "ladder.kappa = 0.5\nbath.beta = 1\nbath.phi = 1\nbath.chi = 0.1\n"
+    "pump.s_min = 0\npump.s_max = 50\npump.points = 12\n"
+)
+
+
 SPECTRUM_CFG = """
 spectrum.r = 0.5
 spectrum.c = 0.5
@@ -578,52 +585,70 @@ def test_cli_workers_below_one_exit_one(tmp_path, capsys):
     assert "unknown key 'workers'" in capsys.readouterr().err
 
 
-# chi S / phi^2 falls below machine epsilon at this temperature
-POLE_CFG = """
+# omega_-r beta = 990 > ln(DBL_MAX): every occupation underflows to 0
+COLD_CFG = """
 ladder.r = 1
 ladder.omega = 1
 ladder.kappa = 0.1
 ladder.c_ref = 100
-bath.beta = 100
+bath.beta = 1000
 bath.phi = 1
 bath.chi = 0.1
 """
 
 
-@pytest.mark.installed
-def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "point.cfg", POLE_CFG + "pump.s = 1\n")
+def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
+    # omega_-r beta = 990: at s = 0 every occupation underflows to 0
+    cfg = _write(tmp_path, "point.cfg", COLD_CFG + "pump.s = 0\n")
     assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and "below machine epsilon" in line
+    assert line.startswith("error: ") and "every occupation underflows" in line
 
     cfg = _write(
-        tmp_path, "sweep.cfg", POLE_CFG + "pump.s_min = 1\npump.s_max = 10\npump.points = 3\n"
+        tmp_path, "sweep.cfg", COLD_CFG + "pump.s_min = 0\npump.s_max = 10\npump.points = 5\n"
+    )
+    out = tmp_path / "b"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and rows[0].startswith("0,")
+    assert all(row.endswith(",failed") for row in rows)
+    flags = _manifest(out)["flags"]
+    assert len(flags) == 5 and all("every occupation underflows" in flag for flag in flags)
+
+
+@pytest.mark.installed
+def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
+    # at s > 0, chi S < phi^2 eps takes the closed form; past omega_-r beta =
+    # 709.78 its occupations all underflow, and the point is one error line
+    cfg = _write(tmp_path, "point.cfg", COLD_CFG + "pump.s = 1\n")
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "every occupation underflows" in line
+
+    cfg = _write(
+        tmp_path, "sweep.cfg", COLD_CFG + "pump.s_min = 1\npump.s_max = 10\npump.points = 3\n"
     )
     out = tmp_path / "b"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",failed") for row in rows)
     flags = _manifest(out)["flags"]
-    assert len(flags) == 3 and all("below machine epsilon" in flag for flag in flags)
+    assert len(flags) == 3 and all("every occupation underflows" in flag for flag in flags)
 
 
-def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
-    # omega_-r beta = 990: at s = 0 every occupation underflows to 0
-    cold = POLE_CFG.replace("bath.beta = 100", "bath.beta = 1000")
-    cfg = _write(tmp_path, "point.cfg", cold + "pump.s = 0\n")
-    assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "every occupation underflows" in err
-
-    cfg = _write(
-        tmp_path, "sweep.cfg", cold + "pump.s_min = 0\npump.s_max = 10\npump.points = 5\n"
-    )
-    out = tmp_path / "b"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-    rows = (out / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 5 and rows[0].startswith("0,") and rows[0].endswith(",failed")
-    assert "every occupation underflows" in _manifest(out)["flags"][0]
+@pytest.mark.parametrize(("chi", "s"), [("0.1", "0"), ("0", "1"), ("0", "0")])
+def test_cli_exact_point_past_the_exp_overflow_reads_ok(tmp_path, chi, s):
+    # omega beta runs 704.9, 712, 719.1: the two upper occupations underflow
+    # to 0, and the exact point reads ok with a finite resid_max
+    text = _set(_set(COLD_CFG, "bath.beta", "712"), "bath.chi", chi) + f"pump.s = {s}\n"
+    cfg = _write(tmp_path, "point.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
+    header, row = (out / "steady_state.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["status"] == "ok" and math.isfinite(float(cells["resid_max"]))
+    manifest = _manifest(out)
+    assert manifest["flags"] == [] and math.isfinite(manifest["residuals"]["max"])
 
 
 def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
@@ -924,11 +949,18 @@ def test_cli_threshold_at_a_tiny_beta(tmp_path, beta, phi):
          "ladder: ladder.c_ref applies to an analytic ladder only"),
         ("threshold", THRESHOLD_CFG + "pump.grid = linear\n",
          "pump: pump.grid applies only with pump.s_min, pump.s_max and pump.points"),
+        ("sweep", _set(SPECTRAL_SWEEP_CFG, "ladder.kappa", "0"),
+         "ladder: spectral ladder needs ladder.kappa > 0"),
+        ("sweep", _set(SWEEP_CFG, "pump.points", "1"), "pump: pump.points must be >= 2, got 1"),
+        # mu_j(c+1) - mu_j(c) < -1 at this coupling
+        ("sweep", _set(_set(SPECTRAL_SWEEP_CFG, "ladder.c", "5"), "ladder.kappa", "2"),
+         "ladder: spectral ladder produced a non-positive level energy"),
     ],
     ids=[
         "partial-grid", "threshold-chi-zero", "output-dir", "threshold-one-level",
         "no-equals-sign", "thermal-beta-empty", "analytic-ladder-c", "spectral-ladder-c-ref",
-        "threshold-grid-mode-alone",
+        "threshold-grid-mode-alone", "spectral-ladder-kappa-zero", "one-grid-point",
+        "spectral-ladder-nonpositive-level",
     ],
 )
 def test_cli_rejected_settings_leave_no_output(tmp_path, capsys, command, text, message):
@@ -1005,13 +1037,6 @@ def test_parser_returns_a_config_or_a_config_error(case):
     assert isinstance(config, tuple)
     with pytest.raises(AttributeError):
         config.ladder = None
-
-
-SPECTRAL_SWEEP_CFG = (
-    "ladder.source = spectral\nladder.r = 5\nladder.c = 10\nladder.omega = 1\n"
-    "ladder.kappa = 0.5\nbath.beta = 1\nbath.phi = 1\nbath.chi = 0.1\n"
-    "pump.s_min = 0\npump.s_max = 50\npump.points = 12\n"
-)
 
 
 @pytest.mark.installed
