@@ -23,6 +23,10 @@ beta rather than in eta: the map g -> eta is monotone, the admissible
 bracket is simply 0 < g < omega_{-r} beta, and occupations evaluated
 through expm1 of (omega_l - omega_{-r}) beta + g stay accurate close to
 the condensation pole, where an eta-space iteration loses digits.
+The solve carries the pair (g, mu beta), which sums to omega_{-r} beta,
+and takes neither half as the other's difference: each Newton iterate
+forms both from t = log(g / mu beta), and a root's larger half is
+re-formed from its smaller, which holds the digits.
 ``solve_supply_grid`` solves every supply of a grid in one array kernel:
 it checks the closure at the bracket ends, then takes safeguarded Newton
 steps on the same equation in a cancellation-free form, log(T / S) = 0,
@@ -411,47 +415,55 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     with np.errstate(over="ignore", invalid="ignore"):
         transfer = excitation_transfer_supply(s, ladder, bath)
         closed = bath.chi * transfer <= bath.phi**2 * _EPS  # 1 - A < eps; False at 0 * inf
-        eta_root[closed], occupations[closed] = _closed_state(s[closed], omegas, bath)
+        if closed.any():
+            eta_root[closed], occupations[closed] = _closed_state(s[closed], omegas, bath)
     errors, refused = _refusals(s, transfer, closed, occupations.sum(axis=-1), ladder, bath)
     gap_top = omegas[0] * bath.beta
     gap = np.full_like(s, gap_top)
+    mu_beta = np.zeros_like(s)  # a closed row has A = 1
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
         level_gaps = (omegas - omegas[0]) * bath.beta
-        gap[solve], failures = _find_gaps(s[solve], transfer[solve], level_gaps, gap_top, bath)
+        pair, failures = _find_gaps(s[solve], transfer[solve], level_gaps, gap_top, bath)
+        gap[solve], mu_beta[solve] = pair
         eta_root[solve], occupations[solve] = _gap_state(
-            gap[solve], s[solve], transfer[solve], level_gaps, gap_top, bath
+            gap[solve], mu_beta[solve], s[solve], transfer[solve], level_gaps, bath
         )
         for j, error in failures.items():
             errors[solve[j]] = error
     failed = [i for i, error in enumerate(errors) if error is not None]
     occupations[failed] = np.nan
-    gap[failed] = np.nan
+    gap[failed] = mu_beta[failed] = np.nan
     transfer[failed] = np.nan
-    return _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors)
+    return _grid(ladder, bath, s, scale, transfer, occupations, gap, mu_beta, eta_root, errors)
+
+
+def _positive_root(p_sum, s, bath: BathParams):
+    """Positive root n of chi n^2 + (phi - chi P) n - (phi + s) P = 0, P = ``p_sum``.
+
+    Neither branch cancels and no square overflows.  At chi = 0, b = phi - chi P
+    and h = hypot(b, ...) both equal phi, so the root is exactly P (1 + s/phi).
+    """
+    b = bath.phi - bath.chi * p_sum
+    h = np.hypot(b, 2.0 * math.sqrt(bath.chi * p_sum) * np.sqrt(bath.phi + s))
+    if b >= 0.0:
+        return p_sum * (1.0 + s / bath.phi) * (2.0 * bath.phi / (b + h))
+    return (h - b) / (2.0 * bath.chi)
 
 
 def _closed_state(s, omegas, bath: BathParams):
-    """eta and occupations k / expm1(omega_l beta), k = 1 + s/(phi + chi eta), at A = 1.
-
-    eta is the positive root of chi eta^2 + (phi - chi P) eta - (phi + s) P, with
-    P = sum_l 1/expm1(omega_l beta), in a form that cancels for neither sign
-    of b = phi - chi P and squares nothing that can overflow.
-    """
+    """eta, ``_positive_root`` at P = sum_l 1/expm1(omega_l beta), and occupations
+    k / expm1(omega_l beta), k = 1 + s/(phi + chi eta), at A = 1."""
     expm1 = np.expm1(omegas * bath.beta)
-    p_sum = float((1.0 / expm1).sum())
-    b = bath.phi - bath.chi * p_sum
-    h = np.hypot(b, 2.0 * math.sqrt(bath.chi * p_sum) * np.sqrt(bath.phi + s))
-    # at chi = 0 (b = phi), eta = (phi + s) P / phi and k = 1 + s/phi exactly
-    eta = (bath.phi + s) / (b + h) * (2.0 * p_sum) if b >= 0.0 else (h - b) / (2.0 * bath.chi)
+    eta = _positive_root(float((1.0 / expm1).sum()), s, bath)
     return eta, (1.0 + s / (bath.phi + bath.chi * eta))[:, None] / expm1
 
 
-def _grid(ladder, bath, s, scale, transfer, occupations, gap, eta_root, errors):
-    """The grid's columns from each point's occupations and gap."""
+def _grid(ladder, bath, s, scale, transfer, occupations, gap, mu_beta, eta_root, errors):
+    """The grid's columns from each point's occupations, gap g and mu beta."""
     omegas = ladder.omegas
     eta = occupations.sum(axis=-1)
-    log_a = gap - omegas[0] * bath.beta
+    log_a = -mu_beta
     amplification = np.exp(log_a)
     # past omega beta = 709.78 the losses take 0 * inf at an occupation that
     # underflowed: a NaN residual, and no warning
@@ -524,10 +536,10 @@ def _refusals(s, transfer, closed, eta, ladder: LevelLadder, bath: BathParams):
     return errors, refused
 
 
-def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
-    """eta and occupations of the scalar reduction at gap g of each point."""
-    # x = chi S / (phi (phi + chi eta)) = 1 - e^(g - gap_top)
-    x = -np.expm1(g - gap_top)
+def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
+    """eta and occupations of the scalar reduction at the gap pair (g, mu beta)."""
+    # x = chi S / (phi (phi + chi eta)) = 1 - e^(-mu beta)
+    x = -np.expm1(-mu_beta)
     # chi S / (phi x) overflows only at a supply near the double range; eta =
     # inf is the right limit there: the closure reads -inf, and _find_gaps's
     # bracket search shrinks on and names the point it cannot bracket
@@ -537,16 +549,16 @@ def _gap_state(g, s, transfer, level_gaps, gap_top, bath: BathParams):
     return eta, k[..., None] / np.expm1(np.add.outer(g, level_gaps))
 
 
-def _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath: BathParams):
-    """log(T / S) and its derivative in g at gap g of each point.
+def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
+    """log(T / S) and its derivative in g at the gap pair (g, mu beta) of each point.
 
     The closure's root solves T = S with T = phi x (k Phi(g) + phi/chi),
-    x = 1 - e^(g - gap_top), k = 1 + s phi x / (chi S) and Phi(g) =
+    x = 1 - e^(-mu beta), k = 1 + s phi x / (chi S) and Phi(g) =
     sum_l 1/expm1(level_gap_l + g).  Every term is positive, so nothing
-    cancels, and log T is close to linear in t = log(g / (gap_top - g))
-    at both ends of the gap range.
+    cancels, and log T is close to linear in t = log(g / mu beta) at both
+    ends of the gap range.
     """
-    x = -np.expm1(g - gap_top)
+    x = -np.expm1(-mu_beta)
     planck = 1.0 / np.expm1(np.add.outer(g, level_gaps))
     phi_sum = planck.sum(axis=-1)
     k = 1.0 + k_slope * x
@@ -558,22 +570,22 @@ def _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath: BathParams):
     return np.log(x * w * t_scale), dh_dg
 
 
-def _newton_step(t, t_lo, t_hi, g, h, dh_dg, gap_top, where):
+def _newton_step(t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, where):
     """Newton step on log(T / S) = 0 in t, kept inside the bracket [t_lo, t_hi].
 
     The sign of log(T / S) at t moves one end of the bracket; a step that
     would leave it bisects it.  Returns the next t, the bracket, the root
-    g + step in g and whether that step was below 1e-12 in t or one float
-    in g, where Newton's quadratic convergence leaves nothing to gain.
+    pair (g + step, mu beta - step) and whether the step was below 1e-12 in
+    t or one float in the smaller half, where Newton has nothing to gain.
     """
     t_lo = where(h > 0.0, t, t_lo)
     t_hi = where(h < 0.0, t, t_hi)
     g_step = -h / dh_dg
-    t_step = g_step / (g * (1.0 - g / gap_top))
+    t_step = g_step * gap_top / (g * mu_beta)  # dt/dg = gap_top / (g mu beta)
     t_next = t + t_step
     t = where((t_next > t_lo) & (t_next < t_hi), t_next, 0.5 * (t_lo + t_hi))
-    done = (abs(t_step) <= 1e-12) | (abs(g_step) <= np.spacing(g))
-    return t, t_lo, t_hi, g + g_step, done
+    done = (abs(t_step) <= 1e-12) | (abs(g_step) <= np.spacing(np.minimum(g, mu_beta)))
+    return t, t_lo, t_hi, (g + g_step, mu_beta - g_step), done
 
 
 def _pick(condition, if_true, if_false):
@@ -582,13 +594,13 @@ def _pick(condition, if_true, if_false):
 
 
 def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
-    """Root gap of each point's closure, NaN where it fails, and {point: error}.
+    """Root pair (g, mu beta) of each point's closure, NaN where it fails, and {point: error}.
 
-    Only points still active are evaluated.  When a single point enters
-    the Newton loop, its state is numpy scalars and ``_pick`` stands in
-    for np.where: the same steps and bits at a fraction of the cost of
-    1-element arrays.  A grid's last active point keeps stepping as a
-    1-element array.
+    Each Newton iterate forms both halves from t; once it stops, a root's
+    larger half is re-formed as gap_top minus the smaller, which holds the
+    digits.  Only active points are evaluated.  A single point entering the
+    loop steps on numpy scalars, with ``_pick`` for np.where: the same bits
+    at a fraction of the cost.  A grid's last active point stays a 1-element array.
     """
     failures: dict[int, ConvergenceError] = {}
 
@@ -596,19 +608,20 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         for i in mask.nonzero()[0].tolist():
             failures.setdefault(i, ConvergenceError(message(i)))
 
-    def closure(g, j=slice(None)):
-        eta, occupations = _gap_state(g, s[j], transfer[j], level_gaps, gap_top, bath)
+    def closure(g, mu_beta, j=slice(None)):
+        eta, occupations = _gap_state(g, mu_beta, s[j], transfer[j], level_gaps, bath)
         return occupations.sum(axis=-1) - eta
 
     lo_end, hi = (gap_top * end for end in _GAP_BRACKET)
-    f_lo, f_hi = closure(np.array([[lo_end], [hi]]))  # both ends in one pass
+    top = gap_top - hi  # mu beta at hi, exact: hi is within a factor 2 of gap_top
+    f_lo, f_hi = closure(np.array([[lo_end], [hi]]), np.array([[gap_top - lo_end], [top]]))
     lo = np.full_like(s, lo_end)
     low = (f_lo <= 0.0).nonzero()[0]
     while low.size:  # the root lies below _GAP_BRACKET[0]: huge supplies
         lo[low] *= 1e-3
         fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
         low = low[lo[low] >= 1e-280]
-        f_lo[low] = closure(lo[low], low)
+        f_lo[low] = closure(lo[low], gap_top - lo[low], low)
         low = low[f_lo[low] <= 0.0]
     fail(f_hi >= 0.0, lambda i: (
         "no root: total occupation cannot match the supply inside "
@@ -618,42 +631,45 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         f"closure is NaN at the ends of the gap bracket [{float(lo[i])!r}, {hi!r}]"
     ))
 
-    roots = np.full_like(s, np.nan)
+    roots = np.full((2, s.size), np.nan)  # the rows g and mu beta
     j = np.arange(s.size)
     if failures:
         j = np.flatnonzero([i not in failures for i in j.tolist()])
     lone = j.size == 1
     at = j[0] if lone else j
-    # Newton runs in t = log(g / (gap_top - g)), inside the bracket [t_lo, t_hi]
+    # Newton runs in t = log(g / mu beta), inside the bracket [t_lo, t_hi]
     t_lo = np.log(lo[at] / (gap_top - lo[at]))
-    t_hi = math.log(hi / (gap_top - hi))
+    t_hi = math.log(hi / top)
     t = 0.5 * (t_lo + t_hi)
     k_slope = s[at] * bath.phi / (bath.chi * transfer[at])  # k = 1 + k_slope x
     t_scale = bath.phi / transfer[at]  # T / S = x w t_scale
     state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), k_slope, t_scale)
     for _ in range(_MAX_ITERATIONS):
         if not j.size:
-            return roots, failures
+            break
         t, t_lo, t_hi, k_slope, t_scale = state
         g = gap_top / (1.0 + np.exp(-t))
-        h, dh_dg = _log_ratio(g, k_slope, t_scale, level_gaps, gap_top, bath)
+        mu_beta = gap_top / (1.0 + np.exp(t))
+        h, dh_dg = _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath)
         t, t_lo, t_hi, root, done = _newton_step(
-            t, t_lo, t_hi, g, h, dh_dg, gap_top, _pick if lone else np.where
+            t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, _pick if lone else np.where
         )
         state = (t, t_lo, t_hi, k_slope, t_scale)
         if lone and done:
-            roots[j] = root
-            return roots, failures
-        if not lone and done.any():
-            roots[j[done]] = root[done]
+            roots[:, at] = root
+            j = j[:0]
+        elif not lone and done.any():
+            roots[:, j[done]] = [half[done] for half in root]
             j, *state = (v[~done] for v in (j, *state))
-    g_lo, g_hi = (np.reshape(gap_top / (1.0 + np.exp(-end)), -1) for end in state[1:3])
-    for k, i in enumerate(j.tolist()):
-        failures[i] = ConvergenceError(
-            f"Newton iteration did not converge in {_MAX_ITERATIONS} iterations: "
-            f"gap bracket [{float(g_lo[k])!r}, {float(g_hi[k])!r}]"
-        )
-    return roots, failures
+    if j.size:
+        g_lo, g_hi = (np.reshape(gap_top / (1.0 + np.exp(-end)), -1) for end in state[1:3])
+        for k, i in enumerate(j.tolist()):
+            failures[i] = ConvergenceError(
+                f"Newton iteration did not converge in {_MAX_ITERATIONS} iterations: "
+                f"gap bracket [{float(g_lo[k])!r}, {float(g_hi[k])!r}]"
+            )
+    g, mu_beta = roots
+    return np.where(g <= mu_beta, (g, gap_top - g), (gap_top - mu_beta, mu_beta)), failures
 
 
 def eta_thermal(ladder: LevelLadder, bath: BathParams) -> float:
@@ -673,7 +689,8 @@ def noncondensate_bound(
 
     Solves n (phi + chi n) / (phi + chi n + s) = B for n, where B sums
     the Planck occupations of the excited levels at their gap to the
-    bottom level; grows like sqrt(B s / chi) at large s.
+    bottom level; grows like sqrt(B s / chi) at large s.  n is
+    ``_positive_root`` at P = B, exactly B (1 + s/phi) at chi = 0.
     """
     if s < 0.0:
         raise ValueError("supply must be >= 0")
@@ -686,16 +703,8 @@ def noncondensate_bound(
             "the bound diverges"
         )
     b_sum = float(planck_occupation(gaps, bath.beta).sum())
-    if bath.chi == 0.0:
-        bound = b_sum * (1.0 + s / bath.phi)
-        asymptote = math.inf
-    else:
-        # chi n^2 + (phi - B chi) n - B (phi + s) = 0, positive root
-        half_b = 0.5 * (bath.phi - b_sum * bath.chi)
-        bound = (
-            -half_b + math.sqrt(half_b * half_b + bath.chi * b_sum * (bath.phi + s))
-        ) / bath.chi
-        asymptote = math.sqrt(b_sum * s / bath.chi)
+    bound = float(_positive_root(b_sum, s, bath))
+    asymptote = math.sqrt(b_sum * s / bath.chi) if bath.chi > 0.0 else math.inf
     return NoncondensateBound(bound=bound, b_sum=b_sum, asymptote=asymptote)
 
 
@@ -748,11 +757,10 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
 
     A non-positive bracket (2B <= eta_T) means the excited levels cannot
     even hold the equilibrium population: condensation is immediate and
-    the estimate is flagged, never clamped.  Where eta_T^2 overflows (a
-    tiny beta) or underflows to 0 (a large one), s0 is the same form divided
-    through by eta_T, (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T).  An s0
-    that overflows is refused, and so is an eta_T of 0, where every level's
-    e^(omega beta) overflows.
+    the estimate is flagged, never clamped.  s0 is taken divided through
+    by eta_T, (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T), which squares
+    nothing.  An s0 that overflows is refused, and so is an eta_T of 0,
+    where every level's e^(omega beta) overflows.
     """
     if eta_t == 0.0:  # every planck_occupation term's expm1 overflowed
         raise ValueError(
@@ -764,15 +772,7 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
         raise ValueError(f"equilibrium occupancy must be positive, got eta_T = {eta_t}")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
-    # eta_t**2 raises OverflowError above 1.3e154 and is 0 below about 1.6e-162
-    if 0.0 < eta_t * eta_t < math.inf:
-        s0 = (bath.phi / eta_t**2) * (eta_t + 2.0 * bath.phi / bath.chi) * (
-            2.0 * b_sum - eta_t
-        )
-    else:
-        s0 = (bath.phi / eta_t) * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (
-            2.0 * b_sum - eta_t
-        )
+    s0 = bath.phi / eta_t * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (2.0 * b_sum - eta_t)
     if not math.isfinite(s0):
         # eta_T > e^(-omega_-r beta) bounds the bottom level's omega beta
         raise ValueError(

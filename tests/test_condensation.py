@@ -481,6 +481,24 @@ def test_solver_census_prints_the_same_bytes_on_every_run():
     assert counts["converged"] + sum(counts["flagged"].values()) + refused == 20
 
 
+# seed-0 census draws that failed the residual gate while mu beta was found
+# as gap_top - g, which cancels where A = e^(-mu beta) is close to 1
+NEAR_CLOSED_DRAWS = (32, 83, 91, 95, 123, 156, 171, 175)
+
+
+def test_census_draws_near_the_closed_regime_pass_the_residual_gate():
+    draws = list(CENSUS.draws(0, max(NEAR_CLOSED_DRAWS) + 1))
+    for index in NEAR_CLOSED_DRAWS:
+        two_r, beta, phi, chi, s = draws[index]
+        ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+        bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+        assert not _a_rounds_to_one(ladder, bath, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+        assert solution.max_residual < 1e-8 * max(s, phi), index
+
+
 @pytest.mark.parametrize(("chi", "s"), [(0.1, 0.0), (0.0, 1.0), (0.0, 0.0)])
 def test_residual_is_finite_where_upper_levels_underflow(chi, s):
     # omega beta runs 704.9, 712, 719.1: the two upper occupations underflow
@@ -788,10 +806,16 @@ BRENT_DISTANCE_MAX = 8.773801407357959e-16
 
 
 @functools.cache
-def _kernel_distance(index):
+def _oracle(index):
+    """The kernel's one-point grid at ORACLE_POINTS[index] and its 50-digit root g."""
     ladder, bath, s = ORACLE_POINTS[index]
-    gap = float(cd.solve_supply_grid(ladder, bath, [s]).gap[0])
-    root = _closure_root(ladder, bath, s, gap)
+    grid = cd.solve_supply_grid(ladder, bath, [s])
+    return grid, _closure_root(ladder, bath, s, float(grid.gap[0]))
+
+
+def _kernel_distance(index):
+    grid, root = _oracle(index)
+    gap = float(grid.gap[0])
     return float(abs(gap - root) / root)
 
 
@@ -799,6 +823,13 @@ def _kernel_distance(index):
 def test_kernel_gap_is_within_brent_tolerance_of_the_closure_root(index):
     # Brent stopped on a bracket narrower than 8.9e-16 g
     assert _kernel_distance(index) <= 8.9e-16
+    # mu beta = gap_top - g holds its own digits too, also where it is the
+    # far smaller half of gap_top
+    ladder, bath, _ = ORACLE_POINTS[index]
+    grid, root = _oracle(index)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(float(ladder.omegas[0] * bath.beta)) - root
+        assert abs(float(grid.mu[0]) * bath.beta - exact) <= 1e-15 * exact
 
 
 def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
@@ -886,6 +917,18 @@ def test_noncondensate_bound_caps_solver():
         solution = solve(s)
         bound = cd.noncondensate_bound(s, LADDER, BATH)
         assert solution.n_n <= bound.bound * (1.0 + 1e-12)
+
+
+def test_noncondensate_bound_is_the_50_digit_root_where_phi_dominates():
+    # b = phi - chi B is 1e3 and chi B phi about 5e-4: a root taken as
+    # -b/2 + sqrt(b^2/4 + chi B phi) cancels to 1e-8
+    bath = cd.BathParams(beta=1.0, phi=1e3, chi=1e-8)
+    at = cd.noncondensate_bound(0.0, LADDER, bath)
+    with mpmath.workdps(50):
+        b_sum, phi, chi = (mpmath.mpf(v) for v in (at.b_sum, bath.phi, bath.chi))
+        half_b = (phi - chi * b_sum) / 2
+        root = (mpmath.sqrt(half_b**2 + chi * b_sum * phi) - half_b) / chi
+        assert abs(at.bound - root) <= 4 * EPS * root
 
 
 def test_noncondensate_bound_without_chi_caps_the_closed_form():

@@ -902,7 +902,8 @@ def test_cli_threshold_refuses_a_default_grid_past_the_double_range(tmp_path, ca
     assert cli.main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: threshold: the default grid's top end 1e2 s0 overflows")
-    assert "s0 = 2.7696068585310083e+307" in line
+    # (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T), 1.8e-17 from its 50-digit value
+    assert "s0 = 2.7696068585310088e+307" in line
 
 
 @pytest.mark.parametrize(
