@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical solve failed: the block SVD did not converge, or no root was found.
+    """A numerical solve failed: the block SVD or the steady-state root find.
 
     Raised by the block eigensolve and by the steady-state solver, whose
     message names the regime (a missing bracket, occupations that all

@@ -15,23 +15,23 @@ levels.  Increasing s drives the effective chemical potential mu up
 toward the bottom level omega_{-r}; past a threshold supply the excess
 quanta pile into that level -- photon condensation, alias lasing.
 
-The self-consistency collapses to one scalar equation.  Where
-A = 1 - chi S / (phi (phi + chi eta)) rounds to 1 (chi S < phi^2 eps,
-s = 0 and chi = 0 among them), it is a quadratic in eta with a closed
-root.  Elsewhere it is solved in the gap variable g = (omega_{-r} - mu)
-beta rather than in eta: the map g -> eta is monotone, the admissible
-bracket is simply 0 < g < omega_{-r} beta, and occupations evaluated
-through expm1 of (omega_l - omega_{-r}) beta + g stay accurate close to
-the condensation pole, where an eta-space iteration loses digits.
-The solve carries the pair (g, mu beta), which sums to omega_{-r} beta,
-and takes neither half as the other's difference: each Newton iterate
-forms both from t = log(g / mu beta), and a root's larger half is
-re-formed from its smaller, which holds the digits.
+The self-consistency collapses to one scalar equation.  Where 1 - A =
+chi S / (phi (phi + chi eta)) is below eps (chi S < phi^2 eps, s = 0 and
+chi = 0 among them) or below its value at the gap bracket's top end,
+about 1e-15 omega_{-r} beta, it is a quadratic in eta with a closed root,
+off by about 1 - A.  Elsewhere it is solved in g = (omega_{-r} - mu) beta:
+g -> eta is monotone, the admissible bracket is 0 < g < omega_{-r} beta,
+and occupations through expm1 of (omega_l - omega_{-r}) beta + g stay
+accurate near the condensation pole, where eta-space iteration loses
+digits.  The solve carries the pair (g, mu beta), which sums to
+omega_{-r} beta, and takes neither half as the other's difference: each
+Newton iterate forms both from t = log(g / mu beta), and a root's larger
+half is re-formed from its smaller, which holds the digits.
 ``solve_supply_grid`` solves every supply of a grid in one array kernel:
-it checks the closure at the bracket ends, then takes safeguarded Newton
-steps on the same equation in a cancellation-free form, log(T / S) = 0,
-for all points still active at once, and returns them as the rows of
-one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
+it checks the closure at the bracket ends, closes each point whose root
+lies past the top one, takes safeguarded Newton steps on the rest in a
+cancellation-free form, log(T / S) = 0, all at once, and returns the
+rows of one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -378,11 +378,11 @@ def solve_supply_grid(
 
     The closed-form identity A = 1 - chi S / (phi (phi + chi eta)) with
     the supply-side S reduces the level system to one scalar closure per
-    point, sum(occupations) - eta (see module docstring).  Every point with
-    chi S < phi^2 eps has a closed root, as A rounds to 1 (``_closed_state``).
-    Elsewhere the closure in the gap g = (omega_{-r} - mu) beta is checked
-    at the ends of _GAP_BRACKET, then its root is found for all points at
-    once by safeguarded Newton steps (``_newton_step``).  ``scale`` is the
+    point, sum(occupations) - eta (see module docstring).  Unless chi S <
+    phi^2 eps, the closure in the gap g = (omega_{-r} - mu) beta is checked
+    at the ends of _GAP_BRACKET.  Where A rounds to 1 or the root lies past
+    the top end, ``_closed_state`` answers; other roots are found at once
+    by safeguarded Newton steps (``_newton_step``).  ``scale`` is the
     pump rate p of each point's residual gate (default s, a pure supply).
     A point that is refused or fails keeps its exception in ``errors``.
 
@@ -411,24 +411,31 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     omegas = ladder.omegas
     eta_root = np.full_like(s, math.nan)  # eta of the scalar reduction
     occupations = np.full((s.size, omegas.size), math.nan)
-    # S and the closed form overflow only near the double range; _refusals names such a point
-    with np.errstate(over="ignore", invalid="ignore"):
+    gap_top = omegas[0] * bath.beta
+    level_gaps = (omegas - omegas[0]) * bath.beta
+    degenerate = ladder.is_degenerate and bath.chi > 0.0  # every s > 0 is refused
+    with np.errstate(over="ignore", invalid="ignore"):  # _refusals names an S that overflows
         transfer = excitation_transfer_supply(s, ladder, bath)
         closed = bath.chi * transfer <= bath.phi**2 * _EPS  # 1 - A < eps; False at 0 * inf
+    ends = np.full((2, s.size), math.nan)  # the closure at the ends of _GAP_BRACKET
+    bracket = (~closed & np.isfinite(transfer)).nonzero()[0]
+    if bracket.size and not degenerate:
+        g = gap_top * np.array(_GAP_BRACKET)[:, None]
+        ends[:, bracket] = _closure(g, gap_top - g, s[bracket], transfer[bracket], level_gaps, bath)
+        closed[bracket] = ends[1, bracket] >= 0.0  # past the top end, 1 - A < 1e-15 omega_-r beta
+    with np.errstate(over="ignore", invalid="ignore"):  # and closed occupations that do
         if closed.any():
             eta_root[closed], occupations[closed] = _closed_state(s[closed], omegas, bath)
-    errors, refused = _refusals(s, transfer, closed, occupations.sum(axis=-1), ladder, bath)
-    gap_top = omegas[0] * bath.beta
+    eta = occupations.sum(axis=-1)  # of the closed rows
+    errors, refused = _refusals(s, transfer, closed, eta, degenerate, ladder, bath)
     gap = np.full_like(s, gap_top)
     mu_beta = np.zeros_like(s)  # a closed row has A = 1
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
-        level_gaps = (omegas - omegas[0]) * bath.beta
-        pair, failures = _find_gaps(s[solve], transfer[solve], level_gaps, gap_top, bath)
+        s_j, transfer_j = s[solve], transfer[solve]
+        pair, failures = _find_gaps(s_j, transfer_j, *ends[:, solve], level_gaps, gap_top, bath)
         gap[solve], mu_beta[solve] = pair
-        eta_root[solve], occupations[solve] = _gap_state(
-            gap[solve], mu_beta[solve], s[solve], transfer[solve], level_gaps, bath
-        )
+        eta_root[solve], occupations[solve] = _gap_state(*pair, s_j, transfer_j, level_gaps, bath)
         for j, error in failures.items():
             errors[solve[j]] = error
     failed = [i for i, error in enumerate(errors) if error is not None]
@@ -501,18 +508,18 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, mu_beta, eta_root,
     )
 
 
-def _refusals(s, transfer, closed, eta, ladder: LevelLadder, bath: BathParams):
+def _refusals(s, transfer, closed, eta, degenerate, ladder: LevelLadder, bath: BathParams):
     """The error each point is refused with before any root find, or None.
 
-    Returns the errors and the refused mask.  ``eta`` is the sum of the
-    closed-form occupations of each ``closed`` point.  The rules are checked
-    in order, and the first that holds words the point's error.
+    Returns the errors and the refused mask.  ``eta`` sums each ``closed``
+    point's closed-form occupations; ``degenerate``, a degenerate ladder at chi > 0.
+    The rules are checked in order, and the first that holds words the error.
     """
     rules = (
         (s < 0.0, lambda i: ValueError(
             f"net supply s = p - Q must be >= 0, got {float(s[i])}"
         )),
-        ((ladder.is_degenerate and bath.chi > 0.0) & (s > 0.0), lambda i: ValueError(
+        (degenerate & (s > 0.0), lambda i: ValueError(
             "degenerate ladder with chi > 0: level exchange has no energy "
             "scale and the excited-level bound diverges"
         )),
@@ -593,9 +600,16 @@ def _pick(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
+def _closure(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
+    """sum(occupations) - eta of the scalar reduction at the gap pair (g, mu beta)."""
+    eta, occupations = _gap_state(g, mu_beta, s, transfer, level_gaps, bath)
+    return occupations.sum(axis=-1) - eta
+
+
+def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
     """Root pair (g, mu beta) of each point's closure, NaN where it fails, and {point: error}.
 
+    ``f_lo`` and ``f_hi`` are the closure at the ends of _GAP_BRACKET, f_hi < 0 or NaN.
     Each Newton iterate forms both halves from t; once it stops, a root's
     larger half is re-formed as gap_top minus the smaller, which holds the
     digits.  Only active points are evaluated.  A single point entering the
@@ -608,25 +622,16 @@ def _find_gaps(s, transfer, level_gaps, gap_top, bath: BathParams):
         for i in mask.nonzero()[0].tolist():
             failures.setdefault(i, ConvergenceError(message(i)))
 
-    def closure(g, mu_beta, j=slice(None)):
-        eta, occupations = _gap_state(g, mu_beta, s[j], transfer[j], level_gaps, bath)
-        return occupations.sum(axis=-1) - eta
-
     lo_end, hi = (gap_top * end for end in _GAP_BRACKET)
     top = gap_top - hi  # mu beta at hi, exact: hi is within a factor 2 of gap_top
-    f_lo, f_hi = closure(np.array([[lo_end], [hi]]), np.array([[gap_top - lo_end], [top]]))
     lo = np.full_like(s, lo_end)
     low = (f_lo <= 0.0).nonzero()[0]
     while low.size:  # the root lies below _GAP_BRACKET[0]: huge supplies
         lo[low] *= 1e-3
         fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
         low = low[lo[low] >= 1e-280]
-        f_lo[low] = closure(lo[low], gap_top - lo[low], low)
+        f_lo[low] = _closure(lo[low], gap_top - lo[low], s[low], transfer[low], level_gaps, bath)
         low = low[f_lo[low] <= 0.0]
-    fail(f_hi >= 0.0, lambda i: (
-        "no root: total occupation cannot match the supply inside "
-        f"the admissible gap (0, {gap_top})"
-    ))
     fail(np.isnan(f_lo) | np.isnan(f_hi), lambda i: (
         f"closure is NaN at the ends of the gap bracket [{float(lo[i])!r}, {hi!r}]"
     ))

@@ -356,11 +356,12 @@ def test_solver_rejects_degenerate_ladder_with_chi():
         cd.solve_steady_state(flat, BATH, cd.PumpParams.from_supply(1.0))
 
 
-@pytest.mark.parametrize("beta", [36.5, 50.0, 100.0, 400.0])
+@pytest.mark.parametrize("beta", [33.0, 34.0, 34.5, 36.5, 50.0, 100.0, 400.0])
 def test_solver_answers_where_a_rounds_to_one(beta):
-    # chi S / phi^2 < eps here, so A = 1 - chi S / (phi (phi + chi eta)) is 1
-    # to double precision and the displaced-Planck form k / expm1(omega beta)
-    # is the answer
+    # from beta = 36.5, chi S / phi^2 < eps, so A = 1 - chi S / (phi (phi +
+    # chi eta)) is 1 to double precision; at 33-34.5 the closure's root lies
+    # past the top end of the gap bracket, so 1 - A < 1e-15 omega_-r beta; in
+    # both the displaced-Planck form k / expm1(omega beta) is the answer
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=beta, phi=1.0, chi=0.1)
     solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(1.0))
@@ -469,6 +470,14 @@ def _a_rounds_to_one(ladder, bath, s):
     return bath.chi * cd.excitation_transfer_supply(s, ladder, bath) < bath.phi**2 * EPS
 
 
+def _answered_closed(ladder, bath, s):
+    """The closed path answers: A rounds to 1, or the closure's root lies past
+    the top end of the gap bracket, where the solver's mu is exactly 0."""
+    if _a_rounds_to_one(ladder, bath, s):
+        return True
+    return cd.solve_supply_grid(ladder, bath, [s]).mu[0] == 0.0
+
+
 def test_solver_census_prints_the_same_bytes_on_every_run():
     argv = [
         sys.executable, CENSUS.__file__, "--src", str(Path(cd.__file__).parents[1]),
@@ -533,14 +542,15 @@ def _full_closure_occupations(ladder, bath, s, eta_near):
 
 
 def test_closed_form_matches_the_full_closure_root():
-    # the seed-0 census draws with chi S < phi^2 eps: each is the 50-digit
+    # the seed-0 census draws the closed path answers: each is the 50-digit
     # root of the full closure, or every occupation underflows past
-    # omega_-r beta = 709.78
-    answered = 0
-    for two_r, beta, phi, chi, s in CENSUS.draws(0, 120):
+    # omega_-r beta = 709.78; of them, draws 13, 76, 163, 164, 178, 198, 203,
+    # 207, 238 and 321 have chi S / phi^2 above eps and a root past the top end
+    answered = past_top = 0
+    for two_r, beta, phi, chi, s in CENSUS.draws(0, 400):
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
         bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
-        if not _a_rounds_to_one(ladder, bath, s):
+        if not _answered_closed(ladder, bath, s):
             continue
         pump = cd.PumpParams.from_supply(s)
         if ladder.bottom * beta > 709.78:
@@ -554,7 +564,9 @@ def test_closed_form_matches_the_full_closure_root():
             if oracle > 1e-290:
                 assert abs(n - oracle) < 1e-12 * oracle
         answered += 1
+        past_top += not _a_rounds_to_one(ladder, bath, s)
     assert answered >= 20
+    assert past_top >= 10
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -1252,3 +1252,17 @@ def test_cli_process_ends_after_its_outputs_are_written(tmp_path, command, text,
 def test_console_script_goes_through_entry():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^lasercond = "lasercond\.cli:entry"$', text, re.MULTILINE)
+
+
+def test_deck_identity_finds_no_difference_between_a_checkout_and_itself():
+    # both sides are this checkout: the small_runs deck at seed 1 runs twice in
+    # one interpreter, and every exit code, stderr and output byte must agree
+    argv = [
+        sys.executable, str(REPO / "scripts" / "deck_identity.py"), "--parent", str(REPO),
+        "--change", str(REPO), "--seeds", "1", "--seconds", "4", "--workloads", "small_runs",
+    ]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert report["differences"] == []
+    assert report["jobs"] == 4 and report["files"] > 0
