@@ -1,7 +1,7 @@
 """Byte identity of the perfbench decks' outputs between two checkouts.
 
     python scripts/deck_identity.py --parent DIR --change DIR \\
-        [--seeds 1,3,11] [--seconds 20] [--workloads W,...]
+        [--seeds 1,3,11] [--seconds 20] [--workloads W,...] [--solver-calls N]
 
 Each workload's deck is built by ``perfbench/workloads.py`` of the
 checkout that holds this script, for every seed at ``--seconds``.  Both
@@ -19,9 +19,21 @@ warning's text and its source line still count.  Each job runs under
 fresh warning filters, so a warning shows once per job, as it would in a
 fresh process.
 
+With ``--solver-calls N`` it also makes N seeded ``solve_supply_grid``
+calls per seed on each side.  Call i takes draw i of
+``solver_census.draws`` (ROADMAP item 1's domain: the ladder, the bath
+and one supply) and one supply of the huge slice, log-uniform in HUGE,
+as a two-point grid.  Every ``_COLUMNS`` field of every point is compared
+bit for bit, and so are each point's error type and text and the
+warnings each call raises.  ``--workloads ''`` runs the solver calls alone.
+
 The script prints one JSON object: the jobs and files compared per
 workload, the exit codes seen, and one entry per difference (workload,
-seed, job index, command and what differs).  The exit status is 1 when
+seed, job index, command and what differs).  The solver calls add their
+counts under ``solver`` and one entry per differing point under
+``solver_differences``: the draw, each differing column with its largest
+relative change (null where an entry is NaN, inf or 0 on the parent side),
+the largest of those, and both sides' errors.  The exit status is 1 when
 anything differs, else 0.
 """
 
@@ -30,7 +42,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
+import random
 import re
 import shutil
 import sys
@@ -38,17 +52,20 @@ import tempfile
 import warnings
 from pathlib import Path
 
-# pinned before numpy is first imported, by the first job that needs it
+# pinned before numpy is first imported
 for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[name] = "1"
 sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
+import numpy as np  # noqa: E402
+import solver_census  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
+HUGE = (1e15, 1e307)  # the huge-supply slice of the solver calls
 WARNING_PREFIX = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
 
 
@@ -103,6 +120,64 @@ def differences(parent: dict, change: dict) -> list:
     return found
 
 
+def solver_calls(seed: int, count: int):
+    """(two_r, beta, phi, chi, supplies) of each seeded call: a census draw and a huge supply."""
+    rng = random.Random(seed)
+    for two_r, beta, phi, chi, s in solver_census.draws(seed, count):
+        yield two_r, beta, phi, chi, [s, math.exp(rng.uniform(*map(math.log, HUGE)))]
+
+
+def solve_call(cd, call) -> tuple:
+    """Each point's ``_COLUMNS`` entries and error text, and the warnings, of one call."""
+    two_r, beta, phi, chi, supplies = call
+    ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid = cd.solve_supply_grid(ladder, cd.BathParams(beta, phi, chi), supplies)
+    points = [
+        ({name: np.asarray(getattr(grid, name)[i]) for name in cd._COLUMNS},
+         None if error is None else f"{type(error).__name__}: {error}")
+        for i, error in enumerate(grid.errors)
+    ]
+    return points, sorted({f"{w.category.__name__}: {w.message}" for w in caught})
+
+
+def changed_columns(parent: dict, change: dict) -> dict:
+    """Each column whose bits differ, with its largest relative change (None if not finite)."""
+    changed = {}
+    for name, old in parent.items():
+        new = change[name]
+        if old.tobytes() != new.tobytes():
+            with np.errstate(all="ignore"):
+                largest = float(np.max(np.abs(new - old) / np.abs(old)))
+            changed[name] = largest if math.isfinite(largest) else None
+    return changed
+
+
+def compare_solver_calls(cds: dict, seeds: list, count: int, report: dict) -> None:
+    """Run the seeded solver calls on both sides and add their counts and differences."""
+    counts = report["solver"] = {"calls": 0, "points": 0, "warned": dict.fromkeys(SIDES, 0)}
+    found = report["solver_differences"] = []
+    for seed in seeds:
+        for index, call in enumerate(solver_calls(seed, count)):
+            runs = {side: solve_call(cds[side], call) for side in SIDES}
+            counts["calls"] += 1
+            counts["points"] += len(call[-1])
+            for side in SIDES:
+                counts["warned"][side] += bool(runs[side][1])
+            if runs["parent"][1] != runs["change"][1]:
+                found.append({"seed": seed, "call": index, "warnings": [runs[s][1] for s in SIDES]})
+            for point, (old, new) in enumerate(zip(runs["parent"][0], runs["change"][0])):
+                columns = changed_columns(old[0], new[0])
+                if columns or old[1] != new[1]:
+                    finite = [v for v in columns.values() if v is not None]
+                    found.append({
+                        "seed": seed, "call": index, "point": point,
+                        "draw": [*call[:4], call[-1][point]], "columns": columns,
+                        "largest": max(finite, default=None), "errors": [old[1], new[1]],
+                    })
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     for side in SIDES:
@@ -110,11 +185,16 @@ def main() -> int:
     parser.add_argument("--seeds", default="1,3,11", help="comma-separated deck seeds")
     parser.add_argument("--seconds", type=float, default=20.0, help="deck length, as perfbench's")
     parser.add_argument(
-        "--workloads", default=",".join(workloads.WORKLOADS), help="comma-separated (default: all)"
+        "--workloads", default=",".join(workloads.WORKLOADS),
+        help="comma-separated (default: all; '' for none)",
+    )
+    parser.add_argument(
+        "--solver-calls", type=int, default=0, metavar="N",
+        help="seeded solve_supply_grid calls per seed, compared per column (default: 0)",
     )
     args = parser.parse_args()
     seeds = [int(seed) for seed in args.seeds.split(",")]
-    names = args.workloads.split(",")
+    names = [name for name in args.workloads.split(",") if name]
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
@@ -142,8 +222,11 @@ def main() -> int:
                     ]
     report["jobs"] = sum(c["jobs"] for c in report["workloads"].values())
     report["files"] = sum(c["files"] for c in report["workloads"].values())
+    if args.solver_calls:
+        cds = {side: importlib.import_module(f"lasercond_{side}.condensation") for side in SIDES}
+        compare_solver_calls(cds, seeds, args.solver_calls, report)
     print(json.dumps(report))
-    return 1 if report["differences"] else 0
+    return 1 if report["differences"] or report.get("solver_differences") else 0
 
 
 if __name__ == "__main__":

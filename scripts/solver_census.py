@@ -33,13 +33,15 @@ DOMAIN = {
     "s": [1e-3, 1e5],
 }
 
-# fixed words of each refusal and failure message, and the name counted
+# fixed words of each refusal and failure message, and the name counted;
+# pole_below_epsilon, no_bracket and no_root are raised only by older trees
 REASONS = (
     ("must be >= 0", "negative_supply"),
     ("degenerate ladder", "degenerate_ladder"),
     ("transfer S", "transfer_overflow"),
     ("every occupation underflows", "occupations_underflow"),
     ("closed-form occupations", "closed_form_overflow"),
+    ("near-pole occupations", "pole_overflow"),
     ("below machine epsilon", "pole_below_epsilon"),
     ("no admissible bracket", "no_bracket"),
     ("no root", "no_root"),

@@ -37,8 +37,8 @@ class ConvergenceError(RuntimeError):
     """A numerical solve failed: the block SVD or the steady-state root find.
 
     Raised by the block eigensolve and by the steady-state solver, whose
-    message names the regime (a missing bracket, occupations that all
-    underflow, a supply beyond the double range).
+    message names the regime (occupations that all underflow, a supply
+    beyond the double range, a NaN closure, Newton steps that do not converge).
     """
 
 

@@ -15,23 +15,23 @@ levels.  Increasing s drives the effective chemical potential mu up
 toward the bottom level omega_{-r}; past a threshold supply the excess
 quanta pile into that level -- photon condensation, alias lasing.
 
-The self-consistency collapses to one scalar equation.  Where 1 - A =
-chi S / (phi (phi + chi eta)) is below eps (chi S < phi^2 eps, s = 0 and
-chi = 0 among them) or below its value at the gap bracket's top end,
-about 1e-15 omega_{-r} beta, it is a quadratic in eta with a closed root,
-off by about 1 - A.  Elsewhere it is solved in g = (omega_{-r} - mu) beta:
-g -> eta is monotone, the admissible bracket is 0 < g < omega_{-r} beta,
-and occupations through expm1 of (omega_l - omega_{-r}) beta + g stay
-accurate near the condensation pole, where eta-space iteration loses
-digits.  The solve carries the pair (g, mu beta), which sums to
+The self-consistency collapses to one scalar equation in the gap g =
+(omega_{-r} - mu) beta, 0 < g < omega_{-r} beta.  Where 1 - A = chi S /
+(phi (phi + chi eta)) is below eps (chi S < phi^2 eps, s = 0 and chi = 0
+among them) or the root lies past the gap bracket's top end (1 - A below
+about 1e-15 omega_{-r} beta), it is a quadratic in eta with a closed root,
+off by about 1 - A; below the low end (g < 1e-18 omega_{-r} beta, huge
+supplies) 1/expm1(g) = 1/g - 1/2 + O(g) gives g in closed form.  In between,
+g -> eta is monotone, and occupations through expm1 of (omega_l - omega_{-r})
+beta + g stay accurate near the condensation pole, where eta-space iteration
+loses digits.  The solve carries the pair (g, mu beta), which sums to
 omega_{-r} beta, and takes neither half as the other's difference: each
-Newton iterate forms both from t = log(g / mu beta), and a root's larger
-half is re-formed from its smaller, which holds the digits.
-``solve_supply_grid`` solves every supply of a grid in one array kernel:
-it checks the closure at the bracket ends, closes each point whose root
-lies past the top one, takes safeguarded Newton steps on the rest in a
-cancellation-free form, log(T / S) = 0, all at once, and returns the
-rows of one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
+Newton iterate forms both from t = log(g / mu beta), and a root's larger half
+is re-formed from its smaller, which holds the digits.  ``solve_supply_grid``
+solves a whole grid in one array kernel: it checks the closure at the bracket
+ends, answers each point past either end in closed form, takes safeguarded
+Newton steps on the rest in a cancellation-free form, log(T / S) = 0, all at
+once, and returns one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -381,9 +381,9 @@ def solve_supply_grid(
     point, sum(occupations) - eta (see module docstring).  Unless chi S <
     phi^2 eps, the closure in the gap g = (omega_{-r} - mu) beta is checked
     at the ends of _GAP_BRACKET.  Where A rounds to 1 or the root lies past
-    the top end, ``_closed_state`` answers; other roots are found at once
-    by safeguarded Newton steps (``_newton_step``).  ``scale`` is the
-    pump rate p of each point's residual gate (default s, a pure supply).
+    the top end, ``_closed_state`` answers, below the low end ``_pole_gap``;
+    the bracket's roots are found at once by safeguarded Newton steps
+    (``_newton_step``).  ``scale`` is each point's residual-gate pump p (default s).
     A point that is refused or fails keeps its exception in ``errors``.
 
     A grid of one point takes the same path, and a long grid goes in blocks
@@ -547,13 +547,12 @@ def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     """eta and occupations of the scalar reduction at the gap pair (g, mu beta)."""
     # x = chi S / (phi (phi + chi eta)) = 1 - e^(-mu beta)
     x = -np.expm1(-mu_beta)
-    # chi S / (phi x) overflows only at a supply near the double range; eta =
-    # inf is the right limit there: the closure reads -inf, and _find_gaps's
-    # bracket search shrinks on and names the point it cannot bracket
+    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it); 1/expm1 = 0 past 709.78
     with np.errstate(over="ignore"):
         eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+        expm1 = np.expm1(np.add.outer(g, level_gaps))
     k = 1.0 + s / (bath.phi + bath.chi * eta)
-    return eta, k[..., None] / np.expm1(np.add.outer(g, level_gaps))
+    return eta, k[..., None] / expm1
 
 
 def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
@@ -566,7 +565,9 @@ def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
     ends of the gap range.
     """
     x = -np.expm1(-mu_beta)
-    planck = 1.0 / np.expm1(np.add.outer(g, level_gaps))
+    with np.errstate(over="ignore"):  # past 709.78, where 1/expm1 = 0 is exact
+        expm1 = np.expm1(np.add.outer(g, level_gaps))
+    planck = 1.0 / expm1
     phi_sum = planck.sum(axis=-1)
     k = 1.0 + k_slope * x
     w = k * phi_sum + bath.phi / bath.chi
@@ -606,44 +607,55 @@ def _closure(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     return occupations.sum(axis=-1) - eta
 
 
+def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
+    """Root g below _GAP_BRACKET's low end, from 1/expm1(g) = 1/g - 1/2 + O(g):
+    g = k / (eta - k (P - 1/2)), with x, eta and k at g = 0 and P the excited levels'
+    sum of 1/expm1(level_gap_l + g), taken at g = 0 and again at that first g."""
+    x = -np.expm1(-gap_top)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses those points
+        eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
+        k = 1.0 + bath.phi * x / (bath.chi * (transfer / s))  # 1 + s / (phi + chi eta)
+        g = 0.0
+        for _ in range(2):
+            g = k / (eta - k * ((1.0 / np.expm1(np.add.outer(g, level_gaps[1:]))).sum(-1) - 0.5))
+    return np.where(g > 0.0, g, np.nan)  # NaN where eta or k overflowed
+
+
 def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
     """Root pair (g, mu beta) of each point's closure, NaN where it fails, and {point: error}.
 
-    ``f_lo`` and ``f_hi`` are the closure at the ends of _GAP_BRACKET, f_hi < 0 or NaN.
-    Each Newton iterate forms both halves from t; once it stops, a root's
-    larger half is re-formed as gap_top minus the smaller, which holds the
-    digits.  Only active points are evaluated.  A single point entering the
-    loop steps on numpy scalars, with ``_pick`` for np.where: the same bits
-    at a fraction of the cost.  A grid's last active point stays a 1-element array.
+    ``f_lo`` and ``f_hi`` are the closure at the ends of _GAP_BRACKET, f_hi < 0 or NaN;
+    ``_pole_gap`` answers f_lo <= 0.  Each Newton iterate forms both halves from t;
+    once it stops, a root's larger half is re-formed as gap_top minus the smaller,
+    which holds the digits.  Only active points are evaluated.  A single point
+    entering the loop steps on numpy scalars, with ``_pick`` for np.where: the same
+    bits at a fraction of the cost.  A grid's last active point stays a 1-element array.
     """
     failures: dict[int, ConvergenceError] = {}
 
     def fail(mask, message):
         for i in mask.nonzero()[0].tolist():
-            failures.setdefault(i, ConvergenceError(message(i)))
+            failures[i] = ConvergenceError(message(i))
 
-    lo_end, hi = (gap_top * end for end in _GAP_BRACKET)
+    lo, hi = (gap_top * end for end in _GAP_BRACKET)
     top = gap_top - hi  # mu beta at hi, exact: hi is within a factor 2 of gap_top
-    lo = np.full_like(s, lo_end)
-    low = (f_lo <= 0.0).nonzero()[0]
-    while low.size:  # the root lies below _GAP_BRACKET[0]: huge supplies
-        lo[low] *= 1e-3
-        fail(lo < 1e-280, lambda i: "no admissible bracket below the pole")
-        low = low[lo[low] >= 1e-280]
-        f_lo[low] = _closure(lo[low], gap_top - lo[low], s[low], transfer[low], level_gaps, bath)
-        low = low[f_lo[low] <= 0.0]
-    fail(np.isnan(f_lo) | np.isnan(f_hi), lambda i: (
-        f"closure is NaN at the ends of the gap bracket [{float(lo[i])!r}, {hi!r}]"
-    ))
-
     roots = np.full((2, s.size), np.nan)  # the rows g and mu beta
-    j = np.arange(s.size)
-    if failures:
-        j = np.flatnonzero([i not in failures for i in j.tolist()])
+    pole = f_lo <= 0.0  # the root lies below the low end
+    if pole.any():
+        g = _pole_gap(s[pole], transfer[pole], level_gaps, gap_top, bath)
+        roots[:, pole] = g, gap_top - g
+        fail(pole & np.isnan(roots[0]), lambda i: (
+            f"the near-pole occupations overflow at s = {float(s[i])}: beyond the double range"
+        ))
+    newton = (f_lo > 0.0) & (f_hi < 0.0)
+    fail(~(pole | newton), lambda i: (
+        f"closure is NaN at the ends of the gap bracket [{float(lo)!r}, {hi!r}]"
+    ))
+    j = newton.nonzero()[0]
     lone = j.size == 1
     at = j[0] if lone else j
     # Newton runs in t = log(g / mu beta), inside the bracket [t_lo, t_hi]
-    t_lo = np.log(lo[at] / (gap_top - lo[at]))
+    t_lo = np.log(np.full_like(s[at], lo) / (gap_top - lo))
     t_hi = math.log(hi / top)
     t = 0.5 * (t_lo + t_hi)
     k_slope = s[at] * bath.phi / (bath.chi * transfer[at])  # k = 1 + k_slope x

@@ -699,7 +699,7 @@ def test_blocks_of_one_point_match_one_pass():
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    # s = 1e19 at r = 1 lowers the bracket's low end (SHRINK_POINTS)
+    # s = 1e19 at r = 1 takes the near-pole closed form (SHRINK_POINTS)
     cases = [(cd.ladder_analytic(2, 1.0, 0.1, 100.0), BATH, [1e19, 1.0, 0.0, -3.0])]
     while len(cases) < 40:
         ladder = _domain_ladder(
@@ -851,7 +851,7 @@ def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
 
 
 # (2r, beta, chi, s) whose closure root lies below _GAP_BRACKET[0] of the gap
-# range, so _find_gaps lowers the bracket's low end until the closure changes sign
+# range, so _find_gaps answers them with the near-pole closed form of _pole_gap
 SHRINK_POINTS = [(2, 1.0, 0.1, 1e19), (4, 2.0, 0.05, 1e20), (6, 0.5, 0.3, 1e22)]
 
 
@@ -869,11 +869,61 @@ def test_bracket_search_below_the_low_end_finds_the_closure_root(two_r, beta, ch
 
 
 @pytest.mark.parametrize("s", [1e300, 1e308])
-def test_bracket_search_names_a_supply_it_cannot_bracket(s):
-    # chi S / (phi x) overflows: eta = inf and the closure is -inf at every gap
+def test_near_pole_root_at_a_huge_supply_is_the_closure_root(s):
+    # eta is finite (1.756e300 at s = 1e300) and g = 3.811e-300 a normal
+    # double: the near-pole closed form answers, with no numpy warning
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
-    with pytest.raises(cd.ConvergenceError, match="no admissible bracket below the pole"):
-        solve(s, ladder=ladder)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cd.solve_supply_grid(ladder, BATH, [s])
+    assert grid.errors[0] is None
+    gap = float(grid.gap[0])
+    root = _closure_root(ladder, BATH, s, gap)
+    assert float(abs(gap - root) / root) <= 8.9e-16
+    assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
+
+
+def test_near_pole_occupations_beyond_the_double_range_are_refused_by_name():
+    # at phi = chi = 1e-3 eta = chi S / (phi x) - phi / chi overflows from
+    # s = 4.33e304 on, below the s where S itself does
+    ladder = cd.ladder_analytic(6, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=1.0, phi=1e-3, chi=1e-3)
+    with pytest.raises(cd.ConvergenceError, match="beyond the double range"):
+        solve(8.67e304, ladder=ladder, bath=bath)
+
+
+def _near_pole_draws(count, seed):
+    """Seeded (ladder, bath, s): ROADMAP item 1's domain at s in 1e15-1e307, log-uniform."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(count):
+        ladder = cd.ladder_analytic(rng.randint(0, 78), 1.0, 0.1, 100.0)
+        bath = cd.BathParams(
+            beta=log_uniform(0.1, 2000.0), phi=log_uniform(1e-3, 1e3), chi=log_uniform(1e-4, 1e2)
+        )
+        yield ladder, bath, log_uniform(1e15, 1e307)
+    # near-flat ladders, where P moves with g: it is taken again at the first root
+    for kappa in (1e-12, 1e-14):
+        yield cd.ladder_analytic(10, 1.0, kappa, 100.0), BATH, 1e19
+
+
+def test_near_pole_closed_form_is_the_50_digit_closure_root():
+    answered = 0
+    for ladder, bath, s in _near_pole_draws(80, seed=45):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = cd.solve_supply_grid(ladder, bath, [s])
+        gap = float(grid.gap[0])
+        if grid.errors[0] is not None or gap >= cd._GAP_BRACKET[0] * ladder.omegas[0] * bath.beta:
+            continue
+        root = _closure_root(ladder, bath, s, gap)
+        assert float(abs(gap - root) / root) <= 8.9e-16, (ladder.two_r, bath, s)
+        assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
+        answered += 1
+    assert answered >= 50
 
 
 @pytest.mark.parametrize("chi", [0.1, 0.0], ids=["chi", "no-chi"])

@@ -652,9 +652,12 @@ def test_cli_exact_point_past_the_exp_overflow_reads_ok(tmp_path, chi, s):
 
 
 def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
-    # s up to 1.7e308 at phi = chi = 1e-3: every point fails, and at the top
-    # one S = s sum_j e^(-omega_j beta) overflows and is refused by name; no
-    # numpy warning is printed (pytest turns a RuntimeWarning into an error)
+    # s up to 1.7e308 at phi = chi = 1e-3: the three points below 1e304 take
+    # the near-pole closed form and are flagged (the float residual cancels),
+    # the next two are refused because their near-pole eta overflows, and at
+    # the top one S = s sum_j e^(-omega_j beta) overflows and is refused by
+    # name; no numpy warning is printed (pytest turns a RuntimeWarning into
+    # an error)
     text = (
         "ladder.r = 3\nladder.omega = 1\nladder.kappa = 0.1\nladder.c_ref = 100\n"
         "bath.beta = 1\nbath.phi = 1e-3\nbath.chi = 1e-3\n"
@@ -664,11 +667,39 @@ def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", text)
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 6 and all(row.endswith(",failed") for row in rows)
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["not-converged"] * 3 + ["failed"] * 3
     flags = _manifest(out)["flags"]
     assert len(flags) == 6
     assert flags[-1].startswith("point s=1.6999999999999999e+308 failed: the supply-side")
     assert "transfer S" in flags[-1] and "overflows at s = 1.7e+308" in flags[-1]
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_at_supplies_near_the_pole_prints_no_warning(tmp_path, capsys):
+    # s = 1e150 to 1e200 at r = 1: each root lies below the gap bracket's low
+    # end and takes the near-pole closed form; the residual cancels, so the
+    # points are flagged, and nothing reaches stderr
+    text = COLD_CFG.replace("bath.beta = 1000", "bath.beta = 1") + (
+        "pump.s_min = 1e150\npump.s_max = 1e200\npump.points = 3\npump.grid = log\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", _write(tmp_path, "run.cfg", text), "--out", str(out)]) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["not-converged"] * 3
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_steady_state_where_upper_levels_pass_the_exp_overflow_prints_no_warning(
+    tmp_path, capsys
+):
+    # beta = 700 at r = 5: the top levels' omega beta reaches 735 > 709.78, where
+    # expm1 overflows and 1/expm1 = 0 is exact; the point reads ok, silently
+    text = _set(_set(STEADY_CFG, "ladder.r", "5"), "bath.chi", "0.1")
+    text = _set(_set(text, "bath.beta", "700"), "pump.s", "1e290")
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "point.cfg", text)
+    assert cli.main(["steady-state", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "steady_state.csv").read_text().splitlines()[1].endswith(",ok")
     assert capsys.readouterr().err == ""
 
 
@@ -1266,3 +1297,18 @@ def test_deck_identity_finds_no_difference_between_a_checkout_and_itself():
     report = json.loads(result.stdout)
     assert report["differences"] == []
     assert report["jobs"] == 4 and report["files"] > 0
+
+
+def test_deck_identity_solver_calls_find_no_difference_between_a_checkout_and_itself():
+    # seeded solve_supply_grid calls only (no deck), this checkout on both sides:
+    # every column's bits, error and warning must agree
+    argv = [
+        sys.executable, str(REPO / "scripts" / "deck_identity.py"), "--parent", str(REPO),
+        "--change", str(REPO), "--seeds", "1", "--workloads", "", "--solver-calls", "60",
+    ]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert report["jobs"] == 0 and report["differences"] == []
+    assert report["solver"]["calls"] == 60 and report["solver"]["points"] == 120
+    assert report["solver_differences"] == []
