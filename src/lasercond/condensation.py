@@ -289,12 +289,33 @@ def _shifted_eigenvalues(index: spectrum.BlockIndex) -> np.ndarray:
 
 
 def planck_occupation(omega, beta: float):
-    """Equilibrium occupation 1 / (e^(omega beta) - 1), shaped like omega."""
+    """Equilibrium occupation 1 / (e^(omega beta) - 1), shaped like omega.
+
+    Past omega beta = 709.78 it is e^(-omega beta): a subnormal double up to
+    744.4, and 0 only beyond.
+    """
     x = np.asarray(omega, dtype=float) * beta
     if np.any(x <= 0.0):
         raise ValueError("omega * beta must be positive")
-    with np.errstate(over="ignore"):  # e^x overflows only where 0 is right
-        return 1.0 / np.expm1(x)
+    return _planck(x)
+
+
+# ln(DBL_MAX) = 709.7827, rounded down: below it, e^x is a double
+_PLANCK_CUT = 709.78
+
+
+def _planck(x, k=1.0):
+    """k / (e^x - 1), broadcast over x and k: k / expm1(x) up to x = 709.78, k e^(-x) past it.
+
+    Past the cut the two agree to a factor 1 + e^(-709), and e^(-x) is still a
+    double up to x = 744.4.  k e^(-x) is formed as (k e^(-x/2)) e^(-x/2): below
+    x = 1416 each factor is normal wherever the term is, where e^(-x) alone
+    would be a subnormal that loses k's digits.
+    """
+    if x.max(initial=0.0) <= _PLANCK_CUT:
+        return k / np.expm1(x)
+    half = np.exp(-0.5 * x)
+    return np.where(x > _PLANCK_CUT, k * half * half, k / np.expm1(np.minimum(x, _PLANCK_CUT)))
 
 
 def first_order_loss(occupation, omega, bath: BathParams):
@@ -367,6 +388,7 @@ def solve_steady_state(
 _GAP_BRACKET = (1e-18, 1.0 - 1e-15)
 _MAX_ITERATIONS = 200
 _EPS = float(np.finfo(float).eps)
+_DBL_MIN = float(np.finfo(float).tiny)  # the least normal double, 2.2e-308
 # (points x levels) entries per array pass: bounds the kernel's temporaries
 _BLOCK = 2**15
 
@@ -461,9 +483,9 @@ def _positive_root(p_sum, s, bath: BathParams):
 def _closed_state(s, omegas, bath: BathParams):
     """eta, ``_positive_root`` at P = sum_l 1/expm1(omega_l beta), and occupations
     k / expm1(omega_l beta), k = 1 + s/(phi + chi eta), at A = 1."""
-    expm1 = np.expm1(omegas * bath.beta)
-    eta = _positive_root(float((1.0 / expm1).sum()), s, bath)
-    return eta, (1.0 + s / (bath.phi + bath.chi * eta))[:, None] / expm1
+    x = omegas * bath.beta
+    eta = _positive_root(float(_planck(x).sum()), s, bath)
+    return eta, _planck(x, (1.0 + s / (bath.phi + bath.chi * eta))[:, None])
 
 
 def _grid(ladder, bath, s, scale, transfer, occupations, gap, mu_beta, eta_root, errors):
@@ -472,13 +494,14 @@ def _grid(ladder, bath, s, scale, transfer, occupations, gap, mu_beta, eta_root,
     eta = occupations.sum(axis=-1)
     log_a = -mu_beta
     amplification = np.exp(log_a)
-    # past omega beta = 709.78 the losses take 0 * inf at an occupation that
-    # underflowed: a NaN residual, and no warning
+    # past omega beta = 709.78 the losses take e^(omega beta) = inf times the
+    # occupation: an inf residual, or NaN (0 * inf) where the occupation
+    # underflowed to 0, and no warning
     with np.errstate(over="ignore", invalid="ignore"):
         l1 = first_order_loss(occupations, omegas, bath)
         l2 = second_order_loss(occupations, ladder, bath)
         residual = np.abs(s[:, None] - l1 - l2).max(axis=-1)
-        redo = (np.isnan(residual) & ~np.isnan(gap)).nonzero()[0]
+        redo = (~np.isfinite(residual) & ~np.isnan(gap)).nonzero()[0]
         if redo.size:
             # there n_l e^(omega_l beta) = k / (A (1 - e^(-x_l))) is finite,
             # with x_l = (omega_l - omega_-r) beta + g
@@ -527,9 +550,9 @@ def _refusals(s, transfer, closed, eta, degenerate, ladder: LevelLadder, bath: B
             f"the supply-side transfer S = s sum_j e^(-omega_j beta) overflows "
             f"at s = {float(s[i])}: the supply is beyond the double range"
         )),
-        (closed & (eta == 0.0), lambda i: ConvergenceError(
-            f"omega_-r beta = {ladder.omegas[0] * bath.beta:.6g} exceeds ln(DBL_MAX): "
-            "e^(omega beta) overflows and every occupation underflows to 0"
+        (closed & (eta < _DBL_MIN), lambda i: ConvergenceError(
+            f"every occupation underflows: eta = {float(eta[i]):.6g} is below DBL_MIN = "
+            f"{_DBL_MIN:.6g} at omega_-r beta = {ladder.omegas[0] * bath.beta:.6g}"
         )),
         (closed & ~np.isfinite(eta), lambda i: ConvergenceError(
             f"the closed-form occupations (1 + s/phi) / (e^(omega beta) - 1) "
@@ -547,12 +570,11 @@ def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     """eta and occupations of the scalar reduction at the gap pair (g, mu beta)."""
     # x = chi S / (phi (phi + chi eta)) = 1 - e^(-mu beta)
     x = -np.expm1(-mu_beta)
-    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it); 1/expm1 = 0 past 709.78
+    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it)
     with np.errstate(over="ignore"):
         eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
-        expm1 = np.expm1(np.add.outer(g, level_gaps))
     k = 1.0 + s / (bath.phi + bath.chi * eta)
-    return eta, k[..., None] / expm1
+    return eta, _planck(np.add.outer(g, level_gaps), k[..., None])
 
 
 def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
@@ -565,9 +587,7 @@ def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
     ends of the gap range.
     """
     x = -np.expm1(-mu_beta)
-    with np.errstate(over="ignore"):  # past 709.78, where 1/expm1 = 0 is exact
-        expm1 = np.expm1(np.add.outer(g, level_gaps))
-    planck = 1.0 / expm1
+    planck = _planck(np.add.outer(g, level_gaps))
     phi_sum = planck.sum(axis=-1)
     k = 1.0 + k_slope * x
     w = k * phi_sum + bath.phi / bath.chi
@@ -617,7 +637,7 @@ def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
         k = 1.0 + bath.phi * x / (bath.chi * (transfer / s))  # 1 + s / (phi + chi eta)
         g = 0.0
         for _ in range(2):
-            g = k / (eta - k * ((1.0 / np.expm1(np.add.outer(g, level_gaps[1:]))).sum(-1) - 0.5))
+            g = k / (eta - k * (_planck(np.add.outer(g, level_gaps[1:])).sum(-1) - 0.5))
     return np.where(g > 0.0, g, np.nan)  # NaN where eta or k overflowed
 
 
@@ -776,17 +796,15 @@ def threshold_supply(eta_t: float, b_sum: float, bath: BathParams) -> ThresholdE
     even hold the equilibrium population: condensation is immediate and
     the estimate is flagged, never clamped.  s0 is taken divided through
     by eta_T, (phi/eta_T)(1 + 2 phi/(chi eta_T))(2B - eta_T), which squares
-    nothing.  An s0 that overflows is refused, and so is an eta_T of 0,
-    where every level's e^(omega beta) overflows.
+    nothing.  An s0 that overflows is refused, and so is an eta_T below
+    DBL_MIN, a subnormal of a few digits or 0 (from omega_-r beta of about
+    708.4 up).
     """
-    if eta_t == 0.0:  # every planck_occupation term's expm1 overflowed
+    if not eta_t >= _DBL_MIN:
         raise ValueError(
-            "threshold needs a positive equilibrium occupancy, but eta_T underflows "
-            f"to 0 at bath.beta = {bath.beta:.6g}: every level has omega beta > "
-            "ln(DBL_MAX) = 709.78, so e^(omega beta) overflows"
+            f"threshold needs an equilibrium occupancy in the normal double range, but "
+            f"eta_T = {eta_t:.6g} is below DBL_MIN = {_DBL_MIN:.6g} at bath.beta = {bath.beta:.6g}"
         )
-    if not eta_t > 0.0:
-        raise ValueError(f"equilibrium occupancy must be positive, got eta_T = {eta_t}")
     if not bath.chi > 0.0:
         raise ValueError("threshold needs chi > 0 (no condensation otherwise)")
     s0 = bath.phi / eta_t * (1.0 + 2.0 * bath.phi / (bath.chi * eta_t)) * (2.0 * b_sum - eta_t)

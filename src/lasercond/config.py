@@ -28,8 +28,9 @@ together: ``sweep`` needs all three, ``threshold`` takes all three or none
 ``bath.chi > 0`` and an excited level (``ladder.r >= 1/2``).  A log grid
 from ``pump.s_min = 0`` keeps s = 0 and spreads the other points over the
 top four decades, ending at ``pump.s_max`` (two points give
-``[0, s_max]``).  Where e^(omega beta) overflows a double (omega beta >
-709.78), the threshold report's B and eta_T_effective read 0.  The output
+``[0, s_max]``).  Past omega beta = 709.78, where e^(omega beta) overflows
+a double, the threshold report's B and eta_T_effective take each Planck
+term as e^(-omega beta), a subnormal up to 744.4 and 0 beyond.  The output
 directory is not a config key; it comes from ``--out`` alone, and a
 config that sets ``output.dir`` is rejected as an unknown key.  A key the
 run would ignore is an error too: ``ladder.c`` on an analytic ladder,

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -267,7 +268,8 @@ def test_chi_zero_point_is_refused_by_name_or_finite(two_r, beta, phi, s):
         assert np.isfinite(grid.eta[0]) and np.all(np.isfinite(grid.occupations))
     else:
         assert isinstance(error, cd.ConvergenceError)
-        assert "beyond the double range" in str(error) or "underflows to 0" in str(error)
+        named = ("beyond the double range", "every occupation underflows")
+        assert any(words in str(error) for words in named)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +386,8 @@ def test_closed_root_keeps_its_digits_for_either_sign_of_b(beta, phi, chi):
 
 @pytest.mark.parametrize("beta", [720.0, 1000.0, 2000.0])
 def test_solver_names_underflowing_occupations(beta):
-    # omega_-r beta > ln(DBL_MAX) ~ 709.78: the closed form's e^(omega beta)
-    # overflows, every occupation is 0 and so was eta (ZeroDivisionError)
+    # omega_-r beta = 712.8, 990 and 1980: the closed form's eta is a subnormal
+    # (at 712.8) or 0, below DBL_MIN, and the point is refused by name
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     for chi, s in ((0.1, 0.0), (0.0, 1.0)):
         bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
@@ -397,7 +399,7 @@ def test_solver_names_underflowing_occupations(beta):
 def test_solver_names_unresolvable_pole(beta):
     # chi S / phi^2 < eps at chi, s > 0 (S underflows to 0 past omega_-r beta
     # ~ 745): the point takes the closed form, whose occupations all underflow
-    # past 709.78, so it is still refused by name
+    # to 0 at omega_-r beta = 990, so it is still refused by name
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=beta, phi=1.0, chi=0.1)
     with pytest.raises(cd.ConvergenceError, match="every occupation underflows"):
@@ -510,12 +512,16 @@ def test_census_draws_near_the_closed_regime_pass_the_residual_gate():
 
 @pytest.mark.parametrize(("chi", "s"), [(0.1, 0.0), (0.0, 1.0), (0.0, 0.0)])
 def test_residual_is_finite_where_upper_levels_underflow(chi, s):
-    # omega beta runs 704.9, 712, 719.1: the two upper occupations underflow
-    # to 0, and the residual must not take 0 * e^(omega beta) = 0 * inf there
+    # omega beta runs 704.9, 712, 719.1: the two upper occupations are the
+    # subnormals k e^(-omega beta), and the residual must not take their
+    # product with e^(omega beta) = inf there
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=712.0, phi=1.0, chi=chi)
     solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
-    assert solution.occupations[1:].tolist() == [0.0, 0.0]
+    k = 1.0 + s / (bath.phi + chi * solution.eta)
+    for n, x in zip(solution.occupations[1:].tolist(), (ladder.omegas[1:] * bath.beta).tolist()):
+        exact = k * mpmath.exp(-mpmath.mpf(x))
+        assert 0.0 < n < 2.3e-308 and abs(n - exact) <= 1e-13 * exact + 5e-324
     assert np.isfinite(solution.max_residual) and solution.converged()
 
 
@@ -543,9 +549,10 @@ def _full_closure_occupations(ladder, bath, s, eta_near):
 
 def test_closed_form_matches_the_full_closure_root():
     # the seed-0 census draws the closed path answers: each is the 50-digit
-    # root of the full closure, or every occupation underflows past
-    # omega_-r beta = 709.78; of them, draws 13, 76, 163, 164, 178, 198, 203,
-    # 207, 238 and 321 have chi S / phi^2 above eps and a root past the top end
+    # root of the full closure, or, in these draws wherever omega_-r beta passes
+    # 709.78, eta is below DBL_MIN and every occupation underflows; of them,
+    # draws 13, 76, 163, 164, 178, 198, 203, 207, 238 and 321 have chi S / phi^2
+    # above eps and a root past the top end
     answered = past_top = 0
     for two_r, beta, phi, chi, s in CENSUS.draws(0, 400):
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
@@ -589,6 +596,131 @@ def test_closed_form_draws_converge_or_name_the_underflow(two_r, beta, phi, chi,
         assert "every occupation underflows" in str(error)
     else:
         assert solution.converged()
+
+
+# ---------------------------------------------------------------------------
+# the Planck term past omega beta = 709.78, where e^(omega beta) overflows
+# ---------------------------------------------------------------------------
+
+DBL_MIN = float(np.finfo(float).tiny)
+
+
+def test_planck_term_keeps_the_bits_of_k_over_expm1_below_the_cut():
+    # one array with terms on both sides of the cut: below it the bits of
+    # k / expm1(x), past it k e^(-x), each to its own rounding
+    x = np.array([1e-3, 1.0, 700.0, 709.0, 709.78, 709.79, 730.0, 744.0, 800.0, 1400.0])
+    k = np.array([[1.0], [2.5], [3.5e300]])
+    terms = cd._planck(x, k)
+    below = x <= 709.78
+    assert terms[:, below].tobytes() == (k / np.expm1(x[below])).tobytes()
+    past = itertools.product(k[:, 0].tolist(), x[~below].tolist())
+    for term, (k_i, x_i) in zip(terms[:, ~below].ravel().tolist(), past):
+        exact = float(k_i * mpmath.exp(-mpmath.mpf(x_i)))
+        if exact >= DBL_MIN:
+            assert abs(term - exact) <= 4 * EPS * exact
+        else:
+            assert abs(term - exact) <= 5e-324
+    assert 0.0 < cd.planck_occupation(730.0, 1.0) < DBL_MIN
+
+
+def _closed_root(ladder, bath, s):
+    """60-digit eta and occupations of the closed state (A = 1), from the exact omega_l beta."""
+    with mpmath.workdps(60):
+        phi, chi, s = (mpmath.mpf(v) for v in (bath.phi, bath.chi, s))
+        beta = mpmath.mpf(bath.beta)
+        planck = [1 / mpmath.expm1(mpmath.mpf(float(w)) * beta) for w in ladder.omegas]
+        p_sum = mpmath.fsum(planck)
+        b = phi - chi * p_sum
+        h = mpmath.sqrt(b * b + 4 * chi * (phi + s) * p_sum)
+        eta = 2 * (phi + s) * p_sum / (b + h) if b > 0 else (h - b) / (2 * chi)
+        k = 1 + s / (phi + chi * eta)
+        return eta, [k * n for n in planck]
+
+
+def _assert_closed_root(solution, ladder, bath, s, bound):
+    """eta and every occupation of at least DBL_MIN within ``bound`` of ``_closed_root``."""
+    eta, occupations = _closed_root(ladder, bath, s)
+    assert abs(float(solution.eta) - eta) <= bound * eta
+    for n, exact in zip(solution.occupations.tolist(), occupations):
+        if exact >= DBL_MIN:
+            assert abs(n - exact) <= bound * exact
+
+
+def test_closed_rows_past_the_exp_overflow_are_the_60_digit_closed_root():
+    # seed-0 census draws that the closed path answers, on a ladder whose top
+    # level passes omega beta = 709: with the Planck terms past 709.78 taken
+    # as 0, 8 of these rows (draws 16, 119, 237, 628, 1110, 1422, 1456 and 1503)
+    # read ok with eta off by up to 8.1e-4; with e^(-omega beta) kept, each is
+    # within 1e-13, about the rounding of omega_l beta itself
+    checked = 0
+    for two_r, beta, phi, chi, s in CENSUS.draws(0, 2000):
+        ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+        if ladder.omegas[-1] * beta <= 709.0:
+            continue
+        bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+        grid = cd.solve_supply_grid(ladder, bath, [s])
+        if grid.errors[0] is not None or grid.mu[0] != 0.0:
+            continue
+        _assert_closed_root(grid.solution(0), ladder, bath, s, 1e-13)
+        checked += 1
+    assert checked >= 80
+
+
+def _huge_supply_points(seed, count):
+    """(ladder, bath, s) of the huge-supply point of each of ``scripts/deck_identity.py``'s
+    seeded solver calls: a census draw's ladder and bath, s log-uniform in 1e15-1e307."""
+    rng = random.Random(seed)
+    for two_r, beta, phi, chi, _ in CENSUS.draws(seed, count):
+        s = math.exp(rng.uniform(math.log(1e15), math.log(1e307)))
+        yield cd.ladder_analytic(two_r, 1.0, 0.1, 100.0), cd.BathParams(beta, phi, chi), s
+
+
+def test_huge_supply_occupations_past_the_exp_overflow_keep_their_digits():
+    # where k = 1 + s/(phi + chi eta) is huge, k e^(-omega beta) is a normal
+    # double although e^(-omega beta) is a subnormal or 0: formed through that
+    # subnormal it loses k's digits (up to all of them), so each closed row is
+    # checked against the 60-digit closed root at every normal occupation
+    checked = 0
+    for ladder, bath, s in _huge_supply_points(3, 250):
+        grid = cd.solve_supply_grid(ladder, bath, [s])
+        if grid.errors[0] is not None or grid.mu[0] != 0.0:
+            continue
+        x = ladder.omegas * bath.beta
+        if not np.any((np.exp(-x) < DBL_MIN) & (grid.occupations[0] >= DBL_MIN)):
+            continue
+        _assert_closed_root(grid.solution(0), ladder, bath, s, 2e-13)
+        checked += 1
+    assert checked >= 15
+
+
+def test_census_draws_at_the_underflow_bound_are_refused_or_answered_by_eta():
+    # draw 2883: omega_-r beta = 709.75, eta = 5.7e-309 is a subnormal, and the
+    # point is refused by name; draw 2798: omega_-r beta = 712.66, eta is normal
+    # (k = 1 + s/phi = 3e5), and the point is answered
+    draws = list(CENSUS.draws(0, 2884))
+    two_r, beta, phi, chi, s = draws[2883]
+    ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+    with pytest.raises(cd.ConvergenceError, match="every occupation underflows: eta = 5.73"):
+        solve(s, ladder=ladder, bath=cd.BathParams(beta=beta, phi=phi, chi=chi))
+    two_r, beta, phi, chi, s = draws[2798]
+    ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+    assert 712.6 < ladder.bottom * beta < 712.7
+    solution = solve(s, ladder=ladder, bath=bath)
+    assert solution.converged() and solution.eta >= DBL_MIN
+    _assert_closed_root(solution, ladder, bath, s, 1e-13)
+
+
+def test_residual_is_finite_where_an_occupation_meets_an_overflowing_exponential():
+    # r = 5 at beta = 690: the top level has omega beta = 724.5, so
+    # e^(omega beta) = inf; at s = 7.3e294 and 1e300 its occupation is large,
+    # and the residual is taken in the form n e^(omega beta) = k / (A (1 - e^(-x)))
+    ladder = cd.ladder_analytic(10, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=690.0, phi=1.0, chi=0.1)
+    grid = cd.solve_supply_grid(ladder, bath, np.logspace(-3, 300, 60))
+    assert all(error is None for error in grid.errors)
+    assert np.all(np.isfinite(grid.max_residual))
+    assert grid.converged()[-2:].all() and grid.converged().sum() == 58
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1216,7 @@ def test_condensate_prediction():
 
 
 def test_planck_factors_read_zero_past_overflow():
-    # omega beta > 709.78: e^(omega beta) overflows a double, the factor is 0
+    # omega beta = 800 > 744.4: e^(-omega beta) underflows a double, the factor is 0
     assert cd.eta_thermal_effective(11, 1.0, 800.0) == 0.0
     eta_t = cd.eta_thermal(LADDER, BATH)
     assert cd.total_occupancy_prediction(1.0, LADDER, BATH, 800.0) == eta_t

@@ -502,7 +502,7 @@ HOT_THRESHOLD_CFG = (
 
 
 def test_cli_threshold_where_planck_factors_overflow(tmp_path):
-    # omega_bar beta = 800 > 709.78: e^(omega beta) overflows, so eta_T_effective
+    # omega_bar beta = 800 > 744.4: e^(-omega beta) underflows, so eta_T_effective
     # and the top levels' share of B read 0 instead of ending the run
     cfg = _write(tmp_path, "run.cfg", HOT_THRESHOLD_CFG)
     out = tmp_path / "out"
@@ -585,7 +585,7 @@ def test_cli_workers_below_one_exit_one(tmp_path, capsys):
     assert "unknown key 'workers'" in capsys.readouterr().err
 
 
-# omega_-r beta = 990 > ln(DBL_MAX): every occupation underflows to 0
+# omega_-r beta = 990 > 744.4: e^(-omega beta), and every occupation, underflows to 0
 COLD_CFG = """
 ladder.r = 1
 ladder.omega = 1
@@ -618,8 +618,8 @@ def test_cli_underflowing_occupations_are_a_named_error(tmp_path, capsys):
 
 @pytest.mark.installed
 def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
-    # at s > 0, chi S < phi^2 eps takes the closed form; past omega_-r beta =
-    # 709.78 its occupations all underflow, and the point is one error line
+    # at s > 0, chi S < phi^2 eps takes the closed form; at omega_-r beta =
+    # 990 its occupations all underflow, and the point is one error line
     cfg = _write(tmp_path, "point.cfg", COLD_CFG + "pump.s = 1\n")
     assert cli.main(["steady-state", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
@@ -693,7 +693,8 @@ def test_cli_steady_state_where_upper_levels_pass_the_exp_overflow_prints_no_war
     tmp_path, capsys
 ):
     # beta = 700 at r = 5: the top levels' omega beta reaches 735 > 709.78, where
-    # expm1 overflows and 1/expm1 = 0 is exact; the point reads ok, silently
+    # expm1 overflows and their occupations are k e^(-omega beta); the point reads
+    # ok, silently
     text = _set(_set(STEADY_CFG, "ladder.r", "5"), "bath.chi", "0.1")
     text = _set(_set(text, "bath.beta", "700"), "pump.s", "1e290")
     out = tmp_path / "out"
@@ -903,10 +904,11 @@ def _threshold_in_a_fresh_interpreter(tmp_path, beta, phi="1.0"):
     return _cli_in_a_fresh_interpreter("threshold", "--config", cfg, "--out", str(tmp_path / "out"))
 
 
-@pytest.mark.parametrize("beta", ["371.5", "380", "400", "746"])
+@pytest.mark.parametrize("beta", ["371.5", "380", "400", "745"])
 def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
     # the acceptance ladder, omega_-r beta = 0.95 beta: the default grid's top end
-    # 1e2 s0 overflows (371.5), or s0 itself does (380, 400, 746)
+    # 1e2 s0 overflows (371.5), or s0 itself does (380, 400, 745); from 746,
+    # eta_T is below DBL_MIN and is named first
     result = _threshold_in_a_fresh_interpreter(tmp_path, beta)
     assert result.returncode == 1
     (line,) = result.stderr.splitlines()
@@ -915,13 +917,13 @@ def test_cli_threshold_names_an_overflowing_supply(tmp_path, beta):
 
 
 def test_cli_threshold_names_an_underflowing_equilibrium_occupancy(tmp_path):
-    # omega_-r beta = 0.95 * 760 > 709.78: every level's Planck occupation is
-    # 0, so eta_T is 0 and no threshold can be formed
+    # omega_-r beta = 0.95 * 760 = 722: eta_T = 2.75e-314 is a subnormal of a
+    # few digits, below DBL_MIN, and no threshold is formed from it
     result = _threshold_in_a_fresh_interpreter(tmp_path, "760")
     assert result.returncode == 1
     (line,) = result.stderr.splitlines()
-    assert line.startswith("error: ") and "eta_T underflows to 0" in line
-    assert "bath.beta = 760" in line and "709.78" in line
+    assert line.startswith("error: ") and "eta_T = 2.7517e-314" in line
+    assert "bath.beta = 760" in line and "below DBL_MIN = 2.22507e-308" in line
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
