@@ -566,22 +566,31 @@ def _refusals(s, transfer, closed, eta, degenerate, ladder: LevelLadder, bath: B
     return errors, refused
 
 
+def _reduction(x, s, transfer, bath: BathParams):
+    """eta and k = 1 + s/(phi + chi eta) of the scalar reduction at x = 1 - A > 0.
+
+    Both take phi + chi eta as chi S / (phi x), from x = chi S / (phi (phi + chi eta)),
+    never from eta, which cancels.  ``_closed_state`` and ``_grid`` take k from their
+    eta instead: at A = 1, x = 0.
+    """
+    total = bath.chi * transfer / (bath.phi * x)  # phi + chi eta
+    return (total - bath.phi) / bath.chi, 1.0 + s / total
+
+
 def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     """eta and occupations of the scalar reduction at the gap pair (g, mu beta)."""
-    # x = chi S / (phi (phi + chi eta)) = 1 - e^(-mu beta)
-    x = -np.expm1(-mu_beta)
-    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it)
+    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it), and k = inf
+    # where s / (phi + chi eta) does, as at the low bracket end of a huge supply
     with np.errstate(over="ignore"):
-        eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
-    k = 1.0 + s / (bath.phi + bath.chi * eta)
+        eta, k = _reduction(-np.expm1(-mu_beta), s, transfer, bath)
     return eta, _planck(np.add.outer(g, level_gaps), k[..., None])
 
 
-def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
+def _log_ratio(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     """log(T / S) and its derivative in g at the gap pair (g, mu beta) of each point.
 
     The closure's root solves T = S with T = phi x (k Phi(g) + phi/chi),
-    x = 1 - e^(-mu beta), k = 1 + s phi x / (chi S) and Phi(g) =
+    x = 1 - e^(-mu beta), k from ``_reduction`` and Phi(g) =
     sum_l 1/expm1(level_gap_l + g).  Every term is positive, so nothing
     cancels, and log T is close to linear in t = log(g / mu beta) at both
     ends of the gap range.
@@ -589,13 +598,13 @@ def _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath: BathParams):
     x = -np.expm1(-mu_beta)
     planck = _planck(np.add.outer(g, level_gaps))
     phi_sum = planck.sum(axis=-1)
-    k = 1.0 + k_slope * x
+    k = _reduction(x, s, transfer, bath)[1]
     w = k * phi_sum + bath.phi / bath.chi
     squares = (planck[..., None, :] @ planck[..., :, None])[..., 0, 0]
     dh_dg = (x - 1.0) / x * (1.0 + (k - 1.0) * phi_sum / w) - k * (
         phi_sum + squares
     ) / w
-    return np.log(x * w * t_scale), dh_dg
+    return np.log(x * w * (bath.phi / transfer)), dh_dg
 
 
 def _newton_step(t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, where):
@@ -629,12 +638,10 @@ def _closure(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
 
 def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
     """Root g below _GAP_BRACKET's low end, from 1/expm1(g) = 1/g - 1/2 + O(g):
-    g = k / (eta - k (P - 1/2)), with x, eta and k at g = 0 and P the excited levels'
-    sum of 1/expm1(level_gap_l + g), taken at g = 0 and again at that first g."""
-    x = -np.expm1(-gap_top)
+    g = k / (eta - k (P - 1/2)), with eta and k from ``_reduction`` at g = 0 and P the
+    excited levels' sum of 1/expm1(level_gap_l + g), taken at g = 0 and again at that first g."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses those points
-        eta = (bath.chi * transfer / (bath.phi * x) - bath.phi) / bath.chi
-        k = 1.0 + bath.phi * x / (bath.chi * (transfer / s))  # 1 + s / (phi + chi eta)
+        eta, k = _reduction(-np.expm1(-gap_top), s, transfer, bath)
         g = 0.0
         for _ in range(2):
             g = k / (eta - k * (_planck(np.add.outer(g, level_gaps[1:])).sum(-1) - 0.5))
@@ -678,20 +685,18 @@ def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
     t_lo = np.log(np.full_like(s[at], lo) / (gap_top - lo))
     t_hi = math.log(hi / top)
     t = 0.5 * (t_lo + t_hi)
-    k_slope = s[at] * bath.phi / (bath.chi * transfer[at])  # k = 1 + k_slope x
-    t_scale = bath.phi / transfer[at]  # T / S = x w t_scale
-    state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), k_slope, t_scale)
+    state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), s[at], transfer[at])
     for _ in range(_MAX_ITERATIONS):
         if not j.size:
             break
-        t, t_lo, t_hi, k_slope, t_scale = state
+        t, t_lo, t_hi, s_j, transfer_j = state
         g = gap_top / (1.0 + np.exp(-t))
         mu_beta = gap_top / (1.0 + np.exp(t))
-        h, dh_dg = _log_ratio(g, mu_beta, k_slope, t_scale, level_gaps, bath)
+        h, dh_dg = _log_ratio(g, mu_beta, s_j, transfer_j, level_gaps, bath)
         t, t_lo, t_hi, root, done = _newton_step(
             t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, _pick if lone else np.where
         )
-        state = (t, t_lo, t_hi, k_slope, t_scale)
+        state = (t, t_lo, t_hi, s_j, transfer_j)
         if lone and done:
             roots[:, at] = root
             j = j[:0]

@@ -693,6 +693,43 @@ def test_huge_supply_occupations_past_the_exp_overflow_keep_their_digits():
     assert checked >= 15
 
 
+def test_bracket_end_where_k_overflows_prints_no_warning():
+    # scripts/deck_identity.py's seed-1 solver call 79: at the bracket's low end
+    # k = 1 + s/(phi + chi eta) is about 3e316, beyond the double range; the
+    # huge-supply point is then answered by the closed path, with no warning
+    ladder = cd.ladder_analytic(56, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=1000.971929699893, phi=6.833844269828542, chi=0.0022614316412162597)
+    supplies = [0.3190649070910514, 5.83953359449833e301]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cd.solve_supply_grid(ladder, bath, supplies)
+    assert "every occupation underflows" in str(grid.errors[0])
+    assert grid.errors[1] is None and grid.converged()[1]
+    eta, _ = _closed_root(ladder, bath, supplies[1])
+    assert abs(float(grid.eta[1]) - eta) <= 1.1e-13 * eta
+
+
+def test_newton_point_whose_bracket_holds_a_k_beyond_dbl_max_is_the_50_digit_root():
+    # scripts/deck_identity.py's seed-46 solver call 86: s phi / (chi S), the
+    # slope of k in x, is beyond the double range, while k at the root is not;
+    # two warnings remain from Newton iterates whose k passes DBL_MAX
+    ladder = cd.ladder_analytic(14, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=771.5403004018738, phi=0.07352875536187642, chi=58.208094360976744)
+    s = 8.749622132633236e299
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid = cd.solve_supply_grid(ladder, bath, [s])
+    assert {str(w.message) for w in caught} <= {
+        "overflow encountered in scalar divide", "invalid value encountered in scalar divide"
+    }
+    assert grid.errors[0] is None
+    exact = _full_closure_occupations(ladder, bath, s, float(grid.eta[0]))
+    for n, n_exact in zip(grid.occupations[0].tolist(), exact):
+        assert abs(n - n_exact) <= 1e-12 * n_exact
+    # the residual gate passes it, the closure gate flags it (ROADMAP item 26(b))
+    assert grid.max_residual[0] < 1e-8 * s and not grid.converged()[0]
+
+
 def test_census_draws_at_the_underflow_bound_are_refused_or_answered_by_eta():
     # draw 2883: omega_-r beta = 709.75, eta = 5.7e-309 is a subnormal, and the
     # point is refused by name; draw 2798: omega_-r beta = 712.66, eta is normal
