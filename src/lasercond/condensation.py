@@ -28,10 +28,10 @@ loses digits.  The solve carries the pair (g, mu beta), which sums to
 omega_{-r} beta, and takes neither half as the other's difference: each
 Newton iterate forms both from t = log(g / mu beta), and a root's larger half
 is re-formed from its smaller, which holds the digits.  ``solve_supply_grid``
-solves a whole grid in one array kernel: it checks the closure at the bracket
-ends, answers each point past either end in closed form, takes safeguarded
-Newton steps on the rest in a cancellation-free form, log(T / S) = 0, all at
-once, and returns one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
+solves a whole grid in one array kernel: from the sign of log(T / S), the closure's
+cancellation-free form, at the bracket ends it answers each point past either end in
+closed form, takes safeguarded Newton steps on log(T / S) = 0 for the rest at once,
+and returns one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -401,8 +401,8 @@ def solve_supply_grid(
     The closed-form identity A = 1 - chi S / (phi (phi + chi eta)) with
     the supply-side S reduces the level system to one scalar closure per
     point, sum(occupations) - eta (see module docstring).  Unless chi S <
-    phi^2 eps, the closure in the gap g = (omega_{-r} - mu) beta is checked
-    at the ends of _GAP_BRACKET.  Where A rounds to 1 or the root lies past
+    phi^2 eps, its sign is taken at the ends of _GAP_BRACKET in the gap g =
+    (omega_{-r} - mu) beta, from log(T / S).  Where A rounds to 1 or the root lies past
     the top end, ``_closed_state`` answers, below the low end ``_pole_gap``;
     the bracket's roots are found at once by safeguarded Newton steps
     (``_newton_step``).  ``scale`` is each point's residual-gate pump p (default s).
@@ -439,11 +439,16 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     with np.errstate(over="ignore", invalid="ignore"):  # _refusals names an S that overflows
         transfer = excitation_transfer_supply(s, ladder, bath)
         closed = bath.chi * transfer <= bath.phi**2 * _EPS  # 1 - A < eps; False at 0 * inf
-    ends = np.full((2, s.size), math.nan)  # the closure at the ends of _GAP_BRACKET
+    ends = np.full((2, s.size), math.nan)  # log(T / S) at the ends of _GAP_BRACKET
     bracket = (~closed & np.isfinite(transfer)).nonzero()[0]
     if bracket.size and not degenerate:
         g = gap_top * np.array(_GAP_BRACKET)[:, None]
-        ends[:, bracket] = _closure(g, gap_top - g, s[bracket], transfer[bracket], level_gaps, bath)
+        # sign tests, derivative unused: an overflowing k or Planck term gives T = inf,
+        # and phi / S that underflows gives log(0) = -inf, each of the closure's sign
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ends[:, bracket] = _log_ratio(
+                g, gap_top - g, s[bracket], transfer[bracket], level_gaps, bath
+            )[0]
         closed[bracket] = ends[1, bracket] >= 0.0  # past the top end, 1 - A < 1e-15 omega_-r beta
     with np.errstate(over="ignore", invalid="ignore"):  # and closed occupations that do
         if closed.any():
@@ -579,10 +584,7 @@ def _reduction(x, s, transfer, bath: BathParams):
 
 def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     """eta and occupations of the scalar reduction at the gap pair (g, mu beta)."""
-    # eta = inf where chi S / (phi x) overflows (_pole_gap refuses it), and k = inf
-    # where s / (phi + chi eta) does, as at the low bracket end of a huge supply
-    with np.errstate(over="ignore"):
-        eta, k = _reduction(-np.expm1(-mu_beta), s, transfer, bath)
+    eta, k = _reduction(-np.expm1(-mu_beta), s, transfer, bath)
     return eta, _planck(np.add.outer(g, level_gaps), k[..., None])
 
 
@@ -591,7 +593,8 @@ def _log_ratio(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
 
     The closure's root solves T = S with T = phi x (k Phi(g) + phi/chi),
     x = 1 - e^(-mu beta), k from ``_reduction`` and Phi(g) =
-    sum_l 1/expm1(level_gap_l + g).  Every term is positive, so nothing
+    sum_l 1/expm1(level_gap_l + g).  T - S = phi x (sum(occupations) - eta),
+    so log(T / S) has the closure's sign.  Every term is positive, so nothing
     cancels, and log T is close to linear in t = log(g / mu beta) at both
     ends of the gap range.
     """
@@ -630,12 +633,6 @@ def _pick(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _closure(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
-    """sum(occupations) - eta of the scalar reduction at the gap pair (g, mu beta)."""
-    eta, occupations = _gap_state(g, mu_beta, s, transfer, level_gaps, bath)
-    return occupations.sum(axis=-1) - eta
-
-
 def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
     """Root g below _GAP_BRACKET's low end, from 1/expm1(g) = 1/g - 1/2 + O(g):
     g = k / (eta - k (P - 1/2)), with eta and k from ``_reduction`` at g = 0 and P the
@@ -651,7 +648,7 @@ def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
 def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
     """Root pair (g, mu beta) of each point's closure, NaN where it fails, and {point: error}.
 
-    ``f_lo`` and ``f_hi`` are the closure at the ends of _GAP_BRACKET, f_hi < 0 or NaN;
+    ``f_lo`` and ``f_hi`` are log(T / S) at the ends of _GAP_BRACKET, f_hi < 0 or NaN;
     ``_pole_gap`` answers f_lo <= 0.  Each Newton iterate forms both halves from t;
     once it stops, a root's larger half is re-formed as gap_top minus the smaller,
     which holds the digits.  Only active points are evaluated.  A single point

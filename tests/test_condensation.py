@@ -730,6 +730,23 @@ def test_newton_point_whose_bracket_holds_a_k_beyond_dbl_max_is_the_50_digit_roo
     assert grid.max_residual[0] < 1e-8 * s and not grid.converged()[0]
 
 
+def test_point_at_beta_1e_300_is_answered_and_flagged_without_a_bracket_end_warning():
+    # every omega beta is about 1e-300: the Planck terms at the bracket ends
+    # overflow and are taken as signs alone; two warnings remain from Newton
+    # iterates (ROADMAP item 11), and the closure gate flags the point
+    ladder = cd.ladder_analytic(4, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=1e-300, phi=1.0, chi=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid = cd.solve_supply_grid(ladder, bath, [1.0])
+    assert {str(w.message) for w in caught} <= {
+        "overflow encountered in matmul", "invalid value encountered in scalar divide"
+    }
+    assert grid.errors[0] is None
+    assert float(grid.eta[0]) == 1.0974717951774158e302
+    assert not grid.converged()[0]
+
+
 def test_census_draws_at_the_underflow_bound_are_refused_or_answered_by_eta():
     # draw 2883: omega_-r beta = 709.75, eta = 5.7e-309 is a subnormal, and the
     # point is refused by name; draw 2798: omega_-r beta = 712.66, eta is normal
@@ -894,13 +911,13 @@ def test_blocks_of_one_point_match_one_pass():
 
 
 def test_root_find_names_a_nan_closure():
-    real = cd._gap_state
+    real = cd._log_ratio
 
-    def nan_state(g, *args):
-        eta, occupations = real(g, *args)
-        return eta, occupations * math.nan
+    def nan_ratio(g, *args):
+        h, dh_dg = real(g, *args)
+        return h * math.nan, dh_dg
 
-    with mock.patch.object(cd, "_gap_state", nan_state):
+    with mock.patch.object(cd, "_log_ratio", nan_ratio):
         with pytest.raises(cd.ConvergenceError, match=r"NaN at the ends of the gap bracket \["):
             solve(0.5)
 

@@ -638,8 +638,9 @@ def test_cli_unresolvable_pole_is_a_named_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(("chi", "s"), [("0.1", "0"), ("0", "1"), ("0", "0")])
 def test_cli_exact_point_past_the_exp_overflow_reads_ok(tmp_path, chi, s):
-    # omega beta runs 704.9, 712, 719.1: the two upper occupations underflow
-    # to 0, and the exact point reads ok with a finite resid_max
+    # omega beta runs 704.9, 712, 719.1: the two upper occupations are the
+    # subnormals k e^(-omega beta), and the exact point reads ok with a
+    # finite resid_max
     text = _set(_set(COLD_CFG, "bath.beta", "712"), "bath.chi", chi) + f"pump.s = {s}\n"
     cfg = _write(tmp_path, "point.cfg", text)
     out = tmp_path / "out"
