@@ -15,23 +15,21 @@ levels.  Increasing s drives the effective chemical potential mu up
 toward the bottom level omega_{-r}; past a threshold supply the excess
 quanta pile into that level -- photon condensation, alias lasing.
 
-The self-consistency collapses to one scalar equation in the gap g =
-(omega_{-r} - mu) beta, 0 < g < omega_{-r} beta.  Where 1 - A = chi S /
-(phi (phi + chi eta)) is below eps (chi S < phi^2 eps, s = 0 and chi = 0
-among them) or the root lies past the gap bracket's top end (1 - A below
-about 1e-15 omega_{-r} beta), it is a quadratic in eta with a closed root,
-off by about 1 - A; below the low end (g < 1e-18 omega_{-r} beta, huge
-supplies) 1/expm1(g) = 1/g - 1/2 + O(g) gives g in closed form.  In between,
-g -> eta is monotone, and occupations through expm1 of (omega_l - omega_{-r})
-beta + g stay accurate near the condensation pole, where eta-space iteration
-loses digits.  The solve carries the pair (g, mu beta), which sums to
-omega_{-r} beta, and takes neither half as the other's difference: each
-Newton iterate forms both from t = log(g / mu beta), and a root's larger half
-is re-formed from its smaller, which holds the digits.  ``solve_supply_grid``
-solves a whole grid in one array kernel: from the sign of log(T / S), the closure's
-cancellation-free form, at the bracket ends it answers each point past either end in
-closed form, takes safeguarded Newton steps on log(T / S) = 0 for the rest at once,
-and returns one ``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
+The self-consistency collapses to one scalar equation in the gap g = (omega_{-r} - mu)
+beta, 0 < g < omega_{-r} beta.  Where 1 - A = chi S / (phi (phi + chi eta)) is below
+eps (chi S < phi^2 eps, s = 0 and chi = 0 among them) or the root lies past the gap
+bracket's top end (1 - A below about 1e-15 omega_{-r} beta), it is a quadratic in eta
+with a closed root, off by about 1 - A.  Below that end, down to the pole, g -> eta is
+monotone, and occupations through expm1 of (omega_l - omega_{-r}) beta + g keep their
+digits, where eta-space iteration loses them.  The solve carries the pair (g, mu
+beta), which sums to omega_{-r} beta, and takes neither half as the other's
+difference: each Newton iterate forms both from t = log(g / mu beta), at full relative
+precision for any t, and a root's larger half is re-formed from its smaller.
+``solve_supply_grid`` solves a whole grid in one array kernel: it answers each point
+past the top end (log(T / S), the closure's cancellation-free form, >= 0 there) in
+closed form, refuses one whose occupations pass the double range, takes safeguarded
+Newton steps on log(T / S) = 0 for the rest at once, and returns one
+``SteadyStateGrid``; ``solve_steady_state`` is its one-point call.
 
 Only ``ladder_from_spectrum`` needs block spectra, so ``spectrum`` is
 imported there and not at module load: a run on an analytic ladder
@@ -384,11 +382,14 @@ def solve_steady_state(
     return solve_supply_grid(ladder, bath, [pump.s], scale=[pump.p]).solution(0)
 
 
-# ends of the admissible gap bracket, as fractions of omega_{-r} beta
-_GAP_BRACKET = (1e-18, 1.0 - 1e-15)
+# top end of the gap bracket, as a fraction of omega_{-r} beta
+_GAP_TOP = 1.0 - 1e-15
+# Newton's first t = log(g / mu beta), midway from g = 1e-18 to mu beta = 1e-15 of omega_{-r} beta
+_T_START = 0.5 * math.log(1e-18 / 1e-15)
 _MAX_ITERATIONS = 200
 _EPS = float(np.finfo(float).eps)
 _DBL_MIN = float(np.finfo(float).tiny)  # the least normal double, 2.2e-308
+_MAX_INV = 2.0**-1024 * (1.0 + 2.0**-40)  # 1 / DBL_MAX, rounded up by 2^-40
 # (points x levels) entries per array pass: bounds the kernel's temporaries
 _BLOCK = 2**15
 
@@ -401,11 +402,10 @@ def solve_supply_grid(
     The closed-form identity A = 1 - chi S / (phi (phi + chi eta)) with
     the supply-side S reduces the level system to one scalar closure per
     point, sum(occupations) - eta (see module docstring).  Unless chi S <
-    phi^2 eps, its sign is taken at the ends of _GAP_BRACKET in the gap g =
-    (omega_{-r} - mu) beta, from log(T / S).  Where A rounds to 1 or the root lies past
-    the top end, ``_closed_state`` answers, below the low end ``_pole_gap``;
-    the bracket's roots are found at once by safeguarded Newton steps
-    (``_newton_step``).  ``scale`` is each point's residual-gate pump p (default s).
+    phi^2 eps, its sign is taken at the gap bracket's top end in g = (omega_{-r} - mu)
+    beta, from log(T / S): ``_closed_state`` answers past it or where A rounds to 1, a
+    point whose occupations pass the double range is refused, and safeguarded Newton steps
+    (``_newton_step``) root the rest at once.  ``scale`` is the residual-gate p (default s).
     A point that is refused or fails keeps its exception in ``errors``.
 
     A grid of one point takes the same path, and a long grid goes in blocks
@@ -439,17 +439,17 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     with np.errstate(over="ignore", invalid="ignore"):  # _refusals names an S that overflows
         transfer = excitation_transfer_supply(s, ladder, bath)
         closed = bath.chi * transfer <= bath.phi**2 * _EPS  # 1 - A < eps; False at 0 * inf
-    ends = np.full((2, s.size), math.nan)  # log(T / S) at the ends of _GAP_BRACKET
+    f_hi = np.full_like(s, math.nan)  # log(T / S) at the gap bracket's top end
     bracket = (~closed & np.isfinite(transfer)).nonzero()[0]
     if bracket.size and not degenerate:
-        g = gap_top * np.array(_GAP_BRACKET)[:, None]
-        # sign tests, derivative unused: an overflowing k or Planck term gives T = inf,
-        # and phi / S that underflows gives log(0) = -inf, each of the closure's sign
+        g = gap_top * np.array([_GAP_TOP])
+        # a sign test: an overflowing k or Planck term gives T = inf, and phi / S
+        # that underflows gives log(0) = -inf, each of the closure's sign
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ends[:, bracket] = _log_ratio(
+            f_hi[bracket] = _log_ratio(
                 g, gap_top - g, s[bracket], transfer[bracket], level_gaps, bath
             )[0]
-        closed[bracket] = ends[1, bracket] >= 0.0  # past the top end, 1 - A < 1e-15 omega_-r beta
+        closed[bracket] = f_hi[bracket] >= 0.0  # past the top end, 1 - A < 1e-15 omega_-r beta
     with np.errstate(over="ignore", invalid="ignore"):  # and closed occupations that do
         if closed.any():
             eta_root[closed], occupations[closed] = _closed_state(s[closed], omegas, bath)
@@ -460,7 +460,7 @@ def _solve_points(ladder, bath, s, scale) -> SteadyStateGrid:
     solve = (~refused & ~closed).nonzero()[0]
     if solve.size:
         s_j, transfer_j = s[solve], transfer[solve]
-        pair, failures = _find_gaps(s_j, transfer_j, *ends[:, solve], level_gaps, gap_top, bath)
+        pair, failures = _find_gaps(s_j, transfer_j, f_hi[solve], level_gaps, gap_top, bath)
         gap[solve], mu_beta[solve] = pair
         eta_root[solve], occupations[solve] = _gap_state(*pair, s_j, transfer_j, level_gaps, bath)
         for j, error in failures.items():
@@ -589,7 +589,7 @@ def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
 
 
 def _log_ratio(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
-    """log(T / S) and its derivative in g at the gap pair (g, mu beta) of each point.
+    """log(T / S) at the gap pair (g, mu beta) of each point, and the terms ``_slope`` takes.
 
     The closure's root solves T = S with T = phi x (k Phi(g) + phi/chi),
     x = 1 - e^(-mu beta), k from ``_reduction`` and Phi(g) =
@@ -603,11 +603,18 @@ def _log_ratio(g, mu_beta, s, transfer, level_gaps, bath: BathParams):
     phi_sum = planck.sum(axis=-1)
     k = _reduction(x, s, transfer, bath)[1]
     w = k * phi_sum + bath.phi / bath.chi
-    squares = (planck[..., None, :] @ planck[..., :, None])[..., 0, 0]
-    dh_dg = (x - 1.0) / x * (1.0 + (k - 1.0) * phi_sum / w) - k * (
-        phi_sum + squares
-    ) / w
-    return np.log(x * w * (bath.phi / transfer)), dh_dg
+    return np.log(x * w * (bath.phi / transfer)), (x, planck, phi_sum, k, w)
+
+
+def _slope(x, planck, phi_sum, k, w):
+    """d log(T / S) / dg from ``_log_ratio``'s terms, scaling ``planck`` in place: sum p_l^2
+    is p_0^2 sum (p_l / p_0)^2, p_0 = 1/expm1(g) the largest term (at least DBL_MIN), so no
+    square overflows near the pole or in a hot bath."""
+    top = np.maximum(planck[..., 0], _DBL_MIN)
+    planck *= (1.0 / top)[..., None]
+    squares = (planck[..., None, :] @ planck[..., :, None])[..., 0, 0]  # sum (p_l / p_0)^2
+    slope = (x - 1.0) / x * (1.0 + (k - 1.0) * phi_sum / w) - k * phi_sum / w
+    return slope - k * top / w * (top * squares)  # - k sum p_l^2 / w, squaring no p_l
 
 
 def _newton_step(t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, where):
@@ -621,7 +628,7 @@ def _newton_step(t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, where):
     t_lo = where(h > 0.0, t, t_lo)
     t_hi = where(h < 0.0, t, t_hi)
     g_step = -h / dh_dg
-    t_step = g_step * gap_top / (g * mu_beta)  # dt/dg = gap_top / (g mu beta)
+    t_step = g_step / g * (gap_top / mu_beta)  # dt/dg = gap_top / (g mu beta)
     t_next = t + t_step
     t = where((t_next > t_lo) & (t_next < t_hi), t_next, 0.5 * (t_lo + t_hi))
     done = (abs(t_step) <= 1e-12) | (abs(g_step) <= np.spacing(np.minimum(g, mu_beta)))
@@ -633,27 +640,17 @@ def _pick(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _pole_gap(s, transfer, level_gaps, gap_top, bath: BathParams):
-    """Root g below _GAP_BRACKET's low end, from 1/expm1(g) = 1/g - 1/2 + O(g):
-    g = k / (eta - k (P - 1/2)), with eta and k from ``_reduction`` at g = 0 and P the
-    excited levels' sum of 1/expm1(level_gap_l + g), taken at g = 0 and again at that first g."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses those points
-        eta, k = _reduction(-np.expm1(-gap_top), s, transfer, bath)
-        g = 0.0
-        for _ in range(2):
-            g = k / (eta - k * (_planck(np.add.outer(g, level_gaps[1:])).sum(-1) - 0.5))
-    return np.where(g > 0.0, g, np.nan)  # NaN where eta or k overflowed
-
-
-def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
+def _find_gaps(s, transfer, f_hi, level_gaps, gap_top, bath: BathParams):
     """Root pair (g, mu beta) of each point's closure, NaN where it fails, and {point: error}.
 
-    ``f_lo`` and ``f_hi`` are log(T / S) at the ends of _GAP_BRACKET, f_hi < 0 or NaN;
-    ``_pole_gap`` answers f_lo <= 0.  Each Newton iterate forms both halves from t;
-    once it stops, a root's larger half is re-formed as gap_top minus the smaller,
-    which holds the digits.  Only active points are evaluated.  A single point
-    entering the loop steps on numpy scalars, with ``_pick`` for np.where: the same
-    bits at a fraction of the cost.  A grid's last active point stays a 1-element array.
+    ``f_hi`` is log(T / S) at the top end, _GAP_TOP omega_{-r} beta, < 0 or NaN.  The low
+    end is g = _MAX_INV, where 1 / expm1(g), the bottom occupation at k = 1, passes 1 /
+    _MAX_INV; a point whose S / (phi x) = eta + phi / chi at g = 0, its least, passes it is
+    refused (the near-pole occupations overflow).  Newton runs from _T_START; each iterate
+    forms both halves from t, and a root's larger half is re-formed as gap_top minus the
+    smaller, which holds the digits.  Only active points are evaluated.  A single point
+    entering the loop steps on numpy scalars, with ``_pick`` for np.where: the same bits at
+    a fraction of the cost.  A grid's last active point stays a 1-element array.
     """
     failures: dict[int, ConvergenceError] = {}
 
@@ -661,45 +658,47 @@ def _find_gaps(s, transfer, f_lo, f_hi, level_gaps, gap_top, bath: BathParams):
         for i in mask.nonzero()[0].tolist():
             failures[i] = ConvergenceError(message(i))
 
-    lo, hi = (gap_top * end for end in _GAP_BRACKET)
+    hi = gap_top * _GAP_TOP
     top = gap_top - hi  # mu beta at hi, exact: hi is within a factor 2 of gap_top
     roots = np.full((2, s.size), np.nan)  # the rows g and mu beta
-    pole = f_lo <= 0.0  # the root lies below the low end
-    if pole.any():
-        g = _pole_gap(s[pole], transfer[pole], level_gaps, gap_top, bath)
-        roots[:, pole] = g, gap_top - g
-        fail(pole & np.isnan(roots[0]), lambda i: (
-            f"the near-pole occupations overflow at s = {float(s[i])}: beyond the double range"
-        ))
-    newton = (f_lo > 0.0) & (f_hi < 0.0)
+    pole = transfer * _MAX_INV > bath.phi * -math.expm1(-gap_top)
+    fail(pole, lambda i: (
+        f"the near-pole occupations overflow at s = {float(s[i])}: beyond the double range"
+    ))
+    newton = ~pole & (f_hi < 0.0)
     fail(~(pole | newton), lambda i: (
-        f"closure is NaN at the ends of the gap bracket [{float(lo)!r}, {hi!r}]"
+        f"closure is NaN at the ends of the gap bracket [{_MAX_INV!r}, {hi!r}]"
     ))
     j = newton.nonzero()[0]
     lone = j.size == 1
     at = j[0] if lone else j
     # Newton runs in t = log(g / mu beta), inside the bracket [t_lo, t_hi]
-    t_lo = np.log(np.full_like(s[at], lo) / (gap_top - lo))
-    t_hi = math.log(hi / top)
-    t = 0.5 * (t_lo + t_hi)
-    state = (t, t_lo, t_hi if lone else np.full_like(t, t_hi), s[at], transfer[at])
-    for _ in range(_MAX_ITERATIONS):
-        if not j.size:
-            break
-        t, t_lo, t_hi, s_j, transfer_j = state
-        g = gap_top / (1.0 + np.exp(-t))
-        mu_beta = gap_top / (1.0 + np.exp(t))
-        h, dh_dg = _log_ratio(g, mu_beta, s_j, transfer_j, level_gaps, bath)
-        t, t_lo, t_hi, root, done = _newton_step(
-            t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, _pick if lone else np.where
-        )
-        state = (t, t_lo, t_hi, s_j, transfer_j)
-        if lone and done:
-            roots[:, at] = root
-            j = j[:0]
-        elif not lone and done.any():
-            roots[:, j[done]] = [half[done] for half in root]
-            j, *state = (v[~done] for v in (j, *state))
+    t_lo, t_hi = math.log(_MAX_INV / (gap_top - _MAX_INV)), math.log(hi / top)
+    first = (max(t_lo, _T_START), t_lo, t_hi)  # the first t and its bracket
+    state = (*(v if lone else np.full_like(s[at], v) for v in first), s[at], transfer[at])
+    # h = +inf, where sum(occupations) or k overflows, has the closure's sign; its NaN step bisects.
+    # Below g = k _MAX_INV, sum(occupations) > 1 / _MAX_INV > eta, to 2 g / expm1(omega_-r beta),
+    # unless refused; k > DBL_MAX needs chi eta < 1 < chi k / expm1(g) below g = ln(chi DBL_MAX).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITERATIONS):
+            if not j.size:
+                break
+            t, t_lo, t_hi, s_j, transfer_j = state
+            g = gap_top / (1.0 + np.exp(-t))
+            mu_beta = gap_top / (1.0 + np.exp(t))
+            h, terms = _log_ratio(g, mu_beta, s_j, transfer_j, level_gaps, bath)
+            dh_dg = _slope(*terms)
+            del terms  # frees the (points, levels) Planck terms before the next iterate
+            t, t_lo, t_hi, root, done = _newton_step(
+                t, t_lo, t_hi, g, mu_beta, h, dh_dg, gap_top, _pick if lone else np.where
+            )
+            state = (t, t_lo, t_hi, s_j, transfer_j)
+            if lone and done:
+                roots[:, at] = root
+                j = j[:0]
+            elif not lone and done.any():
+                roots[:, j[done]] = [half[done] for half in root]
+                j, *state = (v[~done] for v in (j, *state))
     if j.size:
         g_lo, g_hi = (np.reshape(gap_top / (1.0 + np.exp(-end)), -1) for end in state[1:3])
         for k, i in enumerate(j.tolist()):

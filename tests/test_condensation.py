@@ -712,7 +712,7 @@ def test_bracket_end_where_k_overflows_prints_no_warning():
 def test_newton_point_whose_bracket_holds_a_k_beyond_dbl_max_is_the_50_digit_root():
     # scripts/deck_identity.py's seed-46 solver call 86: s phi / (chi S), the
     # slope of k in x, is beyond the double range, while k at the root is not;
-    # two warnings remain from Newton iterates whose k passes DBL_MAX
+    # Newton iterates whose k passes DBL_MAX bisect, and warn no more
     ladder = cd.ladder_analytic(14, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=771.5403004018738, phi=0.07352875536187642, chi=58.208094360976744)
     s = 8.749622132633236e299
@@ -731,20 +731,78 @@ def test_newton_point_whose_bracket_holds_a_k_beyond_dbl_max_is_the_50_digit_roo
 
 
 def test_point_at_beta_1e_300_is_answered_and_flagged_without_a_bracket_end_warning():
-    # every omega beta is about 1e-300: the Planck terms at the bracket ends
-    # overflow and are taken as signs alone; two warnings remain from Newton
-    # iterates (ROADMAP item 11), and the closure gate flags the point
+    # every omega beta is about 1e-300, and so is every Planck term's inverse:
+    # Newton's slope takes sum p^2 scaled by the bottom term, and its t step
+    # divides by g and mu beta apart, so eta is the 650-digit bisected root; the
+    # point is still flagged, its residual being beyond a double (ROADMAP item 29)
     ladder = cd.ladder_analytic(4, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=1e-300, phi=1.0, chi=0.1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         grid = cd.solve_supply_grid(ladder, bath, [1.0])
-    assert {str(w.message) for w in caught} <= {
-        "overflow encountered in matmul", "invalid value encountered in scalar divide"
-    }
     assert grid.errors[0] is None
-    assert float(grid.eta[0]) == 1.0974717951774158e302
+    assert abs(float(grid.eta[0]) - 1.0004002241024194e301) <= 1e-15 * 1.0004002241024194e301
     assert not grid.converged()[0]
+
+
+def test_newton_iterates_whose_k_passes_dbl_max_print_no_warning():
+    # scripts/deck_identity.py's seed-46 solver call 86, both points: Newton's
+    # first iterate on the huge supply has k beyond the double range, reads
+    # log(T / S) = +inf, of the closure's sign, and bisects, silently
+    ladder = cd.ladder_analytic(14, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=771.5403004018738, phi=0.07352875536187642, chi=58.208094360976744)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cd.solve_supply_grid(ladder, bath, [3043.7094724503872, 8.749622132633236e299])
+    assert grid.errors == (None, None)
+    assert float(grid.eta[1]) == pytest.approx(2.853181518791274e-11, rel=1e-13)
+
+
+def _hot_root_occupations(ladder, bath, s, eta_near):
+    """Occupations at the full closure's root, bisected in log eta within 1e-6 of
+    log(eta_near), at 50 + 2 |log10 beta| digits: each omega beta - mu beta cancels
+    about |log10 beta| digits."""
+    with mpmath.workdps(50 + 2 * round(abs(math.log10(bath.beta)))):
+        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
+        ups = [mpmath.exp(mpmath.mpf(float(w)) * mpmath.mpf(bath.beta)) for w in ladder.omegas]
+        transfer = s * mpmath.fsum(1 / up for up in ups)
+
+        def occupations(log_eta):
+            total = phi + chi * mpmath.exp(log_eta)
+            a = 1 - chi * transfer / (phi * total)
+            return [(1 + s / total) / (a * up - 1) for up in ups]
+
+        def closure(log_eta):
+            return mpmath.fsum(occupations(log_eta)) - mpmath.exp(log_eta)
+
+        near = mpmath.log(mpmath.mpf(eta_near))
+        lo, hi = near - mpmath.mpf("1e-6"), near + mpmath.mpf("1e-6")
+        assert closure(lo) > 0 > closure(hi)
+        while hi - lo > mpmath.mpf("1e-30"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if closure(mid) > 0 else (lo, mid)
+        return occupations((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-150])
+def test_hot_bath_occupations_are_the_high_precision_root(beta):
+    # each Planck term is about 1/(omega beta), up to 1e300: Newton's slope takes
+    # sum p^2 scaled by the bottom term, so it neither overflows nor loses the
+    # root; the r = 2 point above and census draws 0-3 with beta replaced, all
+    # flagged by the residual gate (ROADMAP item 29)
+    points = [(4, 1.0, 0.1, 1.0)] + [
+        (two_r, phi, chi, s) for two_r, _, phi, chi, s in CENSUS.draws(0, 4)
+    ]
+    for two_r, phi, chi, s in points:
+        ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
+        bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = cd.solve_supply_grid(ladder, bath, [s])
+        assert grid.errors[0] is None
+        exact = _hot_root_occupations(ladder, bath, s, float(grid.eta[0]))
+        for n, n_exact in zip(grid.occupations[0].tolist(), exact):
+            assert abs(n - n_exact) <= 1e-14 * n_exact, (two_r, n, n_exact)
 
 
 def test_census_draws_at_the_underflow_bound_are_refused_or_answered_by_eta():
@@ -885,7 +943,7 @@ def test_blocks_of_one_point_match_one_pass():
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    # s = 1e19 at r = 1 takes the near-pole closed form (SHRINK_POINTS)
+    # s = 1e19 at r = 1 has a near-pole root (SHRINK_POINTS)
     cases = [(cd.ladder_analytic(2, 1.0, 0.1, 100.0), BATH, [1e19, 1.0, 0.0, -3.0])]
     while len(cases) < 40:
         ladder = _domain_ladder(
@@ -1036,8 +1094,10 @@ def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
     assert max(distances) <= BRENT_DISTANCE_MAX
 
 
-# (2r, beta, chi, s) whose closure root lies below _GAP_BRACKET[0] of the gap
-# range, so _find_gaps answers them with the near-pole closed form of _pole_gap
+# near-pole roots: a gap g below NEAR_POLE omega_{-r} beta, deep in the condensate,
+# where the bottom level holds nearly every quantum
+NEAR_POLE = 1e-18
+# (2r, beta, chi, s) whose closure root is a near-pole root
 SHRINK_POINTS = [(2, 1.0, 0.1, 1e19), (4, 2.0, 0.05, 1e20), (6, 0.5, 0.3, 1e22)]
 
 
@@ -1047,7 +1107,7 @@ def test_bracket_search_below_the_low_end_finds_the_closure_root(two_r, beta, ch
     bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
     grid = cd.solve_supply_grid(ladder, bath, [s])
     gap = float(grid.gap[0])
-    assert gap < cd._GAP_BRACKET[0] * ladder.omegas[0] * beta
+    assert gap < NEAR_POLE * ladder.omegas[0] * beta
     root = _closure_root(ladder, bath, s, gap)
     assert float(abs(gap - root) / root) <= 8.9e-16
     assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
@@ -1057,7 +1117,8 @@ def test_bracket_search_below_the_low_end_finds_the_closure_root(two_r, beta, ch
 @pytest.mark.parametrize("s", [1e300, 1e308])
 def test_near_pole_root_at_a_huge_supply_is_the_closure_root(s):
     # eta is finite (1.756e300 at s = 1e300) and g = 3.811e-300 a normal
-    # double: the near-pole closed form answers, with no numpy warning
+    # double: Newton answers, with no numpy warning; at s = 1e308 the bottom
+    # occupation is 0.977 DBL_MAX, above the gap bracket's low end
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1078,6 +1139,27 @@ def test_near_pole_occupations_beyond_the_double_range_are_refused_by_name():
         solve(8.67e304, ladder=ladder, bath=bath)
 
 
+def test_root_below_dbl_min_whose_bottom_occupation_is_a_double_is_answered():
+    # scripts/deck_identity.py's seed-46 solver call 436: the root g = 1.359e-308
+    # is a subnormal below DBL_MIN, and the bottom occupation k / g = 7.37e307 a
+    # double; the gap bracket's low end, 1 / DBL_MAX = 5.56e-309, lies below it
+    ladder = cd.ladder_analytic(29, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=0.8778571678165702, phi=0.052461876836962115, chi=1.4191161201472966)
+    s = 1.6319506808633252e305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cd.solve_supply_grid(ladder, bath, [s])
+    assert grid.errors[0] is None
+    gap = float(grid.gap[0])
+    assert gap < DBL_MIN
+    root = _closure_root(ladder, bath, s, gap)
+    assert float(abs(gap - root) / root) <= 8.9e-16
+    # the 60-digit root's first three occupations, rounded
+    exact = (7.36946365896223e307, 113.59145831737777, 56.54643806990347)
+    for n, n_exact in zip(grid.occupations[0, :3].tolist(), exact):
+        assert abs(n - n_exact) <= 1e-13 * n_exact
+
+
 def _near_pole_draws(count, seed):
     """Seeded (ladder, bath, s): ROADMAP item 1's domain at s in 1e15-1e307, log-uniform."""
     rng = random.Random(seed)
@@ -1091,7 +1173,7 @@ def _near_pole_draws(count, seed):
             beta=log_uniform(0.1, 2000.0), phi=log_uniform(1e-3, 1e3), chi=log_uniform(1e-4, 1e2)
         )
         yield ladder, bath, log_uniform(1e15, 1e307)
-    # near-flat ladders, where P moves with g: it is taken again at the first root
+    # near-flat ladders, where the excited levels' Planck terms move with g
     for kappa in (1e-12, 1e-14):
         yield cd.ladder_analytic(10, 1.0, kappa, 100.0), BATH, 1e19
 
@@ -1103,7 +1185,7 @@ def test_near_pole_closed_form_is_the_50_digit_closure_root():
             warnings.simplefilter("error")
             grid = cd.solve_supply_grid(ladder, bath, [s])
         gap = float(grid.gap[0])
-        if grid.errors[0] is not None or gap >= cd._GAP_BRACKET[0] * ladder.omegas[0] * bath.beta:
+        if grid.errors[0] is not None or gap >= NEAR_POLE * ladder.omegas[0] * bath.beta:
             continue
         root = _closure_root(ladder, bath, s, gap)
         assert float(abs(gap - root) / root) <= 8.9e-16, (ladder.two_r, bath, s)

@@ -653,9 +653,9 @@ def test_cli_exact_point_past_the_exp_overflow_reads_ok(tmp_path, chi, s):
 
 
 def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
-    # s up to 1.7e308 at phi = chi = 1e-3: the three points below 1e304 take
-    # the near-pole closed form and are flagged (the float residual cancels),
-    # the next two are refused because their near-pole eta overflows, and at
+    # s up to 1.7e308 at phi = chi = 1e-3: the three points below 1e304 have
+    # near-pole roots and are flagged (the float residual cancels), the next
+    # two are refused because their near-pole occupations overflow, and at
     # the top one S = s sum_j e^(-omega_j beta) overflows and is refused by
     # name; no numpy warning is printed (pytest turns a RuntimeWarning into
     # an error)
@@ -677,9 +677,9 @@ def test_cli_sweep_refuses_a_supply_whose_transfer_overflows(tmp_path, capsys):
 
 
 def test_cli_sweep_at_supplies_near_the_pole_prints_no_warning(tmp_path, capsys):
-    # s = 1e150 to 1e200 at r = 1: each root lies below the gap bracket's low
-    # end and takes the near-pole closed form; the residual cancels, so the
-    # points are flagged, and nothing reaches stderr
+    # s = 1e150 to 1e200 at r = 1: each root g lies below 4e-150, deep in the
+    # condensate; the residual cancels, so the points are flagged, and nothing
+    # reaches stderr
     text = COLD_CFG.replace("bath.beta = 1000", "bath.beta = 1") + (
         "pump.s_min = 1e150\npump.s_max = 1e200\npump.points = 3\npump.grid = log\n"
     )
