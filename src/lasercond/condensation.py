@@ -574,12 +574,15 @@ def _refusals(s, transfer, closed, eta, degenerate, ladder: LevelLadder, bath: B
 def _reduction(x, s, transfer, bath: BathParams):
     """eta and k = 1 + s/(phi + chi eta) of the scalar reduction at x = 1 - A > 0.
 
-    Both take phi + chi eta as chi S / (phi x), from x = chi S / (phi (phi + chi eta)),
-    never from eta, which cancels.  ``_closed_state`` and ``_grid`` take k from their
-    eta instead: at A = 1, x = 0.
+    Both come from u = eta + phi/chi = S / (phi x), from x = chi S / (phi (phi + chi eta)),
+    never from eta, which cancels, and chi S, which overflows at chi > 1 while eta is a
+    double, is never formed: k = 1 + s / (chi u) takes chi u at chi <= 1 and s / chi first
+    above it, so neither overflows where k is a double.  ``_closed_state`` and ``_grid``
+    take k from their eta instead: at A = 1, x = 0.
     """
-    total = bath.chi * transfer / (bath.phi * x)  # phi + chi eta
-    return (total - bath.phi) / bath.chi, 1.0 + s / total
+    u = transfer / (bath.phi * x)  # eta + phi/chi
+    k = 1.0 + (s / bath.chi / u if bath.chi > 1.0 else s / (bath.chi * u))
+    return u - bath.phi / bath.chi, k
 
 
 def _gap_state(g, mu_beta, s, transfer, level_gaps, bath: BathParams):

@@ -1,7 +1,6 @@
 """Ladders, bath losses, steady-state solver, bounds and threshold."""
 
 import functools
-import importlib.util
 import itertools
 import json
 import math
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lasercond import condensation as cd
 
 # the split-ladder workhorse used throughout: r = 5, spacing 0.01 around
@@ -26,10 +26,18 @@ from lasercond import condensation as cd
 LADDER = cd.ladder_analytic(10, 1.0, 0.1, 100.0)
 BATH = cd.BathParams(beta=1.0, phi=1.0, chi=0.1)
 EPS = float(np.finfo(float).eps)
+DBL_MIN = float(np.finfo(float).tiny)
 
 
 def solve(s, ladder=LADDER, bath=BATH):
     return cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+
+
+def _quiet_grid(ladder, bath, supplies):
+    """``solve_supply_grid`` with every warning an error, not only a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cd.solve_supply_grid(ladder, bath, supplies)
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +118,6 @@ def test_ladder_from_spectrum_needs_complete_block():
         cd.ladder_from_spectrum(10, 6, 0.1, 1.0)
 
 
-def _mpmath_block_levels(two_r, two_c, kappa):
-    """Ascending spectrum of H - c I on one block, from 40-digit mpmath."""
-    with mpmath.workdps(40):
-        n_min = max(0, two_c - two_r) // 2
-        dim = (two_c + two_r) // 2 - n_min + 1
-        h = mpmath.zeros(dim, dim)
-        for i in range(1, dim):
-            n = n_min + i
-            two_m = two_c - 2 * n
-            t = kappa * mpmath.sqrt(n) * mpmath.sqrt(
-                mpmath.mpf(two_r * (two_r + 2) - two_m * (two_m + 2)) / 4
-            )
-            h[i - 1, i] = h[i, i - 1] = t
-        return sorted(mpmath.eigsy(h, eigvals_only=True))
-
-
 @pytest.mark.parametrize("two_r,two_c", [(10, 2 * 10**6), (20, 2 * 10**8)])
 def test_ladder_from_spectrum_matches_mpmath_to_the_level_spacing(two_r, two_c):
     # the SVD's error on the shifted levels is a few eps * ||H - c I||, with
@@ -133,8 +125,8 @@ def test_ladder_from_spectrum_matches_mpmath_to_the_level_spacing(two_r, two_c):
     # bound below is 10x that scale.  Differencing the unshifted spectra,
     # whose scale is c, misses it (1.0e-7 and 8.5e-5 of the spacing here).
     with mpmath.workdps(40):
-        lower = _mpmath_block_levels(two_r, two_c, 1)
-        upper = _mpmath_block_levels(two_r, two_c + 2, 1)
+        lower = oracles.block_levels(two_r, two_c, 1)
+        upper = oracles.block_levels(two_r, two_c + 2, 1)
         exact = sorted(1 + u - l for u, l in zip(upper, lower))
         spacing = float(exact[1] - exact[0])
         ladder = cd.ladder_from_spectrum(two_r, two_c, 1.0, 1.0)
@@ -456,33 +448,14 @@ def _log_floats(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def _load_census():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "solver_census.py"
-    spec = importlib.util.spec_from_file_location("solver_census", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-CENSUS = _load_census()
-
-
 def _a_rounds_to_one(ladder, bath, s):
     """chi S < phi^2 eps: x = 1 - A is below the double resolution of 1."""
     return bath.chi * cd.excitation_transfer_supply(s, ladder, bath) < bath.phi**2 * EPS
 
 
-def _answered_closed(ladder, bath, s):
-    """The closed path answers: A rounds to 1, or the closure's root lies past
-    the top end of the gap bracket, where the solver's mu is exactly 0."""
-    if _a_rounds_to_one(ladder, bath, s):
-        return True
-    return cd.solve_supply_grid(ladder, bath, [s]).mu[0] == 0.0
-
-
 def test_solver_census_prints_the_same_bytes_on_every_run():
     argv = [
-        sys.executable, CENSUS.__file__, "--src", str(Path(cd.__file__).parents[1]),
+        sys.executable, oracles.CENSUS.__file__, "--src", str(Path(cd.__file__).parents[1]),
         "--seed", "0", "--draws", "20",
     ]
     first, second = (subprocess.run(argv, check=True, capture_output=True).stdout for _ in "ab")
@@ -498,15 +471,13 @@ NEAR_CLOSED_DRAWS = (32, 83, 91, 95, 123, 156, 171, 175)
 
 
 def test_census_draws_near_the_closed_regime_pass_the_residual_gate():
-    draws = list(CENSUS.draws(0, max(NEAR_CLOSED_DRAWS) + 1))
+    draws = list(oracles.CENSUS.draws(0, max(NEAR_CLOSED_DRAWS) + 1))
     for index in NEAR_CLOSED_DRAWS:
         two_r, beta, phi, chi, s = draws[index]
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
         bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
         assert not _a_rounds_to_one(ladder, bath, s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solution = cd.solve_steady_state(ladder, bath, cd.PumpParams.from_supply(s))
+        solution = _quiet_grid(ladder, bath, [s]).solution(0)
         assert solution.max_residual < 1e-8 * max(s, phi), index
 
 
@@ -525,55 +496,37 @@ def test_residual_is_finite_where_upper_levels_underflow(chi, s):
     assert np.isfinite(solution.max_residual) and solution.converged()
 
 
-def _full_closure_occupations(ladder, bath, s, eta_near):
-    """50-digit occupations at the root of the full closure, with A = 1 - x kept.
-
-    The unknown is eta / eta_near, so the secant steps see numbers near 1
-    whatever the size of eta.
-    """
-    with mpmath.workdps(50):
-        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
-        ups = [mpmath.exp(mpmath.mpf(float(w)) * mpmath.mpf(bath.beta)) for w in ladder.omegas]
-        transfer = s * mpmath.fsum(1 / up for up in ups)
-        scale = mpmath.mpf(eta_near)
-
-        def occupations(u):
-            eta = u * scale
-            a = 1 - chi * transfer / (phi * (phi + chi * eta))
-            k = 1 + s / (phi + chi * eta)
-            return [k / (a * up - 1) for up in ups]
-
-        root = mpmath.findroot(lambda u: mpmath.fsum(occupations(u)) / scale - u, 1)
-        return occupations(root)
-
-
-def test_closed_form_matches_the_full_closure_root():
-    # the seed-0 census draws the closed path answers: each is the 50-digit
-    # root of the full closure, or, in these draws wherever omega_-r beta passes
-    # 709.78, eta is below DBL_MIN and every occupation underflows; of them,
-    # draws 13, 76, 163, 164, 178, 198, 203, 207, 238 and 321 have chi S / phi^2
-    # above eps and a root past the top end
-    answered = past_top = 0
-    for two_r, beta, phi, chi, s in CENSUS.draws(0, 400):
+def test_census_occupations_are_the_closure_root():
+    # seed-0 census draws 0-399, where the oracle's bracket must change sign at every
+    # answered row: each occupation of at least DBL_MIN is the 50-digit closure root's, to
+    # 1e-13 at a Newton row and 1e-12 at a closed row (mu = 0); past omega_-r beta = 709.78
+    # every occupation underflows; closed draws 13, 76, 163, 164, 178, 198, 203, 207, 238
+    # and 321 have chi S / phi^2 above eps and a root past the top end
+    answered = past_top = newton = 0
+    for two_r, beta, phi, chi, s in oracles.CENSUS.draws(0, 400):
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
         bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
-        if not _answered_closed(ladder, bath, s):
-            continue
         pump = cd.PumpParams.from_supply(s)
         if ladder.bottom * beta > 709.78:
             with pytest.raises(cd.ConvergenceError, match="every occupation underflows"):
                 cd.solve_steady_state(ladder, bath, pump)
             continue
         solution = cd.solve_steady_state(ladder, bath, pump)
-        assert solution.converged()
-        exact = _full_closure_occupations(ladder, bath, s, solution.eta)
-        for n, oracle in zip(solution.occupations.tolist(), exact):
-            if oracle > 1e-290:
-                assert abs(n - oracle) < 1e-12 * oracle
-        answered += 1
-        past_top += not _a_rounds_to_one(ladder, bath, s)
+        closed = solution.mu == 0.0
+        bound = 1e-12 if closed else 1e-13
+        exact_occupations = oracles.closure_root(ladder, bath, s, solution).occupations
+        for n, exact in zip(solution.occupations.tolist(), exact_occupations):
+            if exact >= DBL_MIN:
+                assert abs(n - exact) < bound * exact
+        if closed:
+            assert solution.converged()
+            answered += 1
+            past_top += not _a_rounds_to_one(ladder, bath, s)
+        else:
+            newton += 1
     assert answered >= 20
     assert past_top >= 10
+    assert newton >= 200
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -602,9 +555,6 @@ def test_closed_form_draws_converge_or_name_the_underflow(two_r, beta, phi, chi,
 # the Planck term past omega beta = 709.78, where e^(omega beta) overflows
 # ---------------------------------------------------------------------------
 
-DBL_MIN = float(np.finfo(float).tiny)
-
-
 def test_planck_term_keeps_the_bits_of_k_over_expm1_below_the_cut():
     # one array with terms on both sides of the cut: below it the bits of
     # k / expm1(x), past it k e^(-x), each to its own rounding
@@ -623,23 +573,9 @@ def test_planck_term_keeps_the_bits_of_k_over_expm1_below_the_cut():
     assert 0.0 < cd.planck_occupation(730.0, 1.0) < DBL_MIN
 
 
-def _closed_root(ladder, bath, s):
-    """60-digit eta and occupations of the closed state (A = 1), from the exact omega_l beta."""
-    with mpmath.workdps(60):
-        phi, chi, s = (mpmath.mpf(v) for v in (bath.phi, bath.chi, s))
-        beta = mpmath.mpf(bath.beta)
-        planck = [1 / mpmath.expm1(mpmath.mpf(float(w)) * beta) for w in ladder.omegas]
-        p_sum = mpmath.fsum(planck)
-        b = phi - chi * p_sum
-        h = mpmath.sqrt(b * b + 4 * chi * (phi + s) * p_sum)
-        eta = 2 * (phi + s) * p_sum / (b + h) if b > 0 else (h - b) / (2 * chi)
-        k = 1 + s / (phi + chi * eta)
-        return eta, [k * n for n in planck]
-
-
 def _assert_closed_root(solution, ladder, bath, s, bound):
-    """eta and every occupation of at least DBL_MIN within ``bound`` of ``_closed_root``."""
-    eta, occupations = _closed_root(ladder, bath, s)
+    """eta and each occupation of at least DBL_MIN within ``bound`` of the closed state's."""
+    eta, occupations = oracles.closed_state(ladder, bath, s)
     assert abs(float(solution.eta) - eta) <= bound * eta
     for n, exact in zip(solution.occupations.tolist(), occupations):
         if exact >= DBL_MIN:
@@ -653,7 +589,7 @@ def test_closed_rows_past_the_exp_overflow_are_the_60_digit_closed_root():
     # read ok with eta off by up to 8.1e-4; with e^(-omega beta) kept, each is
     # within 1e-13, about the rounding of omega_l beta itself
     checked = 0
-    for two_r, beta, phi, chi, s in CENSUS.draws(0, 2000):
+    for two_r, beta, phi, chi, s in oracles.CENSUS.draws(0, 2000):
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
         if ladder.omegas[-1] * beta <= 709.0:
             continue
@@ -666,22 +602,13 @@ def test_closed_rows_past_the_exp_overflow_are_the_60_digit_closed_root():
     assert checked >= 80
 
 
-def _huge_supply_points(seed, count):
-    """(ladder, bath, s) of the huge-supply point of each of ``scripts/deck_identity.py``'s
-    seeded solver calls: a census draw's ladder and bath, s log-uniform in 1e15-1e307."""
-    rng = random.Random(seed)
-    for two_r, beta, phi, chi, _ in CENSUS.draws(seed, count):
-        s = math.exp(rng.uniform(math.log(1e15), math.log(1e307)))
-        yield cd.ladder_analytic(two_r, 1.0, 0.1, 100.0), cd.BathParams(beta, phi, chi), s
-
-
 def test_huge_supply_occupations_past_the_exp_overflow_keep_their_digits():
     # where k = 1 + s/(phi + chi eta) is huge, k e^(-omega beta) is a normal
     # double although e^(-omega beta) is a subnormal or 0: formed through that
     # subnormal it loses k's digits (up to all of them), so each closed row is
     # checked against the 60-digit closed root at every normal occupation
     checked = 0
-    for ladder, bath, s in _huge_supply_points(3, 250):
+    for ladder, bath, s in oracles.huge_supply_points(3, 250):
         grid = cd.solve_supply_grid(ladder, bath, [s])
         if grid.errors[0] is not None or grid.mu[0] != 0.0:
             continue
@@ -700,12 +627,10 @@ def test_bracket_end_where_k_overflows_prints_no_warning():
     ladder = cd.ladder_analytic(56, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=1000.971929699893, phi=6.833844269828542, chi=0.0022614316412162597)
     supplies = [0.3190649070910514, 5.83953359449833e301]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = cd.solve_supply_grid(ladder, bath, supplies)
+    grid = _quiet_grid(ladder, bath, supplies)
     assert "every occupation underflows" in str(grid.errors[0])
     assert grid.errors[1] is None and grid.converged()[1]
-    eta, _ = _closed_root(ladder, bath, supplies[1])
+    eta, _ = oracles.closed_state(ladder, bath, supplies[1])
     assert abs(float(grid.eta[1]) - eta) <= 1.1e-13 * eta
 
 
@@ -723,7 +648,7 @@ def test_newton_point_whose_bracket_holds_a_k_beyond_dbl_max_is_the_50_digit_roo
         "overflow encountered in scalar divide", "invalid value encountered in scalar divide"
     }
     assert grid.errors[0] is None
-    exact = _full_closure_occupations(ladder, bath, s, float(grid.eta[0]))
+    exact = oracles.closure_root(ladder, bath, s, grid.solution(0)).occupations
     for n, n_exact in zip(grid.occupations[0].tolist(), exact):
         assert abs(n - n_exact) <= 1e-12 * n_exact
     # the residual gate passes it, the closure gate flags it (ROADMAP item 26(b))
@@ -737,9 +662,7 @@ def test_point_at_beta_1e_300_is_answered_and_flagged_without_a_bracket_end_warn
     # point is still flagged, its residual being beyond a double (ROADMAP item 29)
     ladder = cd.ladder_analytic(4, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=1e-300, phi=1.0, chi=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = cd.solve_supply_grid(ladder, bath, [1.0])
+    grid = _quiet_grid(ladder, bath, [1.0])
     assert grid.errors[0] is None
     assert abs(float(grid.eta[0]) - 1.0004002241024194e301) <= 1e-15 * 1.0004002241024194e301
     assert not grid.converged()[0]
@@ -751,37 +674,22 @@ def test_newton_iterates_whose_k_passes_dbl_max_print_no_warning():
     # log(T / S) = +inf, of the closure's sign, and bisects, silently
     ladder = cd.ladder_analytic(14, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=771.5403004018738, phi=0.07352875536187642, chi=58.208094360976744)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = cd.solve_supply_grid(ladder, bath, [3043.7094724503872, 8.749622132633236e299])
+    grid = _quiet_grid(ladder, bath, [3043.7094724503872, 8.749622132633236e299])
     assert grid.errors == (None, None)
     assert float(grid.eta[1]) == pytest.approx(2.853181518791274e-11, rel=1e-13)
 
 
-def _hot_root_occupations(ladder, bath, s, eta_near):
-    """Occupations at the full closure's root, bisected in log eta within 1e-6 of
-    log(eta_near), at 50 + 2 |log10 beta| digits: each omega beta - mu beta cancels
-    about |log10 beta| digits."""
-    with mpmath.workdps(50 + 2 * round(abs(math.log10(bath.beta)))):
-        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
-        ups = [mpmath.exp(mpmath.mpf(float(w)) * mpmath.mpf(bath.beta)) for w in ladder.omegas]
-        transfer = s * mpmath.fsum(1 / up for up in ups)
-
-        def occupations(log_eta):
-            total = phi + chi * mpmath.exp(log_eta)
-            a = 1 - chi * transfer / (phi * total)
-            return [(1 + s / total) / (a * up - 1) for up in ups]
-
-        def closure(log_eta):
-            return mpmath.fsum(occupations(log_eta)) - mpmath.exp(log_eta)
-
-        near = mpmath.log(mpmath.mpf(eta_near))
-        lo, hi = near - mpmath.mpf("1e-6"), near + mpmath.mpf("1e-6")
-        assert closure(lo) > 0 > closure(hi)
-        while hi - lo > mpmath.mpf("1e-30"):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if closure(mid) > 0 else (lo, mid)
-        return occupations((lo + hi) / 2)
+def test_newton_root_whose_chi_s_passes_dbl_max_prints_no_warning():
+    # r = 3, chi = 100, s = 1e307: eta = S / (phi x) - phi / chi = 4.148e307 is a double
+    # and chi S is not; eta and k = 1.0024 are formed without it, so nothing overflows
+    ladder = cd.ladder_analytic(6, 1.0, 0.1, 100.0)
+    bath = cd.BathParams(beta=1.0, phi=1.0, chi=100.0)
+    grid = _quiet_grid(ladder, bath, [1e307])
+    assert grid.errors[0] is None
+    root = oracles.closure_root(ladder, bath, 1e307, grid.solution(0))
+    assert abs(float(grid.eta[0]) - root.eta) <= 1e-13 * root.eta
+    for n, exact in zip(grid.occupations[0].tolist(), root.occupations):
+        assert abs(n - exact) <= 1e-13 * exact
 
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-150])
@@ -791,16 +699,14 @@ def test_hot_bath_occupations_are_the_high_precision_root(beta):
     # root; the r = 2 point above and census draws 0-3 with beta replaced, all
     # flagged by the residual gate (ROADMAP item 29)
     points = [(4, 1.0, 0.1, 1.0)] + [
-        (two_r, phi, chi, s) for two_r, _, phi, chi, s in CENSUS.draws(0, 4)
+        (two_r, phi, chi, s) for two_r, _, phi, chi, s in oracles.CENSUS.draws(0, 4)
     ]
     for two_r, phi, chi, s in points:
         ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
         bath = cd.BathParams(beta=beta, phi=phi, chi=chi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = cd.solve_supply_grid(ladder, bath, [s])
+        grid = _quiet_grid(ladder, bath, [s])
         assert grid.errors[0] is None
-        exact = _hot_root_occupations(ladder, bath, s, float(grid.eta[0]))
+        exact = oracles.closure_root(ladder, bath, s, grid.solution(0)).occupations
         for n, n_exact in zip(grid.occupations[0].tolist(), exact):
             assert abs(n - n_exact) <= 1e-14 * n_exact, (two_r, n, n_exact)
 
@@ -809,7 +715,7 @@ def test_census_draws_at_the_underflow_bound_are_refused_or_answered_by_eta():
     # draw 2883: omega_-r beta = 709.75, eta = 5.7e-309 is a subnormal, and the
     # point is refused by name; draw 2798: omega_-r beta = 712.66, eta is normal
     # (k = 1 + s/phi = 3e5), and the point is answered
-    draws = list(CENSUS.draws(0, 2884))
+    draws = list(oracles.CENSUS.draws(0, 2884))
     two_r, beta, phi, chi, s = draws[2883]
     ladder = cd.ladder_analytic(two_r, 1.0, 0.1, 100.0)
     with pytest.raises(cd.ConvergenceError, match="every occupation underflows: eta = 5.73"):
@@ -839,12 +745,6 @@ def test_residual_is_finite_where_an_occupation_meets_an_overflowing_exponential
 # batched root find: one kernel for a grid and for one point
 # ---------------------------------------------------------------------------
 
-def _domain_ladder(two_r, omega, c_ref, share):
-    """A ladder of the sweep_analytic domain: bottom level kept positive."""
-    kappa = share * min(1.0, 0.8 * math.sqrt(c_ref) / max(two_r / 2.0, 0.5))
-    return cd.ladder_analytic(two_r, omega, kappa, c_ref)
-
-
 SOLUTION_FIELDS = (
     "amplification", "mu", "eta", "s_supply", "s_balance", "max_residual", "eta_closure"
 )
@@ -873,7 +773,7 @@ SOLUTION_FIELDS = (
 def test_solve_supply_grid_is_the_one_point_solve_at_every_grid_point(
     two_r, omega, c_ref, share, beta, chi, s_min, decades, points, from_zero
 ):
-    ladder = _domain_ladder(two_r, omega, c_ref, share)
+    ladder = oracles.domain_ladder(two_r, omega, c_ref, share)
     bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
     grid = np.geomspace(s_min, s_min * 10.0**decades, points)
     if from_zero:
@@ -946,7 +846,7 @@ def test_blocks_of_one_point_match_one_pass():
     # s = 1e19 at r = 1 has a near-pole root (SHRINK_POINTS)
     cases = [(cd.ladder_analytic(2, 1.0, 0.1, 100.0), BATH, [1e19, 1.0, 0.0, -3.0])]
     while len(cases) < 40:
-        ladder = _domain_ladder(
+        ladder = oracles.domain_ladder(
             rng.randint(0, 78), rng.uniform(0.5, 2.0), log_uniform(1e2, 1e4),
             log_uniform(1e-3, 1.0),
         )
@@ -1011,50 +911,7 @@ def test_root_find_names_exhausted_iterations():
     assert named and float(named[1]) < solve(5.0).gap < float(named[2])
 
 
-def _domain_points(count, seed):
-    """Seeded (ladder, bath, s) draws of the sweep_analytic domain past the refusal."""
-    rng = random.Random(seed)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    points = []
-    while len(points) < count:
-        two_r, omega = rng.randint(2, 78), rng.uniform(0.5, 2.0)
-        c_ref, share = log_uniform(1e2, 1e4), log_uniform(1e-3, 1.0)
-        beta, chi, s = log_uniform(0.1, 10.0), log_uniform(0.01, 1.0), log_uniform(1e-2, 1e4)
-        ladder = _domain_ladder(two_r, omega, c_ref, share)
-        bath = cd.BathParams(beta=beta, phi=1.0, chi=chi)
-        if chi * cd.excitation_transfer_supply(s, ladder, bath) >= np.finfo(float).eps:
-            points.append((ladder, bath, s))
-    return points
-
-
-def _closure_root(ladder, bath, s, near):
-    """50-digit bisection root of the solver's closure, from its float inputs."""
-    with mpmath.workdps(50):
-        gap_top = mpmath.mpf(float(ladder.omegas[0] * bath.beta))
-        level_gaps = [
-            mpmath.mpf(float(v)) for v in (ladder.omegas - ladder.omegas[0]) * bath.beta
-        ]
-        transfer = mpmath.mpf(cd.excitation_transfer_supply(s, ladder, bath))
-        phi, chi, s = mpmath.mpf(bath.phi), mpmath.mpf(bath.chi), mpmath.mpf(s)
-
-        def closure(g):
-            eta = (chi * transfer / (phi * -mpmath.expm1(g - gap_top)) - phi) / chi
-            k = 1 + s / (phi + chi * eta)
-            return mpmath.fsum(k / mpmath.expm1(gap + g) for gap in level_gaps) - eta
-
-        near = mpmath.mpf(near)
-        lo, hi = near * (1 - mpmath.mpf("1e-12")), near * (1 + mpmath.mpf("1e-12"))
-        assert closure(lo) > 0 > closure(hi)
-        while hi - lo > near * mpmath.mpf("1e-25"):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if closure(mid) > 0 else (lo, mid)
-        return (lo + hi) / 2
-
-
-ORACLE_POINTS = _domain_points(40, seed=12)
+ORACLE_POINTS = oracles.domain_points(40, seed=12)
 # relative distance of the scipy-identical Brent root, which the kernel
 # replaced, from the 50-digit root at ORACLE_POINTS
 BRENT_DISTANCE_MEDIAN = 5.861874242896193e-17
@@ -1063,33 +920,27 @@ BRENT_DISTANCE_MAX = 8.773801407357959e-16
 
 @functools.cache
 def _oracle(index):
-    """The kernel's one-point grid at ORACLE_POINTS[index] and its 50-digit root g."""
+    """The kernel's one-point grid at ORACLE_POINTS[index], its 50-digit closure root and
+    the relative distance of its gap from the root's."""
     ladder, bath, s = ORACLE_POINTS[index]
     grid = cd.solve_supply_grid(ladder, bath, [s])
-    return grid, _closure_root(ladder, bath, s, float(grid.gap[0]))
-
-
-def _kernel_distance(index):
-    grid, root = _oracle(index)
-    gap = float(grid.gap[0])
-    return float(abs(gap - root) / root)
+    root = oracles.closure_root(ladder, bath, s, grid.solution(0), solver_inputs=True)
+    return grid, root, float(abs(float(grid.gap[0]) - root.g) / root.g)
 
 
 @pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
 def test_kernel_gap_is_within_brent_tolerance_of_the_closure_root(index):
     # Brent stopped on a bracket narrower than 8.9e-16 g
-    assert _kernel_distance(index) <= 8.9e-16
+    grid, root, distance = _oracle(index)
+    assert distance <= 8.9e-16
     # mu beta = gap_top - g holds its own digits too, also where it is the
     # far smaller half of gap_top
-    ladder, bath, _ = ORACLE_POINTS[index]
-    grid, root = _oracle(index)
-    with mpmath.workdps(50):
-        exact = mpmath.mpf(float(ladder.omegas[0] * bath.beta)) - root
-        assert abs(float(grid.mu[0]) * bath.beta - exact) <= 1e-15 * exact
+    _, bath, _ = ORACLE_POINTS[index]
+    assert abs(float(grid.mu[0]) * bath.beta - root.mu_beta) <= 1e-15 * root.mu_beta
 
 
 def test_kernel_gap_is_no_farther_from_the_closure_root_than_brent():
-    distances = [_kernel_distance(index) for index in range(len(ORACLE_POINTS))]
+    distances = [_oracle(index)[2] for index in range(len(ORACLE_POINTS))]
     assert np.median(distances) <= BRENT_DISTANCE_MEDIAN
     assert max(distances) <= BRENT_DISTANCE_MAX
 
@@ -1108,7 +959,7 @@ def test_bracket_search_below_the_low_end_finds_the_closure_root(two_r, beta, ch
     grid = cd.solve_supply_grid(ladder, bath, [s])
     gap = float(grid.gap[0])
     assert gap < NEAR_POLE * ladder.omegas[0] * beta
-    root = _closure_root(ladder, bath, s, gap)
+    root = oracles.closure_root(ladder, bath, s, grid.solution(0), solver_inputs=True).g
     assert float(abs(gap - root) / root) <= 8.9e-16
     assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
     # convergence is not asserted: the float residual cancels at such supplies
@@ -1120,18 +971,16 @@ def test_near_pole_root_at_a_huge_supply_is_the_closure_root(s):
     # double: Newton answers, with no numpy warning; at s = 1e308 the bottom
     # occupation is 0.977 DBL_MAX, above the gap bracket's low end
     ladder = cd.ladder_analytic(2, 1.0, 0.1, 100.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = cd.solve_supply_grid(ladder, BATH, [s])
+    grid = _quiet_grid(ladder, BATH, [s])
     assert grid.errors[0] is None
     gap = float(grid.gap[0])
-    root = _closure_root(ladder, BATH, s, gap)
+    root = oracles.closure_root(ladder, BATH, s, grid.solution(0), solver_inputs=True).g
     assert float(abs(gap - root) / root) <= 8.9e-16
     assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
 
 
 def test_near_pole_occupations_beyond_the_double_range_are_refused_by_name():
-    # at phi = chi = 1e-3 eta = chi S / (phi x) - phi / chi overflows from
+    # at phi = chi = 1e-3 eta = S / (phi x) - phi / chi overflows from
     # s = 4.33e304 on, below the s where S itself does
     ladder = cd.ladder_analytic(6, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=1.0, phi=1e-3, chi=1e-3)
@@ -1146,13 +995,11 @@ def test_root_below_dbl_min_whose_bottom_occupation_is_a_double_is_answered():
     ladder = cd.ladder_analytic(29, 1.0, 0.1, 100.0)
     bath = cd.BathParams(beta=0.8778571678165702, phi=0.052461876836962115, chi=1.4191161201472966)
     s = 1.6319506808633252e305
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = cd.solve_supply_grid(ladder, bath, [s])
+    grid = _quiet_grid(ladder, bath, [s])
     assert grid.errors[0] is None
     gap = float(grid.gap[0])
     assert gap < DBL_MIN
-    root = _closure_root(ladder, bath, s, gap)
+    root = oracles.closure_root(ladder, bath, s, grid.solution(0), solver_inputs=True).g
     assert float(abs(gap - root) / root) <= 8.9e-16
     # the 60-digit root's first three occupations, rounded
     exact = (7.36946365896223e307, 113.59145831737777, 56.54643806990347)
@@ -1160,34 +1007,14 @@ def test_root_below_dbl_min_whose_bottom_occupation_is_a_double_is_answered():
         assert abs(n - n_exact) <= 1e-13 * n_exact
 
 
-def _near_pole_draws(count, seed):
-    """Seeded (ladder, bath, s): ROADMAP item 1's domain at s in 1e15-1e307, log-uniform."""
-    rng = random.Random(seed)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    for _ in range(count):
-        ladder = cd.ladder_analytic(rng.randint(0, 78), 1.0, 0.1, 100.0)
-        bath = cd.BathParams(
-            beta=log_uniform(0.1, 2000.0), phi=log_uniform(1e-3, 1e3), chi=log_uniform(1e-4, 1e2)
-        )
-        yield ladder, bath, log_uniform(1e15, 1e307)
-    # near-flat ladders, where the excited levels' Planck terms move with g
-    for kappa in (1e-12, 1e-14):
-        yield cd.ladder_analytic(10, 1.0, kappa, 100.0), BATH, 1e19
-
-
 def test_near_pole_closed_form_is_the_50_digit_closure_root():
     answered = 0
-    for ladder, bath, s in _near_pole_draws(80, seed=45):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = cd.solve_supply_grid(ladder, bath, [s])
+    for ladder, bath, s in oracles.near_pole_draws(80, seed=45):
+        grid = _quiet_grid(ladder, bath, [s])
         gap = float(grid.gap[0])
         if grid.errors[0] is not None or gap >= NEAR_POLE * ladder.omegas[0] * bath.beta:
             continue
-        root = _closure_root(ladder, bath, s, gap)
+        root = oracles.closure_root(ladder, bath, s, grid.solution(0), solver_inputs=True).g
         assert float(abs(gap - root) / root) <= 8.9e-16, (ladder.two_r, bath, s)
         assert grid.eta_closure[0] < 1e-10 * grid.eta[0]
         answered += 1
@@ -1255,9 +1082,7 @@ def test_noncondensate_bound_is_the_50_digit_root_where_phi_dominates():
     bath = cd.BathParams(beta=1.0, phi=1e3, chi=1e-8)
     at = cd.noncondensate_bound(0.0, LADDER, bath)
     with mpmath.workdps(50):
-        b_sum, phi, chi = (mpmath.mpf(v) for v in (at.b_sum, bath.phi, bath.chi))
-        half_b = (phi - chi * b_sum) / 2
-        root = (mpmath.sqrt(half_b**2 + chi * b_sum * phi) - half_b) / chi
+        root = oracles.closed_quadratic(*(mpmath.mpf(v) for v in (at.b_sum, bath.phi, bath.chi)))
         assert abs(at.bound - root) <= 4 * EPS * root
 
 

@@ -4,12 +4,12 @@ import math
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lasercond import thermal as th
 
 
@@ -209,27 +209,6 @@ def test_thermal_sigma_r2_limits_and_enumeration():
         assert th.thermal_sigma_r2(params) == pytest.approx(oracle.sigma_r2_mean, rel=1e-12)
 
 
-def _mpmath_closed_forms(n, beta):
-    """Var(m), <N^2/4 - m^2> and the printed r(r+1) variance to 50 digits.
-
-    Each is evaluated as first written, from <m> = -(N/2) tanh(beta/2):
-    N/4 - <m>^2/N, (N(N-1)/4)(1 - 4<m>^2/N^2) and N(N-1)/8 + ((N-1)(N-2)/N)
-    <m>^2 - (2(2N-3)(N-1)/N^3) <m>^4.  Those forms lose about beta/ln 10
-    digits to cancellation, so the working precision grows by as many;
-    beta is the double itself.
-    """
-    with mpmath.workdps(50 + int(beta / math.log(10.0))):
-        n_mp = mpmath.mpf(n)
-        m = -n_mp / 2 * mpmath.tanh(mpmath.mpf(beta) / 2)
-        return (
-            n_mp / 4 - m**2 / n_mp,
-            n_mp * (n - 1) / 4 * (1 - 4 * m**2 / n_mp**2),
-            n_mp * (n - 1) / 8
-            + mpmath.mpf((n - 1) * (n - 2)) / n_mp * m**2
-            - mpmath.mpf(2 * (2 * n - 3) * (n - 1)) / n_mp**3 * m**4,
-        )
-
-
 def _closed_forms(n, beta):
     params = th.EnsembleParams(n, beta)
     return (
@@ -243,7 +222,7 @@ def _closed_forms(n, beta):
 def test_closed_form_variances_match_mpmath_at_large_beta(n, beta):
     # tanh(beta/2) is within 2e-13 of 1 at these points, so a form built on
     # 1 - tanh^2 in doubles keeps at most three of the digits compared here
-    exact = [float(value) for value in _mpmath_closed_forms(n, beta)]
+    exact = [float(value) for value in oracles.thermal_closed_forms(n, beta)]
     assert all(value > 0.0 for value in exact)
     np.testing.assert_allclose(_closed_forms(n, beta), exact, rtol=1e-14, atol=0.0)
 
@@ -256,37 +235,17 @@ def test_closed_form_variances_keep_their_digits(n, beta):
     # relative error within 1e-13 wherever the exact value is a normal
     # double; below that, the absolute error is what a double can carry
     got = _closed_forms(n, beta)
-    for value, exact in zip(got, _mpmath_closed_forms(n, beta)):
+    for value, exact in zip(got, oracles.thermal_closed_forms(n, beta)):
         if exact >= sys.float_info.min:
             assert abs(value - exact) <= 1e-13 * exact
         else:
             assert abs(value - exact) <= 1e-300
 
 
-def _mpmath_exact_r2_variance(n, beta):
-    """Var(r(r+1)) = E[N^2/4 - m^2] + Var(m^2) to 50 digits, as first written.
-
-    r(r+1) averages to m^2 + N/2 at fixed m with spread N^2/4 - m^2; with
-    mean mu and central moments c2, c3, c4 of m, a sum of N independent
-    +-1/2 spins, Var(m^2) = 4 mu^2 c2 + 4 mu c3 + c4 - c2^2.  sech^2 is
-    taken as 1 - tanh^2, which loses about beta/ln 10 digits, so the
-    working precision grows by as many; beta is the double itself.
-    """
-    with mpmath.workdps(50 + int(beta / math.log(10.0))):
-        t = mpmath.tanh(mpmath.mpf(beta) / 2)
-        sech2 = 1 - t**2
-        mu = -n * t / 2
-        c2 = n * sech2 / 4
-        c3 = n * t * sech2 / 4
-        c4 = n * sech2 * (1 + 3 * t**2) / 16 + 3 * n * (n - 1) * (sech2 / 4) ** 2
-        spread = mpmath.mpf(n * (n - 1)) / 4 * sech2
-        return spread + 4 * mu**2 * c2 + 4 * mu * c3 + c4 - c2**2
-
-
 @pytest.mark.parametrize(("n", "beta"), [(10, 30.0), (10, 50.0), (400, 40.0), (400, 720.0)])
 def test_exact_r2_variance_matches_mpmath_at_large_beta(n, beta):
     # at beta = 720, e^(-beta) is subnormal but the variance, 1.3e-305, is not
-    exact = float(_mpmath_exact_r2_variance(n, beta))
+    exact = float(oracles.exact_r2_variance(n, beta))
     assert exact > sys.float_info.min
     got = th.thermal_r2_variance_exact(th.EnsembleParams(n, beta))
     assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
@@ -303,7 +262,7 @@ def test_exact_r2_variance_keeps_its_digits(n, beta):
     if n == 1:  # one molecule: r = 1/2 only, and the closed form has a factor N - 1
         assert got == 0.0
         return
-    exact = _mpmath_exact_r2_variance(n, beta)
+    exact = oracles.exact_r2_variance(n, beta)
     if exact >= sys.float_info.min:
         assert abs(got - exact) <= 1e-13 * exact
     else:
@@ -367,27 +326,6 @@ def test_frozen_limit_is_the_general_path_at_large_beta(n):
     assert records(math.inf) == records(1500.0)
 
 
-def _fraction_enumeration(n, beta):
-    """<m^k> and <[r(r+1)]^k>, k <= 4, as exact Fraction sums.
-
-    Term (r, m) weighs P(r) q^(m + N/2) with q = e^(-beta) rounded once to
-    a double, so the only rounding is in q.
-    """
-    q = Fraction(math.exp(-beta))
-    total = Fraction(0)
-    m_sums = [Fraction(0)] * 5
-    x_sums = [Fraction(0)] * 5
-    for two_r in range(n % 2, n + 1, 2):
-        x = Fraction(two_r * (two_r + 2), 4)
-        for two_m in range(-two_r, two_r + 1, 2):
-            weight = th.degeneracy(n, two_r) * q ** ((two_m + n) // 2)
-            total += weight
-            for k in range(5):
-                m_sums[k] += weight * Fraction(two_m, 2) ** k
-                x_sums[k] += weight * x**k
-    return [float(s / total) for s in m_sums], [float(s / total) for s in x_sums]
-
-
 @pytest.mark.parametrize(
     ("n", "beta"),
     [(14, 102.0), (2, 711.0), (10, 140.0), (9, 0.7), (14, 3.0), (13, 36.0)],
@@ -397,9 +335,9 @@ def test_enumeration_matches_fraction_sums_past_the_exponent_range(n, beta):
     # e^(-beta m) alone overflows a moment sum at the third; the weights
     # relative to m = -N/2 keep every sum finite, and Z reads inf past it
     oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
-    m_exact, x_exact = _fraction_enumeration(n, beta)
-    np.testing.assert_allclose(oracle.m_moments, m_exact, rtol=1e-14)
-    np.testing.assert_allclose(oracle.r2_moments, x_exact, rtol=1e-14)
+    exact = oracles.enumeration(n, beta)
+    np.testing.assert_allclose(oracle.m_moments, exact.m_moments, rtol=1e-14)
+    np.testing.assert_allclose(oracle.r2_moments, exact.r2_moments, rtol=1e-14)
     assert (oracle.z == math.inf) == (beta * n / 2.0 > 709.78)
 
 
@@ -432,28 +370,6 @@ def test_enumeration_reaches_the_frozen_limit_as_beta_grows(n):
     assert oracle.z == math.inf
 
 
-def _mpmath_centred_moments(n, beta):
-    """Var(m), Var(r(r+1)) and <N^2/4 - m^2> as 60-digit centred sums.
-
-    Term (r, m) weighs P(r) e^(-beta (m + N/2)) with beta the double itself.
-    """
-    with mpmath.workdps(60):
-        terms = []
-        for two_r in range(n % 2, n + 1, 2):
-            x = mpmath.mpf(two_r * (two_r + 2)) / 4
-            for two_m in range(-two_r, two_r + 1, 2):
-                weight = th.degeneracy(n, two_r) * mpmath.exp(-mpmath.mpf(beta) * ((two_m + n) // 2))
-                terms.append((weight, mpmath.mpf(two_m) / 2, x))
-        total = sum(w for w, _, _ in terms)
-        m_mean = sum(w * m for w, m, _ in terms) / total
-        x_mean = sum(w * x for w, _, x in terms) / total
-        return (
-            float(sum(w * (m - m_mean) ** 2 for w, m, _ in terms) / total),
-            float(sum(w * (x - x_mean) ** 2 for w, _, x in terms) / total),
-            float(sum(w * (mpmath.mpf(n * n) / 4 - m * m) for w, m, _ in terms) / total),
-        )
-
-
 @pytest.mark.parametrize(
     ("n", "beta"),
     [(13, 36.18)]
@@ -465,7 +381,7 @@ def test_enumeration_variances_match_mpmath_centred_sums(n, beta):
     # Var(m) 7.1e-15 for 2.52e-15, and both read 0.0 at N = 14, beta = 50;
     # the centred sums keep every digit
     oracle = th.enumeration_moments(th.EnsembleParams(n, beta))
-    exact = _mpmath_centred_moments(n, beta)
+    exact = oracles.enumeration(n, beta)[2:]  # Var(m), Var(r(r+1)), <N^2/4 - m^2>
     got = (oracle.m_variance, oracle.r2_variance, oracle.sigma_r2_mean)
     assert all(value > 0.0 for value in exact)
     np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
